@@ -8,39 +8,37 @@ where eta_lo = p_min * c_min^r over edges:
 
 Ties (w == eta_lo^k exactly) stay internal, so a tied word lands in a later
 antichain.  Every vertex has out-degree >= 2 and every edge weight is < 1, so
-depth-first expansion from all roots terminates and emits a finite maximal
-antichain partitioning the measure.
+the expansion from all roots terminates in a finite maximal antichain
+partitioning the measure.
 
-The scanner streams: no words are stored (the word count phi grows like
-e^{ck}).  Emitted weights are folded into a histogram keyed by (chain, w)
-where `chain` is the ordered tuple of critical components visited (the
-condensation is a DAG, so first-visit order is well defined) and w the word
-weight; counts are exact, so all downstream sums are reproducible and
-mergeable.  Threshold comparisons run on float weights inside a relative
-1e-9 guard band; anything inside the band is resolved exactly, comparing
-p^b * c^a against p_min^{kb} * c_min^{ka} for r = a/b in lowest terms (the
-word is reconstructed through parent pointers, and the verdict is memoized
-per distinct float weight -- distinct rational weight classes this close
-together cannot share a double at desk-scale depths).
-
-An exact mode (Fractions end to end, optional word storage) exists for small
-levels; it is what the unit oracles diff against.
+Every statistic of the antichain depends on a word only through its state:
+its last vertex, the ordered chain of critical components it visited (the
+condensation is a DAG, so first-visit order is well defined), the initial
+weight chi of its root and its exact weights (p_sigma, c_sigma).  Words with
+equal states have identical subtrees, so one level-synchronous pass over
+states carrying word multiplicities counts the antichain exactly without
+visiting its words (the transfer-operator view of graph-directed
+constructions, Mauldin-Williams 1988).  Membership is exact: p^b * c^a is
+compared against p_min^{kb} * c_min^{ka} for r = a/b in lowest terms, in
+integers over one common scale per depth.  Members fold into a
+histogram keyed by (chain, chi, p, c), so counts and the sums built from
+them do not depend on traversal order.  The pass also records, per depth,
+which state every child word goes to; the geometry module replays these
+tables to place the members' cylinders.
 """
 
 from __future__ import annotations
 
-import array
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, NamedTuple
 
 from . import spectral
 from .graphs import CriticalStructure
 from .model import MarkovSystem, Word, as_fraction, edge_extremes
 
 DEFAULT_CAPACITY = 10**8
-_GUARD = 1e-9
 
 Chain = tuple[int, ...]
 
@@ -49,19 +47,33 @@ class CapacityError(RuntimeError):
     """Raised when an enumeration would exceed the configured word cap."""
 
 
+class Level(NamedTuple):
+    """The non-member words of one length, merged into states.
+
+    At the first depth the states are the roots, state v - 1 holding vertex v.
+    The children of state s occupy slots first[s] .. first[s + 1] - 1, one per
+    outgoing edge of its vertex in `sys.edges` order.
+    """
+
+    words: int  # words at this depth, summed over its states
+    first: tuple[int, ...]  # state -> its first slot; one trailing entry ends the last state
+    edge: tuple[int, ...]  # slot -> index of the edge into `sys.edges`
+    child: tuple[int, ...]  # slot -> state at the next depth, or -1 when the child is a member
+
+
 @dataclass(frozen=True)
 class ScanResult:
-    """Raw streaming output of one antichain traversal."""
+    """Output of one antichain pass."""
 
     k: int
     r: Fraction
     phi: int
     depth_min: int
     depth_max: int
-    hist: dict  # float mode: (chain, w) -> count; exact mode: (chain, chi, p, c) -> count
+    hist: dict  # (chain, chi, p, c) -> number of member words
     exact: bool
     words: tuple[Word, ...] | None
-    grid: tuple | None  # (mids, halves, masses) array.array('d') triples
+    levels: tuple[Level, ...] = field(repr=False)
 
 
 def _critical_map(sys: MarkovSystem, cs: CriticalStructure | None) -> list[int]:
@@ -76,7 +88,7 @@ def _critical_map(sys: MarkovSystem, cs: CriticalStructure | None) -> list[int]:
     return cmap
 
 
-def _edge_weight_float(p: Fraction, c: Fraction, rq: Fraction) -> float:
+def _weight_float(p: Fraction, c: Fraction, rq: Fraction) -> float:
     if rq.denominator == 1:
         return float(p * c**rq.numerator)
     return float(p) * float(c) ** float(rq)
@@ -88,195 +100,122 @@ def scan(
     k: int,
     *,
     cs: CriticalStructure | None = None,
-    layout: tuple[Mapping[int, float], Mapping[tuple[int, int], tuple[float, float]]] | None = None,
     exact: bool = False,
     store_words: bool = False,
     capacity: int = DEFAULT_CAPACITY,
 ) -> ScanResult:
-    """Stream one antichain, folding weights into a histogram.
+    """Count the level-k antichain in one exact pass over merged word states.
 
-    layout, when given, is (root_left, child_placement) from the geometric
-    realization; the scan then also emits cylinder midpoint / half-width /
-    mass triples.  store_words implies exact.
+    Membership, phi, the depth range and the histogram are exact whatever
+    `exact` says; `exact` (implied by store_words) only makes the antichain's
+    sum_energy an exact Fraction for integer r.  store_words also keeps every
+    member word, for small levels.  Raises CapacityError as soon as the
+    members found plus the words still to expand exceed `capacity`: each word
+    left to expand has at least two member descendants, so that sum never
+    exceeds the final phi.
     """
     if k < 1:
         raise ValueError(f"level k must be >= 1, got {k}")
     rq = as_fraction(r)
     if rq <= 0:
         raise ValueError(f"order r must be positive, got {r}")
-    if store_words:
-        exact = True
     cmap = _critical_map(sys, cs)
     p_lo, c_lo, _, _ = edge_extremes(sys)
     a, b = rq.numerator, rq.denominator
     thr_pow = p_lo ** (k * b) * c_lo ** (k * a)  # eta_lo^k raised to the b-th power
-
-    if exact:
-        return _scan_exact(sys, rq, k, cmap, thr_pow, store_words, capacity)
-
-    if rq.denominator == 1:
-        thr_f = float((p_lo * c_lo**a) ** k)
-    else:
-        thr_f = math.exp(k * (math.log(float(p_lo)) + float(rq) * math.log(float(c_lo))))
-    if thr_f <= 0.0:  # float underflow; unreachable below any sane capacity cap
-        raise ValueError(f"threshold underflows at level k={k}; reduce k")
-    tlo = thr_f * (1.0 - _GUARD)
-    thi = thr_f * (1.0 + _GUARD)
-
-    chi_f = [0.0] + [float(x) for x in sys.chi]
-    # per-vertex successor tables: (j, w_edge, p_edge, offset, ratio, crit_j)
-    succ_tab: list[list[tuple]] = [[]]
-    for i in sys.vertices:
-        row = []
-        for j in sys.successors(i):
-            pe, ce = sys.edge_p(i, j), sys.edge_c(i, j)
-            off, rat = (0.0, float(ce))
-            if layout is not None:
-                off, rat = layout[1][(i, j)]
-            row.append((j, _edge_weight_float(pe, ce, rq), float(pe), off, rat, cmap[j]))
-        succ_tab.append(row)
-
-    memo: dict[float, bool] = {}
-
-    def below_exact(fr, j: int) -> bool:
-        # reconstruct the word through parent pointers; verdict cached per float
-        path = [j]
-        node = fr
-        while node is not None:
-            path.append(node[0])
-            node = node[7]
-        path.reverse()
-        p = Fraction(1)
-        c = Fraction(1)
-        for u, v in zip(path, path[1:]):
-            p *= sys.edge_p(u, v)
-            c *= sys.edge_c(u, v)
-        return p**b * c**a < thr_pow
+    # Weights are integers over one scale per depth: a word of length d has
+    # p = P / dp^(d-1) and c = C / dc^(d-1), dp and dc the lcm of the edge
+    # denominators, so at one depth equal weights are equal integers.
+    dp = math.lcm(*(sys.edge_p(i, j).denominator for i, j in sys.edges))
+    dc = math.lcm(*(sys.edge_c(i, j).denominator for i, j in sys.edges))
+    out: list[list[tuple]] = [[] for _ in range(sys.n + 1)]
+    for e, (i, j) in enumerate(sys.edges):
+        out[i].append((e, j, int(sys.edge_p(i, j) * dp), int(sys.edge_c(i, j) * dc), cmap[j]))
+    chis = sorted(set(sys.chi))
 
     hist: dict = {}
-    grid_mids = grid_halves = grid_masses = None
-    want_grid = layout is not None
-    if want_grid:
-        grid_mids = array.array("d")
-        grid_halves = array.array("d")
-        grid_masses = array.array("d")
-
-    phi = 0
-    l1 = 1 << 60
-    l2 = 0
-    empty_chain: Chain = ()
-    # frame: (v, w, mass, left, length, chain, depth, parent_frame)
-    stack = []
-    for root in sys.vertices:
-        left0 = layout[0][root] if want_grid else 0.0
-        stack.append((root, 1.0, chi_f[root], left0, 1.0,
-                      (cmap[root],) if cmap[root] >= 0 else empty_chain, 1, None))
-    hist_get = hist.get
-    while stack:
-        fr = stack.pop()
-        v, w, mass, left, length, chain, depth, _ = fr
-        for j, wf, pf, off, rat, cj in succ_tab[v]:
-            w2 = w * wf
-            if w2 < tlo:
-                is_below = True
-            elif w2 > thi:
-                is_below = False
-            else:
-                is_below = memo.get(w2)
-                if is_below is None:
-                    is_below = below_exact(fr, j)
-                    memo[w2] = is_below
-            # a path cannot re-enter a component it left (condensation is a
-            # DAG), so comparing against the last entry suffices
-            ch2 = chain if cj < 0 or (chain and chain[-1] == cj) else chain + (cj,)
-            if is_below:
-                key = (ch2, w2)
-                cnt = hist_get(key)
-                hist[key] = 1 if cnt is None else cnt + 1
-                phi += 1
-                d2 = depth + 1
-                if d2 < l1:
-                    l1 = d2
-                if d2 > l2:
-                    l2 = d2
-                if want_grid:
-                    len2 = rat * length
-                    grid_mids.append(left + off * length + 0.5 * len2)
-                    grid_halves.append(0.5 * len2)
-                    grid_masses.append(mass * pf)
-            else:
-                stack.append(
-                    (j, w2, mass * pf, left + off * length, rat * length, ch2, depth + 1, fr)
-                )
-        if phi > capacity:
-            raise CapacityError(
-                f"antichain at k={k} exceeds capacity cap {capacity} words"
-            )
-    grid = (grid_mids, grid_halves, grid_masses) if want_grid else None
-    return ScanResult(
-        k=k, r=rq, phi=phi, depth_min=l1, depth_max=l2, hist=hist,
-        exact=False, words=None, grid=grid,
-    )
-
-
-def _scan_exact(sys, rq, k, cmap, thr_pow, store_words, capacity):
-    """Fraction-arithmetic traversal for small levels; optional word storage."""
-    a, b = rq.numerator, rq.denominator
-    hist: dict = {}
-    words: list[Word] = [] if store_words else None
-    phi = 0
-    l1 = 1 << 60
-    l2 = 0
-    one = Fraction(1)
-    for root in sys.vertices:
-        chain0: Chain = (cmap[root],) if cmap[root] >= 0 else ()
-        stack = [((root,), one, one, chain0)]
-        while stack:
-            word, p, c, chain = stack.pop()
-            v = word[-1]
-            for j in sys.successors(v):
-                p2 = p * sys.edge_p(v, j)
-                c2 = c * sys.edge_c(v, j)
-                cj = cmap[j]
+    members: list[Word] = []
+    levels: list[Level] = []
+    phi = l1 = l2 = 0
+    # state: (last vertex, chain, index of the root's chi in chis, P, C)
+    states = [
+        (v, (cmap[v],) if cmap[v] >= 0 else (), chis.index(sys.chi[v - 1]), 1, 1)
+        for v in sys.vertices
+    ]
+    counts = [1] * sys.n
+    held = [[(v,)] for v in sys.vertices] if store_words else None
+    depth = 1
+    while states:
+        depth += 1
+        scale_p, scale_c = dp ** (depth - 1), dc ** (depth - 1)
+        # p^b c^a < thr_pow  <=>  P^b C^a den < num scale_p^b scale_c^a
+        den, bound = thr_pow.denominator, thr_pow.numerator * scale_p**b * scale_c**a
+        hits: dict[tuple, int] = {}
+        ids: dict[tuple, int] = {}
+        nxt: list[tuple] = []
+        nxt_counts: list[int] = []
+        nxt_held: list[list[Word]] = []
+        first, edge, child = [0], [], []
+        for s, (v, chain, chi, p, c) in enumerate(states):
+            n = counts[s]
+            for e, j, pe, ce, cj in out[v]:
+                p2 = p * pe
+                c2 = c * ce
+                # a path cannot re-enter a component it left (condensation is
+                # a DAG), so comparing against the last entry suffices
                 ch2 = chain if cj < 0 or (chain and chain[-1] == cj) else chain + (cj,)
-                w2 = word + (j,)
-                if p2**b * c2**a < thr_pow:
-                    key = (ch2, sys.chi[root - 1], p2, c2)
-                    hist[key] = hist.get(key, 0) + 1
-                    phi += 1
-                    if phi > capacity:
-                        raise CapacityError(
-                            f"antichain at k={k} exceeds capacity cap {capacity} words"
-                        )
-                    d2 = len(word) + 1
-                    l1 = min(l1, d2)
-                    l2 = max(l2, d2)
-                    if store_words:
-                        words.append(w2)
+                if p2**b * c2**a * den < bound:
+                    key = (ch2, chi, p2, c2)
+                    hits[key] = hits.get(key, 0) + n
+                    t = -1
+                    if held is not None:
+                        members.extend(w + (j,) for w in held[s])
                 else:
-                    stack.append((w2, p2, c2, ch2))
+                    st = (j, ch2, chi, p2, c2)
+                    t = ids.get(st)
+                    if t is None:
+                        t = ids[st] = len(nxt)
+                        nxt.append(st)
+                        nxt_counts.append(0)
+                        nxt_held.append([])
+                    nxt_counts[t] += n
+                    if held is not None:
+                        nxt_held[t].extend(w + (j,) for w in held[s])
+                edge.append(e)
+                child.append(t)
+            first.append(len(edge))
+        for (ch, chi, p, c), n in hits.items():
+            key = (ch, chis[chi], Fraction(p, scale_p), Fraction(c, scale_c))
+            hist[key] = hist.get(key, 0) + n
+            phi += n
+        if hits:
+            l1 = l1 or depth
+            l2 = depth
+        levels.append(Level(sum(counts), tuple(first), tuple(edge), tuple(child)))
+        if phi + sum(nxt_counts) > capacity:
+            raise CapacityError(f"antichain at k={k} exceeds capacity cap {capacity} words")
+        states, counts = nxt, nxt_counts
+        if held is not None:
+            held = nxt_held
     return ScanResult(
         k=k, r=rq, phi=phi, depth_min=l1, depth_max=l2, hist=hist,
-        exact=True, words=tuple(words) if store_words else None, grid=None,
+        exact=exact or store_words, words=tuple(members) if store_words else None,
+        levels=tuple(levels),
     )
 
 
 def _weight_items(res: ScanResult) -> list[tuple[Chain, float, int]]:
     """(chain, float weight, count) triples in a canonical order."""
-    out: list[tuple[Chain, float, int]] = []
-    if res.exact:
-        for (chain, _chi, p, c), cnt in res.hist.items():
-            out.append((chain, _edge_weight_float(p, c, res.r), cnt))
-    else:
-        for (chain, w), cnt in res.hist.items():
-            out.append((chain, w, cnt))
+    out = [
+        (chain, _weight_float(p, c, res.r), cnt) for (chain, _chi, p, c), cnt in res.hist.items()
+    ]
     out.sort(key=lambda t: (t[0], t[1]))
     return out
 
 
 @dataclass(frozen=True)
 class Antichain:
-    """One maximal antichain with its streamed statistics.
+    """One maximal antichain with its statistics.
 
     sum_energy is Sum p*c^r over members (exact Fraction in exact mode with
     integer r, float otherwise); sum_dim is Sum (p*c^r)^{s/(s+r)} at the
@@ -360,12 +299,10 @@ def enumerate_antichain(
 
 
 def measure_partition_sum(ac: Antichain) -> Fraction:
-    """Exact Sum of chi_{sigma_1} p_sigma over members (exact mode only).
+    """Exact Sum of chi_{sigma_1} p_sigma over members.
 
     Equals 1 for every maximal antichain: the cylinders partition the measure.
     """
-    if not ac.exact:
-        raise ValueError("partition sum requires an exact-mode antichain")
     total = Fraction(0)
     for (_chain, chi, p, _c), cnt in ac.hist.items():
         total += cnt * chi * p

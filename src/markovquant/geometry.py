@@ -40,6 +40,9 @@ from .antichain import DEFAULT_CAPACITY, Antichain
 from .graphs import CriticalStructure
 from .model import MarkovSystem, as_fraction, validate_word
 
+# rows of the grid replay expanded at once; bounds its temporary arrays
+_CHUNK = 1 << 12
+
 
 class InfeasibleLayoutError(ValueError):
     """Raised when a row's child ratios cannot fit disjointly in a template."""
@@ -61,7 +64,7 @@ class Realization:
     sep_t: Fraction
 
     def layout_floats(self):
-        """(root_left, placement) in floats, for the streaming scanner."""
+        """(root_left, placement) in floats, for grids and the sampler."""
         roots = {v: float(self.root_left[v - 1]) for v in self.system.vertices}
         place = {e: (float(o), float(rt)) for e, (o, rt) in self.placement.items()}
         return roots, place
@@ -133,21 +136,58 @@ class CylinderGrid:
 def level_grid(
     rz: Realization, r, k: int, capacity: int = DEFAULT_CAPACITY
 ) -> CylinderGrid:
-    """Stream the level-k antichain into (midpoint, half-width, mass) arrays.
+    """(midpoint, half-width, mass) of every cylinder of the level-k antichain.
 
+    The antichain pass decides membership and records, per depth, which
+    state each child word goes to.  This replays those tables over one row
+    (state, left end, length, mass) per word, a bounded chunk of rows at a
+    time, and writes each member's cylinder into arrays sized to phi.
     Arrays are sorted by midpoint so Lloyd cells become contiguous slices.
     """
-    res = antichain_mod.scan(rz.system, r, k, layout=rz.layout_floats(), capacity=capacity)
-    mids = np.frombuffer(res.grid[0], dtype=np.float64)
-    halves = np.frombuffer(res.grid[1], dtype=np.float64)
-    masses = np.frombuffer(res.grid[2], dtype=np.float64)
+    sys = rz.system
+    res = antichain_mod.scan(sys, r, k, capacity=capacity)
+    roots, place = rz.layout_floats()
+    off = np.array([place[e][0] for e in sys.edges])
+    ratio = np.array([place[e][1] for e in sys.edges])
+    prob = np.array([float(sys.edge_p(i, j)) for i, j in sys.edges])
+    state = np.arange(sys.n)
+    left = np.array([roots[v] for v in sys.vertices])
+    length = np.ones(sys.n)
+    mass = sys.chi_float()
+    mids, halves, masses = np.empty(res.phi), np.empty(res.phi), np.empty(res.phi)
+    done = 0
+    sizes = [lvl.words for lvl in res.levels[1:]] + [0]  # rows of the next depth
+    for lvl, size in zip(res.levels, sizes):
+        first, edge, child = np.array(lvl.first), np.array(lvl.edge), np.array(lvl.child)
+        rows = (np.empty(size, dtype=np.intp), np.empty(size), np.empty(size), np.empty(size))
+        kept = 0
+        for lo in range(0, state.size, _CHUNK):
+            st = state[lo : lo + _CHUNK]
+            deg = first[st + 1] - first[st]
+            parent = np.repeat(np.arange(lo, lo + st.size), deg)
+            slot = np.arange(parent.size) + np.repeat(first[st] - (np.cumsum(deg) - deg), deg)
+            e, to = edge[slot], child[slot]
+            span = length[parent]
+            lft = left[parent] + off[e] * span
+            span = ratio[e] * span
+            mss = mass[parent] * prob[e]
+            hit = to < 0
+            n_hit = int(np.count_nonzero(hit))
+            mids[done : done + n_hit] = lft[hit] + 0.5 * span[hit]
+            halves[done : done + n_hit] = 0.5 * span[hit]
+            masses[done : done + n_hit] = mss[hit]
+            done += n_hit
+            miss = ~hit
+            for dst, src in zip(rows, (to, lft, span, mss)):
+                dst[kept : kept + parent.size - n_hit] = src[miss]
+            kept += parent.size - n_hit
+        state, left, length, mass = rows
     order = np.argsort(mids, kind="stable")
-    return CylinderGrid(
-        k=k, r=float(as_fraction(r)),
-        mids=np.ascontiguousarray(mids[order]),
-        halves=np.ascontiguousarray(halves[order]),
-        masses=np.ascontiguousarray(masses[order]),
-    )
+    # gather one array at a time: never more than one sorted copy alongside
+    mids = mids[order]
+    halves = halves[order]
+    masses = masses[order]
+    return CylinderGrid(k=k, r=float(as_fraction(r)), mids=mids, halves=halves, masses=masses)
 
 
 @dataclass(frozen=True)
@@ -206,10 +246,16 @@ def grid_codebook(grid: CylinderGrid) -> Codebook:
 
 
 def _nearest_distance(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    # filled in place, so at most three arrays of len(xs) are alive at once
     idx = np.searchsorted(points, xs)
-    left = np.where(idx > 0, xs - points[np.maximum(idx - 1, 0)], np.inf)
-    right = np.where(idx < points.size, points[np.minimum(idx, points.size - 1)] - xs, np.inf)
-    return np.minimum(left, right)
+    left = xs - points[np.maximum(idx, 1) - 1]
+    left[idx == 0] = np.inf
+    beyond = idx == points.size
+    np.minimum(idx, points.size - 1, out=idx)
+    right = points[idx]
+    right -= xs
+    right[beyond] = np.inf
+    return np.minimum(left, right, out=left)
 
 
 def _sandwich(grid: CylinderGrid, points: np.ndarray, r: float) -> tuple[float, float]:

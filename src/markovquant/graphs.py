@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Mapping, Sequence
 
@@ -96,12 +96,6 @@ class Condensation:
     @property
     def n_components(self) -> int:
         return len(self.components)
-
-    def component_of(self, vertex: int) -> int:
-        for idx, comp in enumerate(self.components):
-            if vertex in comp:
-                return idx
-        raise IndexError(f"vertex {vertex} not in any component")
 
     def vertex_map(self) -> dict[int, int]:
         """vertex -> component index."""
@@ -186,17 +180,13 @@ class CriticalStructure:
     m_r: int
     t_r: int
     transient_set: frozenset[int]
+    # component index -> its SpectralSolution (None when acyclic); filled by
+    # spectral.critical_analysis, empty when assembled from bare roots
+    roots: Mapping = field(default_factory=dict)
 
     @property
     def critical_indices(self) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.critical) if f)
-
-    def critical_component_of(self, vertex: int) -> int | None:
-        """Index (within critical_indices) of the critical component holding vertex."""
-        idx = self.condensation.vertex_map().get(vertex)
-        if idx is None or not self.critical[idx]:
-            return None
-        return idx
 
 
 def critical_structure(

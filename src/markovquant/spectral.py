@@ -18,7 +18,7 @@ primitive, with the shift removed afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -273,8 +273,11 @@ def component_roots(
 
 
 def critical_analysis(sys: MarkovSystem, r) -> graphs.CriticalStructure:
-    """Condensation plus per-component roots folded into a CriticalStructure."""
+    """Condensation plus per-component roots folded into a CriticalStructure.
+
+    The per-component SpectralSolutions are attached as `roots`.
+    """
     cond = graphs.scc_condensation(sys)
     roots = component_roots(sys, r, cond)
     per = {i: (0.0 if sol is None else sol.root) for i, sol in roots.items()}
-    return graphs.critical_structure(sys, r, per, cond=cond)
+    return replace(graphs.critical_structure(sys, r, per, cond=cond), roots=roots)

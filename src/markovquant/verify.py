@@ -95,10 +95,8 @@ def chain_label(chain: tuple[int, ...]) -> str:
 def analysis_report(sys: MarkovSystem, r) -> dict:
     """Structural and spectral analysis of one model at one order."""
     rf = float(as_fraction(r))
-    cond = graphs.scc_condensation(sys)
-    roots = spectral.component_roots(sys, r, cond)
-    per = {i: (0.0 if sol is None else sol.root) for i, sol in roots.items()}
-    cs = graphs.critical_structure(sys, r, per, cond=cond)
+    cs = spectral.critical_analysis(sys, r)
+    cond = cs.condensation
     full = spectral.solve_sr(sys, "full", r)
     chains: dict[str, list] = {}
     for length in range(1, max(cs.m_r, 1) + 1):
@@ -118,10 +116,8 @@ def analysis_report(sys: MarkovSystem, r) -> dict:
         "dag_edges": [list(e) for e in cond.dag_edges],
         "topo_order": list(cond.topo_order),
         "acyclic_components": [bool(a) for a in cond.acyclic],
-        "component_roots": [per[i] for i in range(cond.n_components)],
-        "subcritical": [
-            bool(roots[i] is None or roots[i].subcritical) for i in range(cond.n_components)
-        ],
+        "component_roots": list(cs.per_component),
+        "subcritical": [bool(sol is None or sol.subcritical) for sol in cs.roots.values()],
         "s_r": full.root,
         "s_r_component_max": cs.s_r,
         "critical": [bool(c) for c in cs.critical],
@@ -172,14 +168,12 @@ def run_verification(
         return suite
 
     # -- spectral structure ------------------------------------------------
-    cond = graphs.scc_condensation(sys)
-    roots = spectral.component_roots(sys, r, cond)
-    per = {i: (0.0 if sol is None else sol.root) for i, sol in roots.items()}
-    cs = graphs.critical_structure(sys, r, per, cond=cond)
+    cs = spectral.critical_analysis(sys, r)
+    cond = cs.condensation
     full = spectral.solve_sr(sys, "full", r)
 
     worst = 0.0
-    for sol in list(roots.values()) + [full]:
+    for sol in list(cs.roots.values()) + [full]:
         if sol is not None and not sol.subcritical:
             psi = spectral.spectral_radius(spectral.weight_matrix(sys, sol.vertices, r, sol.root))
             worst = max(worst, abs(psi - 1.0))

@@ -1,6 +1,7 @@
 """Antichain enumeration against brute-force oracles, sums, exponents, chains."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from markovquant import (
     path_weight,
     theorem_ratio_series,
 )
-from conftest import S1_H1_B, S_R_A, T11_A, oracle_antichain
+from conftest import S1_H1_B, S_R_A, T11_A, oracle_antichain, random_rational_system
 
 F = Fraction
 
@@ -37,6 +38,17 @@ class TestAgainstOracle:
     def test_order_two_matches(self, sys_a, k):
         ac = enumerate_antichain(sys_a, 2, k, exact=True, store_words=True)
         assert sorted(ac.words) == oracle_antichain(sys_a, 2, k)
+
+    @pytest.mark.parametrize("r", [F(1), F(2), F(3, 2)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_models_match(self, seed, r):
+        # states barely merge on these models.  The oracle follows the
+        # module's threshold p_min * c_min^r; oracle_antichain takes the least
+        # p * c^r over edges, which differs when no edge holds both minima
+        sys = random_rational_system(random.Random(seed))
+        ac = enumerate_antichain(sys, r, 2, exact=True, store_words=True)
+        assert sorted(ac.words) == oracle_antichain_fractional(sys, r, 2)
+        assert measure_partition_sum(ac) == 1
 
     def test_float_mode_agrees_with_exact(self, sys_b):
         for k in (2, 5, 8):
@@ -74,8 +86,9 @@ class TestFixtureAClosedForms:
     def test_ties_stay_internal(self, sys_a):
         # every length-(k+1) word has weight exactly eta_lo^k; the strict
         # right inequality keeps it out, so members all have length k+2
-        ac = enumerate_antichain(sys_a, 1, 6, exact=True)
-        assert ac.depth_min == 8
+        for r in (1, F(3, 2)):
+            ac = enumerate_antichain(sys_a, r, 6, exact=True)
+            assert ac.depth_min == 8
 
 
 class TestDefinitionalInvariants:

@@ -1,6 +1,7 @@
 """Realization layout, cylinder geometry, error sandwich, Lloyd refinement."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from markovquant import (
+    CapacityError,
     Codebook,
     InfeasibleLayoutError,
     MarkovSystem,
@@ -23,13 +25,25 @@ from markovquant import (
     lloyd_refine,
     monte_carlo_error,
     optimal_two_point,
+    path_weight,
     quantile_codebook,
     realize,
     sample_support_points,
 )
-from conftest import S_R_A, all_words
+from conftest import S_R_A, all_words, random_rational_system
 
 F = Fraction
+
+
+def realizable_random_models(count: int, seed: int = 0) -> list:
+    """The first `count` seeded random models whose child ratios fit each template."""
+    rng = random.Random(seed)
+    models = []
+    while len(models) < count:
+        sys = random_rational_system(rng)
+        if all(sum(sys.edge_c(i, j) for j in sys.successors(i)) < 1 for i in sys.vertices):
+            models.append(sys)
+    return models
 
 
 class TestRealize:
@@ -115,18 +129,29 @@ class TestGrids:
             assert (grid.masses > 0).all()
 
     def test_grid_matches_exact_intervals(self, sys_b):
-        rz = realize(sys_b)
-        grid = level_grid(rz, 1, 3)
-        ac = enumerate_antichain(sys_b, 1, 3, exact=True, store_words=True)
-        exact = np.array(
-            sorted(
-                (float(l) + float(d) / 2, float(d) / 2)
-                for l, d in (cylinder_interval(rz, w) for w in ac.words)
+        cases = [(sys_b, 1, 3), (sys_b, F(3, 2), 3)]
+        cases += [(sys, r, 2) for sys in realizable_random_models(3) for r in (1, F(3, 2))]
+        for sys, r, k in cases:
+            rz = realize(sys)
+            grid = level_grid(rz, r, k)
+            ac = enumerate_antichain(sys, r, k, exact=True, store_words=True)
+            exact = []
+            for w in ac.words:
+                left, length = cylinder_interval(rz, w)
+                mass = path_weight(sys, w).measure_weight
+                exact.append((float(left) + float(length) / 2, float(length) / 2, float(mass)))
+            exact = np.array(sorted(exact))
+            got = np.array(
+                sorted(zip(grid.mids.tolist(), grid.halves.tolist(), grid.masses.tolist()))
             )
-        )
-        got = np.array(sorted(zip(grid.mids.tolist(), grid.halves.tolist())))
-        assert got.shape == exact.shape
-        assert np.allclose(got, exact, rtol=1e-12, atol=1e-15)
+            assert got.shape == exact.shape
+            assert np.allclose(got, exact, rtol=1e-12, atol=1e-15)
+
+    def test_grid_capacity_checked_before_arrays(self, sys_b):
+        # phi at k = 40 is about 7.1e15; the pass stops once the words found
+        # plus the words left to expand exceed the cap
+        with pytest.raises(CapacityError):
+            level_grid(realize(sys_b), 1, 40, capacity=10**6)
 
     def test_codebook_paths_agree(self, sys_a):
         rz = realize(sys_a)
