@@ -27,6 +27,7 @@ from .geometry import (
     ErrorEstimate,
     InfeasibleLayoutError,
     Realization,
+    SamplingResolutionError,
     UnsupportedOrderError,
     antichain_codebook,
     cylinder_interval,

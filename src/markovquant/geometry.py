@@ -17,11 +17,17 @@ and mass, giving rigorous two-sided bounds for any codebook alpha:
     lower = sum m * max(0, d(mid, alpha) - half)^r
     upper = sum m * (d(mid, alpha) + half)^r.
 
-Lloyd refinement alternates nearest-point assignment with per-cell center
-updates on the discretized measure (mean for r=2, weighted median for r=1,
-ternary search on the convex cell objective otherwise).  A step is accepted
-only if the sandwich upper bound does not increase, so the reported bound is
-non-increasing by construction.  A seeded Monte Carlo sampler is included as
+Grids are sorted by midpoint, and in one dimension the cells of a
+nearest-point assignment are intervals, so every cell is a contiguous slice
+of the grid.  The cells of a codebook are solved together: the best single
+point of a cell is the mean for r=2 and the weighted median for r=1; for any
+other order a ternary search on the convex cell objective advances every
+cell at once, one `np.add.reduceat` per trial point and step.  Lloyd
+refinement alternates assignment with these center updates; a step is
+accepted only if the sandwich upper bound does not increase, so the reported
+bound is non-increasing by construction.  The 2-point brute force scores
+every split of the grid from prefix sums for r=1 and r=2 and recenters both
+sides of every split otherwise.  A seeded Monte Carlo sampler is included as
 a validation sidecar only.
 """
 
@@ -42,6 +48,8 @@ from .model import MarkovSystem, as_fraction, validate_word
 
 # rows of the grid replay expanded at once; bounds its temporary arrays
 _CHUNK = 1 << 12
+# chain steps the sampler may take before its cylinders reach the resolution
+_SAMPLE_STEPS = 10_000
 
 
 class InfeasibleLayoutError(ValueError):
@@ -50,6 +58,10 @@ class InfeasibleLayoutError(ValueError):
 
 class UnsupportedOrderError(ValueError):
     """Raised for Lloyd refinement with order r < 1."""
+
+
+class SamplingResolutionError(RuntimeError):
+    """Raised when sampled cylinders stay above the resolution after every step."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,24 +202,25 @@ def level_grid(
     return CylinderGrid(k=k, r=float(as_fraction(r)), mids=mids, halves=halves, masses=masses)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """A finite candidate support set; points are kept sorted and distinct."""
 
-    points: tuple[float, ...]
+    points: np.ndarray  # float64, read-only
 
     def __post_init__(self):
-        pts = tuple(sorted(set(float(x) for x in self.points)))
-        if not pts:
+        pts = np.unique(np.asarray(self.points, dtype=np.float64))
+        if not pts.size:
             raise ValueError("codebook must contain at least one point")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return int(self.points.size)
 
     def array(self) -> np.ndarray:
-        return np.asarray(self.points)
+        return self.points
 
 
 @dataclass(frozen=True)
@@ -237,12 +250,12 @@ def antichain_codebook(rz: Realization, ac: Antichain) -> Codebook:
     for w in ac.words:
         left, length = cylinder_interval(rz, w)
         pts.append(float(left) + float(length) / 2.0)
-    return Codebook(points=tuple(pts))
+    return Codebook(points=pts)
 
 
 def grid_codebook(grid: CylinderGrid) -> Codebook:
     """Codebook of all cylinder midpoints of a grid."""
-    return Codebook(points=tuple(grid.mids.tolist()))
+    return Codebook(points=grid.mids)
 
 
 def _nearest_distance(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -288,32 +301,57 @@ def integrate_error(
 
 
 def _cell_center(mids, masses, lo: int, hi: int, r: float) -> float:
-    """Best single point for one contiguous cell of the sorted grid."""
+    """Best single point for one contiguous cell of the sorted grid, r = 1 or 2."""
     x = mids[lo:hi]
     m = masses[lo:hi]
     if x.size == 1:
         return float(x[0])
     if r == 2.0:
         return float((m @ x) / m.sum())
-    if r == 1.0:
-        cum = np.cumsum(m)
-        half = 0.5 * cum[-1]
-        pos = int(np.searchsorted(cum, half))
-        return float(x[min(pos, x.size - 1)])
-    a, b_ = float(x[0]), float(x[-1])
+    cum = np.cumsum(m)  # r = 1: weighted median
+    half = 0.5 * cum[-1]
+    pos = int(np.searchsorted(cum, half))
+    return float(x[min(pos, x.size - 1)])
 
-    def cost(t: float) -> float:
-        return float(m @ np.abs(x - t) ** r)
 
-    # objective is convex for r >= 1
-    while b_ - a > 1e-12:
-        t1 = a + (b_ - a) / 3.0
-        t2 = b_ - (b_ - a) / 3.0
-        if cost(t1) <= cost(t2):
-            b_ = t2
-        else:
-            a = t1
-    return 0.5 * (a + b_)
+def _cell_centers(mids, masses, starts, ends, r: float) -> np.ndarray:
+    """Best single point of each cell mids[starts[i]:ends[i]] of the sorted grid.
+
+    An empty cell gets NaN; the other cells must be adjacent, each ending
+    where the next one starts.  Orders 1 and 2 take the closed forms of
+    `_cell_center`.  Any other order r >= 1 runs a ternary search on each
+    cell's convex objective down to width 1e-12; all cells step together,
+    and each trial cost is one reduceat over the grid slice they span.
+    """
+    out = np.full(starts.size, np.nan)
+    full = ends > starts
+    starts, ends = starts[full], ends[full]
+    if r == 1.0 or r == 2.0 or not starts.size:
+        out[full] = [
+            _cell_center(mids, masses, lo, hi, r) for lo, hi in zip(starts.tolist(), ends.tolist())
+        ]
+        return out
+    lo, hi = int(starts[0]), int(ends[-1])
+    x, m = mids[lo:hi], masses[lo:hi]
+    offsets, counts = starts - lo, ends - starts
+
+    def costs(t: np.ndarray) -> np.ndarray:
+        buf = t.repeat(counts)
+        np.subtract(x, buf, out=buf)
+        np.abs(buf, out=buf)
+        np.power(buf, r, out=buf)
+        np.multiply(buf, m, out=buf)
+        return np.add.reduceat(buf, offsets)
+
+    a, b = mids[starts], mids[ends - 1]  # one-point cells never move
+    while (live := b - a > 1e-12).any():
+        third = (b - a) / 3.0
+        t1, t2 = a + third, b - third
+        left = costs(t1) <= costs(t2)
+        np.copyto(b, t2, where=live & left)
+        np.copyto(a, t1, where=live & ~left)
+    out[full] = 0.5 * (a + b)
+    return out
 
 
 def _respawn_order(grid: CylinderGrid) -> np.ndarray:
@@ -362,12 +400,8 @@ def lloyd_refine(
         bounds = 0.5 * (best[1:] + best[:-1])
         starts = np.concatenate(([0], np.searchsorted(mids, bounds, side="right")))
         ends = np.concatenate((starts[1:], [mids.size]))
-        new_pts = []
-        for ci in range(best.size):
-            lo_i, hi_i = int(starts[ci]), int(ends[ci])
-            if hi_i <= lo_i:
-                continue  # empty cell; refill below
-            new_pts.append(_cell_center(mids, masses, lo_i, hi_i, rf))
+        centers = _cell_centers(mids, masses, starts, ends, rf)
+        new_pts = centers[ends > starts].tolist()  # empty cells are refilled below
         while len(new_pts) < target_n:
             if respawn is None:
                 respawn = _respawn_order(grid)
@@ -392,7 +426,7 @@ def lloyd_refine(
         )
         if trace[-2].upper - up_c <= rel_tol * max(up_c, 1e-300):
             break
-    return Codebook(points=tuple(best.tolist())), trace
+    return Codebook(points=best), trace
 
 
 def quantile_codebook(grid: CylinderGrid, n: int, r: float = 2.0) -> Codebook:
@@ -400,14 +434,10 @@ def quantile_codebook(grid: CylinderGrid, n: int, r: float = 2.0) -> Codebook:
     if n < 1:
         raise ValueError("need n >= 1 code points")
     cum = np.cumsum(grid.masses)
-    total = cum[-1]
-    cuts = [int(np.searchsorted(cum, total * q / n, side="left")) for q in range(n + 1)]
+    cuts = np.searchsorted(cum, cum[-1] * np.arange(n + 1) / n, side="left")
     cuts[0], cuts[-1] = 0, grid.size
-    pts = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi > lo:
-            pts.append(_cell_center(grid.mids, grid.masses, lo, hi, float(r)))
-    return Codebook(points=tuple(pts))
+    centers = _cell_centers(grid.mids, grid.masses, cuts[:-1], cuts[1:], float(r))
+    return Codebook(points=centers[cuts[1:] > cuts[:-1]])
 
 
 def discrete_cost(grid: CylinderGrid, codebook: Codebook, r) -> float:
@@ -416,20 +446,52 @@ def discrete_cost(grid: CylinderGrid, codebook: Codebook, r) -> float:
     return float(grid.masses @ d ** float(as_fraction(r)))
 
 
+def _split_costs(mids, masses, r: float) -> np.ndarray:
+    """Cost of every split of the sorted grid at cut = 1..n-1, both sides
+    recentered, from prefix sums of m, m*x and m*x^2 (r = 1 or 2 only)."""
+    n = mids.size
+    x = mids - 0.5 * (mids[0] + mids[-1])  # centered: smaller sums, less cancellation
+    w = np.concatenate(([0.0], np.cumsum(masses)))
+    s1 = np.concatenate(([0.0], np.cumsum(masses * x)))
+    if r == 2.0:
+        s2 = np.concatenate(([0.0], np.cumsum(masses * x * x)))
+
+        def cell(i, j):  # about the mean
+            return s2[j] - s2[i] - (s1[j] - s1[i]) ** 2 / (w[j] - w[i])
+    else:
+
+        def cell(i, j):  # about the first point whose cumulative mass reaches half
+            q = np.clip(np.searchsorted(w[1:], w[i] + 0.5 * (w[j] - w[i])), i, j - 1)
+            below = x[q] * (w[q] - w[i]) - (s1[q] - s1[i])
+            return below + (s1[j] - s1[q + 1]) - x[q] * (w[j] - w[q + 1])
+
+    cut = np.arange(1, n)
+    return cell(0, cut) + cell(cut, n)
+
+
 def optimal_two_point(grid: CylinderGrid, r) -> tuple[Codebook, float]:
     """Exact 2-point optimum of the discretized measure by split enumeration.
 
     In one dimension the cells of an optimal quantizer are intervals, so it
     suffices to try every split of the sorted midpoints into a prefix and a
-    suffix and recenter both sides.
+    suffix and recenter both sides.  For r = 1 and r = 2 the best split is
+    picked from prefix sums (weighted medians and means); other orders
+    recenter both sides of every split with the cell kernel.  The points and
+    the cost returned are those of recentering the chosen split directly.
     """
     rf = float(as_fraction(r))
-    best_cost = math.inf
-    best_pts: tuple[float, float] | None = None
     mids, masses = grid.mids, grid.masses
-    for cut in range(1, grid.size):
-        a = _cell_center(mids, masses, 0, cut, rf)
-        b = _cell_center(mids, masses, cut, grid.size, rf)
+    n = grid.size
+    if n < 2:
+        raise ValueError("optimal_two_point needs a grid of at least two cells")
+    if rf == 1.0 or rf == 2.0:
+        cuts = [int(np.argmin(_split_costs(mids, masses, rf))) + 1]
+    else:
+        cuts = range(1, n)
+    best_cost = math.inf
+    best_pts = None
+    for cut in cuts:
+        a, b = _cell_centers(mids, masses, np.array([0, cut]), np.array([cut, n]), rf)
         cost = float(
             masses[:cut] @ np.abs(mids[:cut] - a) ** rf
             + masses[cut:] @ np.abs(mids[cut:] - b) ** rf
@@ -511,7 +573,8 @@ def sample_support_points(
     """Seeded i.i.d. sample of the measure, to cylinder resolution.
 
     Walks the chain vectorized until every cylinder is shorter than
-    `resolution`, then returns the cylinder midpoints.
+    `resolution`, then returns the cylinder midpoints.  Raises
+    SamplingResolutionError if that takes more than 10,000 steps.
     """
     sysm = rz.system
     rng = np.random.default_rng(seed)
@@ -532,9 +595,14 @@ def sample_support_points(
     rat_arr = {
         i: np.array([place[(i, j)][1] for j in sysm.successors(i)]) for i in sysm.vertices
     }
-    for _ in range(10_000):
-        if float(length.max()) < resolution:
-            break
+    steps = 0
+    while float(length.max()) >= resolution:
+        if steps == _SAMPLE_STEPS:
+            raise SamplingResolutionError(
+                f"cylinders still {float(length.max()):.3g} long after {steps} steps, "
+                f"above the resolution {resolution:g}"
+            )
+        steps += 1
         nxt = np.empty_like(cur)
         offs = np.empty(n_samples)
         rats = np.empty(n_samples)

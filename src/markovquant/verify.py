@@ -517,7 +517,7 @@ def run_verification(
                     measured={
                         "lloyd_cost": lloyd_cost,
                         "bruteforce_cost": bf_cost,
-                        "bruteforce_points": list(bf_book.points),
+                        "bruteforce_points": bf_book.points.tolist(),
                     },
                 )
             )
@@ -551,7 +551,7 @@ def run_verification(
                 },
             )
         )
-    except CapacityError as exc:
+    except (CapacityError, geometry.SamplingResolutionError) as exc:
         add(
             CheckResult(
                 name="monte_carlo_bracket", passed=None,

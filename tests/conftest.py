@@ -59,10 +59,13 @@ def oracle_antichain(sys: MarkovSystem, r: int, k: int) -> list[tuple[int, ...]]
     """Brute-force maximal antichain straight from the defining inequalities.
 
     Grows words breadth-first and tests membership per word with fresh exact
-    products (no incremental state shared with the production scanner).
-    Integer r only.
+    products (no incremental state shared with the production scanner).  The
+    threshold is eta_lo^k with eta_lo = p_min * c_min^r, the minima taken
+    separately over edges as in `model.eta_bounds`.  Integer r only.
     """
-    eta_lo = min(sys.edge_p(i, j) * sys.edge_c(i, j) ** r for i, j in sys.edges)
+    p_lo = min(sys.edge_p(i, j) for i, j in sys.edges)
+    c_lo = min(sys.edge_c(i, j) for i, j in sys.edges)
+    eta_lo = p_lo * c_lo**r
     thr = eta_lo**k
     members: list[tuple[int, ...]] = []
     frontier = [(i,) for i in sys.vertices]

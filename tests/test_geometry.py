@@ -11,8 +11,10 @@ import pytest
 from markovquant import (
     CapacityError,
     Codebook,
+    CylinderGrid,
     InfeasibleLayoutError,
     MarkovSystem,
+    SamplingResolutionError,
     UnsupportedOrderError,
     antichain_codebook,
     cylinder_interval,
@@ -29,10 +31,53 @@ from markovquant import (
     quantile_codebook,
     realize,
     sample_support_points,
+    validate_system,
 )
+from markovquant.geometry import _cell_centers
 from conftest import S_R_A, all_words, random_rational_system
 
 F = Fraction
+
+
+def scalar_ternary(x: np.ndarray, m: np.ndarray, r: float) -> float:
+    """One cell's ternary search, the rule `_cell_centers` applies to all cells.
+
+    Costs are summed in the kernel's order (first term, then the rest
+    pairwise): the objective is flat at its minimum, so another summation
+    order can move the returned point by up to about 1e-8 of the cell width.
+    """
+
+    def cost(t: float) -> float:
+        return float(np.add.reduceat(m * np.abs(x - t) ** r, [0])[0])
+
+    a, b = float(x[0]), float(x[-1])
+    while b - a > 1e-12:
+        t1 = a + (b - a) / 3.0
+        t2 = b - (b - a) / 3.0
+        if cost(t1) <= cost(t2):
+            b = t2
+        else:
+            a = t1
+    return 0.5 * (a + b)
+
+
+def split_enumeration(grid, r: int) -> float:
+    """Least 2-point cost over every split of the grid, each side recentered
+    at its mean (r = 2) or a weighted median (r = 1)."""
+    x, m = grid.mids, grid.masses
+
+    def center(xs, ms):
+        if r == 2:
+            return float(ms @ xs / ms.sum())
+        cum = np.cumsum(ms)
+        return float(xs[np.searchsorted(cum, 0.5 * cum[-1])])
+
+    best = math.inf
+    for cut in range(1, x.size):
+        a, b = center(x[:cut], m[:cut]), center(x[cut:], m[cut:])
+        cost = m[:cut] @ np.abs(x[:cut] - a) ** r + m[cut:] @ np.abs(x[cut:] - b) ** r
+        best = min(best, float(cost))
+    return best
 
 
 def realizable_random_models(count: int, seed: int = 0) -> list:
@@ -161,6 +206,14 @@ class TestGrids:
         assert book_words.size == 8
         assert book_words.points == pytest.approx(book_grid.points)
 
+    def test_codebook_points_sorted_and_distinct(self, sys_b):
+        grid = level_grid(realize(sys_b), 1, 6)
+        book = grid_codebook(grid)
+        assert book.points.tolist() == sorted(set(grid.mids.tolist()))
+        assert Codebook(points=(2.5, 0.5, 2.5, 1.0)).points.tolist() == [0.5, 1.0, 2.5]
+        with pytest.raises(ValueError):
+            Codebook(points=())
+
     def test_codebook_requires_words(self, sys_a):
         rz = realize(sys_a)
         ac = enumerate_antichain(sys_a, 1, 1)
@@ -222,10 +275,48 @@ class TestIntegrateError:
             est = integrate_error(rz, book, r, 8)
             assert est.upper <= 2.0**-r
 
+    def test_sampler_raises_at_step_cap(self):
+        # valid, realizable, but cylinders shrink by only 0.999 per likely step
+        q = F(1, 10**6)
+        sys = MarkovSystem(
+            p=[[1 - q, q], [q, 1 - q]],
+            c=[[F(999, 1000), F(5, 10**4)], [F(5, 10**4), F(999, 1000)]],
+            chi=[F(1, 2), F(1, 2)],
+        )
+        assert validate_system(sys).ok
+        with pytest.raises(SamplingResolutionError):
+            sample_support_points(realize(sys), 8, seed=0)
+
     def test_positive_order_required(self, sys_a):
         rz = realize(sys_a)
         with pytest.raises(ValueError):
             integrate_error(rz, Codebook(points=(0.5,)), 0, 3)
+
+
+class TestCellKernel:
+    @pytest.mark.parametrize("r", [F(5, 4), F(3, 2), 3])
+    def test_matches_scalar_ternary(self, r):
+        rf = float(r)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(2, 300))
+            mids = np.sort(rng.uniform(0.0, 10.0, n))
+            masses = rng.uniform(0.01, 1.0, n)
+            # cells over a random sub-range, with repeated cuts (empty
+            # cells) and adjacent cuts (one-point cells)
+            lo, hi = sorted(rng.choice(n + 1, 2, replace=False).tolist())
+            inner = rng.integers(lo, hi + 1, int(rng.integers(0, 12))).tolist()
+            cuts = np.array(sorted([lo, hi, lo, lo + 1, *inner]))
+            starts, ends = cuts[:-1], cuts[1:]
+            got = _cell_centers(mids, masses, starts, ends, rf)
+            for i, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
+                if s == e:
+                    assert np.isnan(got[i])
+                elif e - s == 1:
+                    assert got[i] == mids[s]
+                else:
+                    want = scalar_ternary(mids[s:e], masses[s:e], rf)
+                    assert abs(got[i] - want) <= 1e-12
 
 
 class TestLloyd:
@@ -276,6 +367,28 @@ class TestLloyd:
         rz = realize(sys_a)
         with pytest.raises(UnsupportedOrderError):
             lloyd_refine(rz, Codebook(points=(0.5,)), 0.5, 4)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("name,k", [("a", 5), ("a", 7), ("b", 4), ("c", 4)])
+    def test_two_point_matches_split_enumeration(self, request, name, k, r):
+        # fixture A's masses tie exactly, so equal-cost splits occur
+        grid = level_grid(realize(request.getfixturevalue(f"sys_{name}")), r, k)
+        book, cost = optimal_two_point(grid, r)
+        assert cost == pytest.approx(split_enumeration(grid, r), abs=1e-12)
+        assert discrete_cost(grid, book, r) == pytest.approx(cost, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_two_point_matches_split_enumeration_random(self, r):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            n = int(rng.integers(2, 200))
+            mids = np.sort(rng.uniform(0.0, 10.0, n))
+            grid = CylinderGrid(
+                k=0, r=float(r), mids=mids, halves=np.zeros(n), masses=rng.dirichlet(np.ones(n))
+            )
+            book, cost = optimal_two_point(grid, r)
+            assert cost == pytest.approx(split_enumeration(grid, r), abs=1e-12)
+            assert discrete_cost(grid, book, r) == pytest.approx(cost, abs=1e-12)
 
     def test_two_point_optimum_agreement(self, sys_a):
         # split-enumeration optimum is reproduced by Lloyd from quantile init
