@@ -94,6 +94,12 @@ def _weight_float(p: Fraction, c: Fraction, rq: Fraction) -> float:
     return float(p) * float(c) ** float(rq)
 
 
+def _threshold_power(sys: MarkovSystem, rq: Fraction, k: int) -> Fraction:
+    """eta_lo^k raised to the b-th power for r = a/b: p_min^(kb) * c_min^(ka)."""
+    p_lo, c_lo, _, _ = edge_extremes(sys)
+    return p_lo ** (k * rq.denominator) * c_lo ** (k * rq.numerator)
+
+
 def scan(
     sys: MarkovSystem,
     r,
@@ -120,9 +126,8 @@ def scan(
     if rq <= 0:
         raise ValueError(f"order r must be positive, got {r}")
     cmap = _critical_map(sys, cs)
-    p_lo, c_lo, _, _ = edge_extremes(sys)
     a, b = rq.numerator, rq.denominator
-    thr_pow = p_lo ** (k * b) * c_lo ** (k * a)  # eta_lo^k raised to the b-th power
+    thr_pow = _threshold_power(sys, rq, k)
     # Weights are integers over one scale per depth: a word of length d has
     # p = P / dp^(d-1) and c = C / dc^(d-1), dp and dc the lcm of the edge
     # denominators, so at one depth equal weights are equal integers.
