@@ -67,6 +67,7 @@ from .model import (
 )
 from .spectral import (
     NoCycleError,
+    PowerIterationCapError,
     RowSumBounds,
     SpectralSolution,
     WeightMatrix,

@@ -48,6 +48,9 @@ from .model import MarkovSystem, as_fraction, validate_word
 
 # rows of the grid replay expanded at once; bounds its temporary arrays
 _CHUNK = 1 << 12
+# grid cells per sandwich pass: its temporaries stay a few MB where grid-sized
+# ones added several copies of the grid to the peak memory of verify
+_SANDWICH_CHUNK = 1 << 16
 # chain steps the sampler may take before its cylinders reach the resolution
 _SAMPLE_STEPS = 10_000
 
@@ -272,9 +275,12 @@ def _nearest_distance(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def _sandwich(grid: CylinderGrid, points: np.ndarray, r: float) -> tuple[float, float]:
-    d = _nearest_distance(points, grid.mids)
-    lower = float(grid.masses @ np.maximum(d - grid.halves, 0.0) ** r)
-    upper = float(grid.masses @ (d + grid.halves) ** r)
+    lower = upper = 0.0
+    for lo in range(0, grid.size, _SANDWICH_CHUNK):
+        part = slice(lo, lo + _SANDWICH_CHUNK)
+        d, h, m = _nearest_distance(points, grid.mids[part]), grid.halves[part], grid.masses[part]
+        lower += float(m @ np.maximum(d - h, 0.0) ** r)
+        upper += float(m @ (d + h) ** r)
     return lower, upper
 
 

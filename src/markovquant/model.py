@@ -93,12 +93,17 @@ class MarkovSystem:
         self.p = p_t
         self.c = c_t
         self.chi = chi_t
-        self._succ = tuple(
-            tuple(j + 1 for j in range(n) if p_t[i][j] > 0) for i in range(n)
-        )
+        # one sign test per entry; the numerator's is cheaper than Fraction.__gt__
         self._edges = tuple(
-            (i + 1, j + 1) for i in range(n) for j in range(n) if p_t[i][j] > 0
+            (i + 1, j + 1)
+            for i, row in enumerate(p_t)
+            for j, x in enumerate(row)
+            if x.numerator > 0
         )
+        succ: list[list[int]] = [[] for _ in range(n)]
+        for i, j in self._edges:
+            succ[i - 1].append(j)
+        self._succ = tuple(map(tuple, succ))
         self._float_cache: dict[str, np.ndarray] = {}
 
     # -- constructors ---------------------------------------------------

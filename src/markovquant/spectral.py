@@ -1,4 +1,4 @@
-"""Pressure matrices, spectral radii, and root solving.
+"""Pressure matrices, certified spectral radii, and root solving.
 
 For order r and exponent parameter s, the weight matrix has entries
 
@@ -11,9 +11,26 @@ then fall below 1).  The unique root of Psi(s) = 1 is found by bisection.
 
 Scopes without a solvable root (Psi(s) < 1 for every s > 0, e.g. a lone
 self-loop) are flagged subcritical with root 0; such components can never be
-critical.  Radii of reducible matrices are taken as the maximum over the SCC
-diagonal blocks; irreducible blocks use power iteration on (B + I), which is
-primitive, with the shift removed afterwards.
+critical.
+
+Every radius comes from one Perron kernel.  The radius of a reducible matrix
+is the maximum over the SCC diagonal blocks of its pattern.  On an
+irreducible block B the kernel runs power iteration on B + I, which is
+primitive, so periodic patterns converge too.  At each positive iterate x it
+has the Collatz-Wielandt bracket
+
+    min_i (Bx)_i / x_i  <=  rho(B)  <=  max_i (Bx)_i / x_i
+
+and it stops once the bracket is RADIUS_TOL-tight (relative) and the vector
+step is at most RADIUS_TOL.  Asked only whether rho >= 1, it stops as soon as
+the bracket excludes 1, which certifies the answer; a tight bracket that
+still contains 1 is decided by the estimate sum(Bx) (x of unit 1-norm).
+Reaching _MAX_POWER_ITER steps otherwise raises PowerIterationCapError.
+
+solve_sr compiles its scope once: the edges as index arrays with log(p c^r)
+per edge, and the SCC blocks of the pattern, each with a matrix allocated
+once and its own Perron vector.  Each Psi(s) is one vectorized exp per
+block, and the kernel starts from the vectors of the previous evaluation.
 """
 
 from __future__ import annotations
@@ -34,6 +51,11 @@ _MAX_POWER_ITER = 20_000
 
 class NoCycleError(ValueError):
     """Raised when a scope has no edges, hence no pressure function."""
+
+
+class PowerIterationCapError(ValueError):
+    """Raised when the Perron kernel reaches _MAX_POWER_ITER steps while its
+    bracket is neither tight nor clear of the value it is compared with."""
 
 
 @dataclass(frozen=True)
@@ -58,6 +80,19 @@ def _scope_vertices(sys: MarkovSystem, scope) -> tuple[int, ...]:
     return verts
 
 
+def _scope_edges(sys: MarkovSystem, verts: tuple[int, ...], rf: float):
+    """(rows, cols, log(p c^r)) of the edges inside a scope, indexed into verts."""
+    if rf <= 0:
+        raise ValueError(f"order r must be positive, got {rf}")
+    idx = {v: i for i, v in enumerate(verts)}
+    inside = [(i, j) for i, j in sys.edges if i in idx and j in idx]
+    rows = np.array([idx[i] for i, _ in inside], dtype=np.intp)
+    cols = np.array([idx[j] for _, j in inside], dtype=np.intp)
+    p = np.array([float(sys.edge_p(i, j)) for i, j in inside])
+    c = np.array([float(sys.edge_c(i, j)) for i, j in inside])
+    return rows, cols, np.log(p) + rf * np.log(c)  # no underflow of p c^r
+
+
 def weight_matrix(sys: MarkovSystem, scope, r, s) -> WeightMatrix:
     """Build b_ij(s) = (p_ij c_ij^r)^{s/(s+r)} on the given scope.
 
@@ -65,47 +100,56 @@ def weight_matrix(sys: MarkovSystem, scope, r, s) -> WeightMatrix:
     """
     rf = float(as_fraction(r))
     sf = float(s)
-    if rf <= 0:
-        raise ValueError(f"order r must be positive, got {r}")
     if sf < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
     verts = _scope_vertices(sys, scope)
-    idx = {v: i for i, v in enumerate(verts)}
-    expo = sf / (sf + rf)
+    rows, cols, logw = _scope_edges(sys, verts, rf)
     m = np.zeros((len(verts), len(verts)))
-    for i, j in sys.edges:
-        if i in idx and j in idx:
-            w = float(sys.edge_p(i, j)) * float(sys.edge_c(i, j)) ** rf
-            m[idx[i], idx[j]] = w**expo
+    m[rows, cols] = np.exp(logw * (sf / (sf + rf)))
     return WeightMatrix(vertices=verts, entries=m, r=rf, s=sf)
 
 
-def _power_radius(block: np.ndarray, tol: float) -> float:
-    """Perron radius of an irreducible nonnegative block.
+def _perron(a: np.ndarray, x: np.ndarray, tol: float, target: float | None = None):
+    """The Perron kernel on one irreducible nonnegative block.
 
-    Iterates x <- (B+I)x / ||x||_1; B+I is primitive for irreducible B, so the
-    iteration converges even for periodic patterns.  The +1 shift is removed
-    from the converged eigenvalue.
+    Iterates x <- (a+I)x / ||(a+I)x||_1 from the positive unit-1-norm x and
+    returns (lo, hi, estimate, x): the Collatz-Wielandt bracket at the last
+    iterate, the estimate sum(a x) inside it, and the vector to start from
+    next.  Stops when the bracket is tol-tight and the vector step is at most
+    tol, or, given a target, as soon as the bracket excludes it.
     """
-    k = block.shape[0]
-    if k == 1:
-        return float(block[0, 0])
-    shifted = block + np.eye(k)
-    x = np.full(k, 1.0 / k)
-    lam = 1.0
     for _ in range(_MAX_POWER_ITER):
-        y = shifted @ x
-        lam_new = float(y.sum())  # x has unit 1-norm and y >= 0
-        y /= lam_new
-        if abs(lam_new - lam) <= tol * lam_new and float(np.abs(y - x).max()) <= tol:
-            return lam_new - 1.0
+        ax = a @ x
+        ratios = ax / x
+        lo, hi, est = float(ratios.min()), float(ratios.max()), float(ax.sum())
+        if target is not None and (lo >= target or hi < target):
+            return lo, hi, est, x
+        y = (ax + x) / (est + 1.0)
+        if hi - lo <= tol * hi and float(np.abs(y - x).max()) <= tol:
+            return lo, hi, est, y
         x = y
-        lam = lam_new
-    return lam - 1.0
+    around = "" if target is None else f" around {target!r}"
+    raise PowerIterationCapError(
+        f"Perron iteration reached its cap of {_MAX_POWER_ITER} steps with the "
+        f"radius bracket [{lo!r}, {hi!r}]{around} not tight"
+    )
+
+
+def _cyclic_blocks(k: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """SCCs of the pattern {(rows[e], cols[e])} on 0..k-1 that hold an edge:
+    the diagonal blocks that carry the spectral radius."""
+    succ: list[list[int]] = [[] for _ in range(k)]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        succ[i].append(j)
+    return [
+        np.array(comp)
+        for comp in graphs.strongly_connected_components(k, succ.__getitem__)
+        if len(comp) > 1 or comp[0] in succ[comp[0]]
+    ]
 
 
 def spectral_radius(m: WeightMatrix | np.ndarray, tol: float = RADIUS_TOL) -> float:
-    """Spectral radius of a nonnegative matrix.
+    """Spectral radius of a nonnegative matrix, certified to relative tol.
 
     Reducible matrices are handled block-triangularly: the radius is the
     maximum over SCC diagonal blocks of the nonzero pattern.
@@ -115,23 +159,57 @@ def spectral_radius(m: WeightMatrix | np.ndarray, tol: float = RADIUS_TOL) -> fl
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if (a < 0).any():
         raise ValueError("matrix must be nonnegative")
-    n = a.shape[0]
-    if n == 0:
-        return 0.0
-    pattern = [np.nonzero(a[i])[0].tolist() for i in range(n)]
-    comps = graphs.strongly_connected_components(n, lambda v: pattern[v])
     radius = 0.0
-    for comp in comps:
-        if len(comp) == 1 and a[comp[0], comp[0]] == 0.0:
-            continue
-        block = a[np.ix_(comp, comp)]
-        radius = max(radius, _power_radius(block, tol))
+    for comp in _cyclic_blocks(a.shape[0], *np.nonzero(a)):
+        start = np.full(len(comp), 1.0 / len(comp))
+        radius = max(radius, _perron(a[np.ix_(comp, comp)], start, tol)[2])
     return radius
+
+
+@dataclass
+class _Block:
+    """One cyclic SCC block of a compiled scope; x is the warm start."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    logw: np.ndarray
+    matrix: np.ndarray
+    x: np.ndarray
+
+
+class _Pressure:
+    """Psi(s) on one scope, compiled once (see the module docstring)."""
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, logw: np.ndarray, k: int, rf: float):
+        self.rf = rf
+        self.blocks = []
+        for comp in _cyclic_blocks(k, rows, cols):
+            local = np.full(k, -1)
+            local[comp] = np.arange(len(comp))
+            inside = (local[rows] >= 0) & (local[cols] >= 0)
+            self.blocks.append(_Block(
+                local[rows[inside]], local[cols[inside]], logw[inside],
+                np.zeros((len(comp), len(comp))), np.full(len(comp), 1.0 / len(comp)),
+            ))
+
+    def __call__(self, s: float, target: float | None = None) -> tuple[float, float, float]:
+        """(lo, hi, estimate) of Psi(s), each the maximum over the blocks."""
+        expo = s / (s + self.rf)
+        lo = hi = est = 0.0
+        for b in self.blocks:
+            b.matrix[b.rows, b.cols] = np.exp(b.logw * expo)
+            b_lo, b_hi, b_est, b.x = _perron(b.matrix, b.x, RADIUS_TOL, target)
+            lo, hi, est = max(lo, b_lo), max(hi, b_hi), max(est, b_est)
+        return lo, hi, est
 
 
 @dataclass(frozen=True)
 class SpectralSolution:
-    """Root of Psi(s) = 1 on a scope, with the evaluations made on the way."""
+    """Root of Psi(s) = 1 on a scope, with the evaluations made on the way.
+
+    Each evaluation is (s, estimate of Psi(s)).  Before the last one, the
+    estimate is only as precise as deciding Psi(s) against 1 required.
+    """
 
     vertices: tuple[int, ...]
     r: float
@@ -149,38 +227,42 @@ def solve_sr(sys: MarkovSystem, scope, r, tol: float = ROOT_TOL) -> SpectralSolu
 
     The upper bracket is doubled from 1 until Psi < 1 (guaranteed to happen:
     as s -> infinity row sums drop below 1).  If Psi is already below 1 at
-    s = 1e-9, the scope is subcritical and the root is reported as 0.
+    s = 1e-9, the scope is subcritical and the root is reported as 0.  Each
+    comparison of Psi with 1 stops as soon as the radius bracket excludes 1;
+    the evaluation at the root runs until the bracket is RADIUS_TOL-tight.
     """
     rf = float(as_fraction(r))
     verts = _scope_vertices(sys, scope)
-    if not any(i in verts and j in verts for i, j in sys.edges):
+    rows, cols, logw = _scope_edges(sys, verts, rf)
+    if not rows.size:
         raise NoCycleError(f"scope {verts} has no edges")
+    pressure = _Pressure(rows, cols, logw, len(verts), rf)
     evals: list[tuple[float, float]] = []
 
-    def psi(s: float) -> float:
-        val = spectral_radius(weight_matrix(sys, verts, rf, s))
-        evals.append((s, val))
-        return val
+    def at_least_one(s: float) -> bool:
+        lo, hi, est = pressure(s, target=1.0)
+        evals.append((s, est))
+        return lo >= 1.0 or (hi >= 1.0 and est >= 1.0)
 
-    if psi(_SUBCRITICAL_PROBE) < 1.0:
+    if not at_least_one(_SUBCRITICAL_PROBE):
         return SpectralSolution(
             vertices=verts, r=rf, root=0.0, subcritical=True, evaluations=tuple(evals)
         )
     lo = _SUBCRITICAL_PROBE
     hi = 1.0
-    while psi(hi) >= 1.0:
+    while at_least_one(hi):
         lo = hi
         hi *= 2.0
         if hi > 2.0**60:
             raise AssertionError("Psi(s) failed to drop below 1; model weights invalid")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if psi(mid) >= 1.0:
+        if at_least_one(mid):
             lo = mid
         else:
             hi = mid
     root = 0.5 * (lo + hi)
-    psi(root)
+    evals.append((root, pressure(root)[2]))
     return SpectralSolution(
         vertices=verts, r=rf, root=root, subcritical=False, evaluations=tuple(evals)
     )
@@ -189,21 +271,12 @@ def solve_sr(sys: MarkovSystem, scope, r, tol: float = ROOT_TOL) -> SpectralSolu
 def left_perron_vector(block: np.ndarray, tol: float = RADIUS_TOL) -> np.ndarray:
     """Normalized positive left eigenvector of an irreducible nonnegative block.
 
-    Power iteration on the transpose of (B + I); normalized to sum 1.
+    The Perron kernel on the transpose, run until its bracket is tol-tight
+    and its vector step at most tol; normalized to sum 1.
     """
     b = np.asarray(block, dtype=float)
     k = b.shape[0]
-    if k == 1:
-        return np.ones(1)
-    shifted = b.T + np.eye(k)
-    x = np.full(k, 1.0 / k)
-    for _ in range(_MAX_POWER_ITER):
-        y = shifted @ x
-        y /= y.sum()
-        if float(np.abs(y - x).max()) <= tol:
-            x = y
-            break
-        x = y
+    x = _perron(b.T, np.full(k, 1.0 / k), tol)[3]
     if (x <= 0).any():
         raise ValueError("left eigenvector not strictly positive; block not irreducible?")
     return x

@@ -33,6 +33,7 @@ from markovquant import (
     sample_support_points,
     validate_system,
 )
+from markovquant import geometry
 from markovquant.geometry import _cell_centers
 from conftest import S_R_A, all_words, random_rational_system
 
@@ -236,6 +237,25 @@ class TestIntegrateError:
             ) / 2**r
             assert est.lower == 0.0
             assert est.upper == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [1, F(3, 2)])
+    def test_sandwich_chunks_match_one_pass(self, sys_b, monkeypatch, r):
+        # the grid is summed a chunk at a time; reference: one pass over it
+        rz = realize(sys_b)
+        grid = level_grid(rz, r, 7)
+        book = quantile_codebook(grid, 5, float(r))
+        pts, rf = book.array(), float(r)
+        d = np.array([np.abs(pts - x).min() for x in grid.mids])
+        lower = float(grid.masses @ np.maximum(d - grid.halves, 0.0) ** rf)
+        upper = float(grid.masses @ (d + grid.halves) ** rf)
+        assert grid.size <= geometry._SANDWICH_CHUNK
+        one = integrate_error(rz, book, r, 7, grid=grid)
+        assert (one.lower, one.upper) == (lower, upper)
+        monkeypatch.setattr(geometry, "_SANDWICH_CHUNK", 37)
+        assert grid.size > 37 * 3
+        est = integrate_error(rz, book, r, 7, grid=grid)
+        assert est.lower == pytest.approx(lower, rel=1e-12)
+        assert est.upper == pytest.approx(upper, rel=1e-12)
 
     def test_refinement_narrows(self, sys_a):
         rz = realize(sys_a)

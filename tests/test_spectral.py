@@ -2,18 +2,26 @@
 
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from markovquant import (
+    MarkovSystem,
     NoCycleError,
+    PowerIterationCapError,
+    cli,
+    component_roots,
     row_sum_bounds,
     solve_sr,
+    spectral,
     spectral_radius,
     weight_matrix,
 )
-from conftest import S1_H1_B, S1_K_B, S_R_A, random_rational_system
+from markovquant.spectral import ROOT_TOL, left_perron_vector
+from conftest import FIXTURE_DIR, S1_H1_B, S1_K_B, S_R_A, random_rational_system
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -200,3 +208,180 @@ class TestRowSumBounds:
         wm = weight_matrix(sys_b, (1, 2), 1, solve_sr(sys_b, (1, 2), 1, tol=1e-12).root)
         xi = np.array(rs.eigenvector)
         assert xi @ wm.entries == pytest.approx(xi, abs=1e-9)
+
+
+def ring_system(n: int, chord: int) -> MarkovSystem:
+    """n-cycle in which vertex i also jumps chord steps ahead: nearly periodic
+    for a small chord, so power iteration mixes slowly."""
+    rng = random.Random(n * 31 + chord)
+    edges = []
+    for i in range(1, n + 1):
+        p_next = Fraction(rng.randint(5, 9), 10)
+        edges.append((i, i % n + 1, p_next, Fraction(rng.randint(1, 8), rng.randint(9, 20))))
+        edges.append((i, (i + chord - 1) % n + 1, 1 - p_next, Fraction(rng.randint(1, 8), 20)))
+    return MarkovSystem.from_edges(n, edges, [Fraction(1, n)] * n)
+
+
+def slow_cycle(n: int = 40) -> np.ndarray:
+    """A near-periodic irreducible block: an n-cycle with uneven weights and one weak chord."""
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, (i + 1) % n] = 0.9 if i % 2 else 0.4
+    a[0, 2] = 0.01
+    return a
+
+
+def dense_radius(a: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvals(a)).max()) if a.size else 0.0
+
+
+def cold_root(sys: MarkovSystem, verts, r) -> tuple[float, bool]:
+    """solve_sr's bisection with each Psi(s) from dense eigenvalues of a fresh B(s)."""
+    idx = np.array(verts) - 1
+    p = np.array(sys.p, dtype=float)[np.ix_(idx, idx)]
+    c = np.array(sys.c, dtype=float)[np.ix_(idx, idx)]
+    edge = p > 0
+    rf = float(r)
+
+    def psi(s):
+        b = np.zeros_like(p)
+        b[edge] = (p[edge] * c[edge] ** rf) ** (s / (s + rf))
+        return dense_radius(b)
+
+    if psi(1e-9) < 1.0:
+        return 0.0, True
+    lo, hi = 1e-9, 1.0
+    while psi(hi) >= 1.0:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > ROOT_TOL:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if psi(mid) >= 1.0 else (lo, mid)
+    return 0.5 * (lo + hi), False
+
+
+def kernel_cases():
+    """(name, nonnegative matrix) pairs: random model weights, cycles, blocks."""
+    rng = random.Random(20261018)
+    for k in range(6):
+        sys = random_rational_system(rng)
+        yield f"random{k}", weight_matrix(sys, "full", Fraction(3, 2), 0.4).entries
+    yield "pure-cycle", np.roll(np.diag([0.3, 0.9, 0.5, 0.7, 0.2]), 1, axis=1)
+    bip = np.zeros((6, 6))
+    bip[:3, 3:] = [[0.2, 0.5, 0.1], [0.3, 0.3, 0.6], [0.9, 0.1, 0.4]]
+    bip[3:, :3] = [[0.5, 0.2, 0.7], [0.1, 0.8, 0.3], [0.6, 0.4, 0.2]]
+    yield "bipartite", bip
+    yield "reducible", np.array(
+        [
+            [0.5, 0.9, 0.0, 0.2],
+            [0.4, 0.1, 0.3, 0.0],
+            [0.0, 0.0, 0.0, 0.8],
+            [0.0, 0.0, 0.7, 0.0],
+        ]
+    )
+    yield "one-by-one", np.array([[0.37]])
+    yield "slow-cycle", slow_cycle()
+
+
+KERNEL_CASES = list(kernel_cases())
+
+
+class TestPerronKernel:
+    @pytest.mark.parametrize("name,a", KERNEL_CASES, ids=[name for name, _ in KERNEL_CASES])
+    def test_bracket_contains_dense_radius(self, name, a):
+        # a compiled scope over a's pattern: Psi(s) is the radius of a^(s/(s+1)),
+        # evaluated with warm starts along s, untargeted and against several targets
+        rows, cols = np.nonzero(a)
+        pressure = spectral._Pressure(rows, cols, np.log(a[rows, cols]), a.shape[0], 1.0)
+        for s in (0.05, 0.3, 0.31, 2.0, 7.0):
+            b = np.zeros_like(a)
+            b[rows, cols] = a[rows, cols] ** (s / (s + 1.0))
+            rho = dense_radius(b)
+            for target in (None, 1.0, 0.5 * rho, 0.999 * rho, 1.001 * rho, 2.0 * rho):
+                lo, hi, est = pressure(s, target)
+                slack = 1e-13 * rho
+                assert lo - slack <= rho <= hi + slack, (name, s, target, lo, rho, hi)
+                assert lo - slack <= est <= hi + slack
+                if target is None:
+                    assert hi - lo <= spectral.RADIUS_TOL * hi
+                elif target in (0.5 * rho, 2.0 * rho):
+                    assert lo >= target or hi < target  # decided before tight
+
+    def test_spectral_radius_matches_dense(self):
+        for name, a in KERNEL_CASES:
+            assert spectral_radius(a) == pytest.approx(dense_radius(a), rel=1e-12), name
+
+
+class TestWarmStartedRoots:
+    def models(self, sys_a, sys_b, sys_c):
+        rng = random.Random(77)
+        return [sys_a, sys_b, sys_c, ring_system(30, 2), ring_system(12, 5)] + [
+            random_rational_system(rng, 3, 7) for _ in range(6)
+        ]
+
+    @pytest.mark.parametrize("r", [1, Fraction(3, 2)])
+    def test_matches_cold_reference(self, sys_a, sys_b, sys_c, r):
+        for sys in self.models(sys_a, sys_b, sys_c):
+            scopes = [tuple(sys.vertices)] + [
+                sol.vertices for sol in component_roots(sys, r).values() if sol is not None
+            ]
+            for verts in scopes:
+                sol = solve_sr(sys, verts, r)
+                root, subcritical = cold_root(sys, verts, r)
+                assert sol.subcritical == subcritical
+                assert abs(sol.root - root) <= ROOT_TOL, (sys, verts)
+
+    def test_independent_of_earlier_scopes(self, sys_b, sys_c):
+        # warm starts live in one solve: a scope solved again, after others
+        # of the same and other sizes, repeats every evaluation exactly
+        first = solve_sr(sys_b, (1, 2), 1)
+        solve_sr(sys_b, (3, 4), 1)
+        solve_sr(sys_c, "full", 1)
+        solve_sr(ring_system(30, 2), "full", Fraction(3, 2))
+        assert solve_sr(sys_b, (1, 2), 1).evaluations == first.evaluations
+
+    def test_fixture_b_h1_root_50_digits(self, sys_b):
+        # Psi on {1, 2} at r = 1 is the radius of [[b11, b12], [b21, 0]],
+        # solved here in 50-digit arithmetic from the model's exact weights
+        mpmath.mp.dps = 50
+        try:
+            w = {}
+            for e in ((1, 1), (1, 2), (2, 1)):
+                pc = sys_b.edge_p(*e) * sys_b.edge_c(*e)
+                w[e] = mpmath.mpf(pc.numerator) / pc.denominator
+
+            def psi(s):
+                b = {e: v ** (s / (s + 1)) for e, v in w.items()}
+                return (b[1, 1] + mpmath.sqrt(b[1, 1] ** 2 + 4 * b[1, 2] * b[2, 1])) / 2 - 1
+
+            exact = mpmath.findroot(psi, (mpmath.mpf("0.1"), mpmath.mpf(1)), solver="anderson")
+            assert abs(psi(exact)) < mpmath.mpf(10) ** -45
+            exact = float(exact)
+        finally:
+            mpmath.mp.dps = 15
+        assert exact == pytest.approx(S1_H1_B, abs=1e-16)
+        # bisection width 1e-12, plus RADIUS_TOL over |Psi'(s)| ~ 0.96 where
+        # the bracket cannot separate Psi from 1
+        assert abs(solve_sr(sys_b, (1, 2), 1, tol=1e-12).root - exact) <= 2.5e-12
+
+
+class TestIterationCap:
+    def test_spectral_radius_raises_at_cap(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_MAX_POWER_ITER", 2)
+        with pytest.raises(PowerIterationCapError, match="cap of 2 steps"):
+            spectral_radius(slow_cycle())
+
+    def test_left_perron_vector_raises_at_cap(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_MAX_POWER_ITER", 2)
+        with pytest.raises(PowerIterationCapError, match="cap of 2 steps"):
+            left_perron_vector(slow_cycle())
+
+    def test_slow_cycle_converges_within_default_cap(self):
+        a = slow_cycle()
+        assert spectral_radius(a) == pytest.approx(dense_radius(a), rel=1e-12)
+        x = left_perron_vector(a)
+        assert x @ a == pytest.approx(dense_radius(a) * x, rel=1e-10)
+
+    def test_cli_exits_2_with_reason(self, monkeypatch, capsys):
+        monkeypatch.setattr(spectral, "_MAX_POWER_ITER", 2)
+        assert cli.main(["analyze", str(FIXTURE_DIR / "fixture_b.json")]) == 2
+        assert "cap of 2 steps" in capsys.readouterr().err
