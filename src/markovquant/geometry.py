@@ -25,14 +25,15 @@ other order a ternary search on the convex cell objective advances every
 cell at once, one `np.add.reduceat` per trial point and step.  Lloyd
 refinement alternates assignment with these center updates; a step is
 accepted only if the sandwich upper bound does not increase, so the reported
-bound is non-increasing by construction.  The 2-point brute force scores
-every split of the grid from prefix sums for r=1 and r=2 and recenters both
-sides of every split otherwise.  A seeded Monte Carlo sampler is included as
-a validation sidecar only.
+bound is non-increasing by construction.  The exact 2-point optimum is a
+branch and bound over the cuts of the grid, one path for every order.  Dot
+products over the grid use numpy's own loop, not BLAS, so no sum depends on
+the thread count.  A seeded Monte Carlo sampler is a validation sidecar only.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,6 +54,9 @@ _CHUNK = 1 << 12
 _SANDWICH_CHUNK = 1 << 16
 # chain steps the sampler may take before its cylinders reach the resolution
 _SAMPLE_STEPS = 10_000
+# relative slack of the 2-point pruning test: computed side costs are
+# monotone in the cut only up to rounding
+_PRUNE_SLACK = 1e-13
 
 
 class InfeasibleLayoutError(ValueError):
@@ -274,13 +278,18 @@ def _nearest_distance(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.minimum(left, right, out=left)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) in numpy's own loop: a BLAS dot rounds by its thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _sandwich(grid: CylinderGrid, points: np.ndarray, r: float) -> tuple[float, float]:
     lower = upper = 0.0
     for lo in range(0, grid.size, _SANDWICH_CHUNK):
         part = slice(lo, lo + _SANDWICH_CHUNK)
         d, h, m = _nearest_distance(points, grid.mids[part]), grid.halves[part], grid.masses[part]
-        lower += float(m @ np.maximum(d - h, 0.0) ** r)
-        upper += float(m @ (d + h) ** r)
+        lower += _dot(m, np.maximum(d - h, 0.0) ** r)
+        upper += _dot(m, (d + h) ** r)
     return lower, upper
 
 
@@ -313,7 +322,7 @@ def _cell_center(mids, masses, lo: int, hi: int, r: float) -> float:
     if x.size == 1:
         return float(x[0])
     if r == 2.0:
-        return float((m @ x) / m.sum())
+        return _dot(m, x) / float(m.sum())
     cum = np.cumsum(m)  # r = 1: weighted median
     half = 0.5 * cum[-1]
     pos = int(np.searchsorted(cum, half))
@@ -449,63 +458,49 @@ def quantile_codebook(grid: CylinderGrid, n: int, r: float = 2.0) -> Codebook:
 def discrete_cost(grid: CylinderGrid, codebook: Codebook, r) -> float:
     """Plain discretized objective sum m * d(mid, alpha)^r (no cylinder radii)."""
     d = _nearest_distance(codebook.array(), grid.mids)
-    return float(grid.masses @ d ** float(as_fraction(r)))
-
-
-def _split_costs(mids, masses, r: float) -> np.ndarray:
-    """Cost of every split of the sorted grid at cut = 1..n-1, both sides
-    recentered, from prefix sums of m, m*x and m*x^2 (r = 1 or 2 only)."""
-    n = mids.size
-    x = mids - 0.5 * (mids[0] + mids[-1])  # centered: smaller sums, less cancellation
-    w = np.concatenate(([0.0], np.cumsum(masses)))
-    s1 = np.concatenate(([0.0], np.cumsum(masses * x)))
-    if r == 2.0:
-        s2 = np.concatenate(([0.0], np.cumsum(masses * x * x)))
-
-        def cell(i, j):  # about the mean
-            return s2[j] - s2[i] - (s1[j] - s1[i]) ** 2 / (w[j] - w[i])
-    else:
-
-        def cell(i, j):  # about the first point whose cumulative mass reaches half
-            q = np.clip(np.searchsorted(w[1:], w[i] + 0.5 * (w[j] - w[i])), i, j - 1)
-            below = x[q] * (w[q] - w[i]) - (s1[q] - s1[i])
-            return below + (s1[j] - s1[q + 1]) - x[q] * (w[j] - w[q + 1])
-
-    cut = np.arange(1, n)
-    return cell(0, cut) + cell(cut, n)
+    return _dot(grid.masses, d ** float(as_fraction(r)))
 
 
 def optimal_two_point(grid: CylinderGrid, r) -> tuple[Codebook, float]:
-    """Exact 2-point optimum of the discretized measure by split enumeration.
+    """Exact 2-point optimum of the discretized measure, by branch and bound.
 
-    In one dimension the cells of an optimal quantizer are intervals, so it
-    suffices to try every split of the sorted midpoints into a prefix and a
-    suffix and recenter both sides.  For r = 1 and r = 2 the best split is
-    picked from prefix sums (weighted medians and means); other orders
-    recenter both sides of every split with the cell kernel.  The points and
-    the cost returned are those of recentering the chosen split directly.
+    In one dimension the cells of an optimal quantizer are intervals, so the
+    optimum cuts the sorted midpoints at some c into a prefix [0, c) and a
+    suffix [c, n), each recentered by `_cell_centers`.  The best 1-point cost
+    f_L(c) of the prefix never falls as c moves right and that of the suffix
+    f_R(c) never rises, so no cut in [lo, hi] costs less than
+    f_L(lo) + f_R(hi).  Ranges of cuts are halved lowest bound first, each cut
+    evaluated once, and a range is dropped once its bound is within
+    _PRUNE_SLACK (relative) of the best cut found.  The points and the cost
+    returned are those of recentering the chosen cut directly.
     """
     rf = float(as_fraction(r))
     mids, masses = grid.mids, grid.masses
     n = grid.size
     if n < 2:
         raise ValueError("optimal_two_point needs a grid of at least two cells")
-    if rf == 1.0 or rf == 2.0:
-        cuts = [int(np.argmin(_split_costs(mids, masses, rf))) + 1]
-    else:
-        cuts = range(1, n)
-    best_cost = math.inf
-    best_pts = None
-    for cut in cuts:
-        a, b = _cell_centers(mids, masses, np.array([0, cut]), np.array([cut, n]), rf)
-        cost = float(
-            masses[:cut] @ np.abs(mids[:cut] - a) ** rf
-            + masses[cut:] @ np.abs(mids[cut:] - b) ** rf
-        )
-        if cost < best_cost:
-            best_cost = cost
-            best_pts = (a, b)
-    return Codebook(points=best_pts), best_cost
+    sides: dict[int, tuple] = {}  # cut -> (f_L, f_R, prefix center, suffix center)
+
+    def side(cut: int) -> tuple:
+        if cut not in sides:
+            a, b = _cell_centers(mids, masses, np.array([0, cut]), np.array([cut, n]), rf)
+            f_l = _dot(masses[:cut], np.abs(mids[:cut] - a) ** rf)
+            sides[cut] = (f_l, _dot(masses[cut:], np.abs(mids[cut:] - b) ** rf), a, b)
+        return sides[cut]
+
+    def cost(cut: int) -> float:
+        return side(cut)[0] + side(cut)[1]
+
+    best = min(1, n - 1, key=cost)
+    ranges = [(side(1)[0] + side(n - 1)[1], 1, n - 1)]
+    while ranges and ranges[0][0] < (1.0 - _PRUNE_SLACK) * cost(best):
+        _, lo, hi = heapq.heappop(ranges)
+        mid = (lo + hi) // 2
+        best = min(best, mid, key=cost)
+        for left, right in ((lo, mid), (mid, hi)):
+            if right - left > 1:  # holds cuts not yet evaluated
+                heapq.heappush(ranges, (side(left)[0] + side(right)[1], left, right))
+    return Codebook(points=side(best)[2:]), cost(best)
 
 
 @dataclass(frozen=True)

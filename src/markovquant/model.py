@@ -77,7 +77,7 @@ class MarkovSystem:
     the measure-theoretic invariants (row sums, out-degrees, support match).
     """
 
-    __slots__ = ("n", "p", "c", "chi", "_succ", "_edges", "_float_cache")
+    __slots__ = ("n", "p", "c", "chi", "_succ", "_edges", "_chi_float")
 
     def __init__(self, p: Sequence[Sequence], c: Sequence[Sequence], chi: Sequence):
         chi_t = tuple(as_fraction(x) for x in chi)
@@ -104,7 +104,7 @@ class MarkovSystem:
         for i, j in self._edges:
             succ[i - 1].append(j)
         self._succ = tuple(map(tuple, succ))
-        self._float_cache: dict[str, np.ndarray] = {}
+        self._chi_float: np.ndarray | None = None
 
     # -- constructors ---------------------------------------------------
 
@@ -174,22 +174,12 @@ class MarkovSystem:
     def is_edge(self, i: int, j: int) -> bool:
         return 1 <= i <= self.n and 1 <= j <= self.n and self.p[i - 1][j - 1] > 0
 
-    def _float(self, key: str, build) -> np.ndarray:
-        arr = self._float_cache.get(key)
-        if arr is None:
-            arr = build()
-            arr.setflags(write=False)
-            self._float_cache[key] = arr
-        return arr
-
-    def p_float(self) -> np.ndarray:
-        return self._float("p", lambda: np.array(self.p, dtype=float))
-
-    def c_float(self) -> np.ndarray:
-        return self._float("c", lambda: np.array(self.c, dtype=float))
-
     def chi_float(self) -> np.ndarray:
-        return self._float("chi", lambda: np.array(self.chi, dtype=float))
+        """chi as a read-only float array, built on first use."""
+        if self._chi_float is None:
+            self._chi_float = np.array(self.chi, dtype=float)
+            self._chi_float.setflags(write=False)
+        return self._chi_float
 
     def __repr__(self) -> str:
         return f"MarkovSystem(n={self.n}, edges={len(self._edges)})"

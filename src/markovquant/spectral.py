@@ -354,3 +354,16 @@ def critical_analysis(sys: MarkovSystem, r) -> graphs.CriticalStructure:
     roots = component_roots(sys, r, cond)
     per = {i: (0.0 if sol is None else sol.root) for i, sol in roots.items()}
     return replace(graphs.critical_structure(sys, r, per, cond=cond), roots=roots)
+
+
+def full_solution(sys: MarkovSystem, cs: graphs.CriticalStructure) -> SpectralSolution:
+    """solve_sr on the full scope at order cs.r.
+
+    When one component holds every vertex it is the same scope, solved the
+    same way, so its root from `critical_analysis` is returned as it is.
+    """
+    verts = tuple(sys.vertices)
+    for sol in cs.roots.values():
+        if sol is not None and sol.vertices == verts:
+            return sol
+    return solve_sr(sys, "full", cs.r)

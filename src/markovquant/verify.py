@@ -114,7 +114,7 @@ def analysis_report(sys: MarkovSystem, r) -> dict:
     rf = float(as_fraction(r))
     cs = spectral.critical_analysis(sys, r)
     cond = cs.condensation
-    full = spectral.solve_sr(sys, "full", r)
+    full = spectral.full_solution(sys, cs)
     chains: dict[str, list] = {}
     for length in range(1, max(cs.m_r, 1) + 1):
         found = graphs.enumerate_chains(cs, length)
@@ -186,7 +186,7 @@ class _Context:
 
     @_stage
     def full(self):
-        return spectral.solve_sr(self.sys, "full", self.r)
+        return spectral.full_solution(self.sys, self.cs)
 
     @_stage
     def ac0(self):  # exact, with its words
@@ -470,7 +470,7 @@ def _lloyd(ctx: _Context) -> Iterator[CheckResult]:
     yield CheckResult(
         name="lloyd_vs_bruteforce",
         passed=abs(lloyd_cost - bf_cost) <= BRUTE_FORCE_TOL,
-        band=f"2-point discrete cost matches split enumeration within {BRUTE_FORCE_TOL}",
+        band=f"2-point discrete cost matches the exact 2-point optimum within {BRUTE_FORCE_TOL}",
         measured={
             "lloyd_cost": lloyd_cost,
             "bruteforce_cost": bf_cost,

@@ -1,9 +1,13 @@
 """Realization layout, cylinder geometry, error sandwich, Lloyd refinement."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,14 +66,17 @@ def scalar_ternary(x: np.ndarray, m: np.ndarray, r: float) -> float:
     return 0.5 * (a + b)
 
 
-def split_enumeration(grid, r: int) -> float:
+def split_enumeration(grid, r) -> float:
     """Least 2-point cost over every split of the grid, each side recentered
-    at its mean (r = 2) or a weighted median (r = 1)."""
+    at its mean (r = 2), a weighted median (r = 1) or by `scalar_ternary`."""
     x, m = grid.mids, grid.masses
+    r = float(r)
 
     def center(xs, ms):
         if r == 2:
             return float(ms @ xs / ms.sum())
+        if r != 1:
+            return scalar_ternary(xs, ms, r)
         cum = np.cumsum(ms)
         return float(xs[np.searchsorted(cum, 0.5 * cum[-1])])
 
@@ -79,6 +86,11 @@ def split_enumeration(grid, r: int) -> float:
         cost = m[:cut] @ np.abs(x[:cut] - a) ** r + m[cut:] @ np.abs(x[cut:] - b) ** r
         best = min(best, float(cost))
     return best
+
+
+def two_point_tolerance(r) -> dict:
+    """1e-12 on a 2-point cost: absolute at r = 1 and 2, relative otherwise."""
+    return {"abs": 1e-12} if r in (1, 2) else {"rel": 1e-12, "abs": 0.0}
 
 
 def realizable_random_models(count: int, seed: int = 0) -> list:
@@ -240,14 +252,15 @@ class TestIntegrateError:
 
     @pytest.mark.parametrize("r", [1, F(3, 2)])
     def test_sandwich_chunks_match_one_pass(self, sys_b, monkeypatch, r):
-        # the grid is summed a chunk at a time; reference: one pass over it
+        # the grid is summed a chunk at a time; reference: one pass over it,
+        # reduced by numpy's loop as the sandwich is (not by a BLAS dot)
         rz = realize(sys_b)
         grid = level_grid(rz, r, 7)
         book = quantile_codebook(grid, 5, float(r))
         pts, rf = book.array(), float(r)
         d = np.array([np.abs(pts - x).min() for x in grid.mids])
-        lower = float(grid.masses @ np.maximum(d - grid.halves, 0.0) ** rf)
-        upper = float(grid.masses @ (d + grid.halves) ** rf)
+        lower = float(np.einsum("i,i->", grid.masses, np.maximum(d - grid.halves, 0.0) ** rf))
+        upper = float(np.einsum("i,i->", grid.masses, (d + grid.halves) ** rf))
         assert grid.size <= geometry._SANDWICH_CHUNK
         one = integrate_error(rz, book, r, 7, grid=grid)
         assert (one.lower, one.upper) == (lower, upper)
@@ -256,6 +269,29 @@ class TestIntegrateError:
         est = integrate_error(rz, book, r, 7, grid=grid)
         assert est.lower == pytest.approx(lower, rel=1e-12)
         assert est.upper == pytest.approx(upper, rel=1e-12)
+
+    def test_sandwich_independent_of_blas_threads(self):
+        # a BLAS dot over 65,536 cells rounds differently at 1 and 2 threads
+        script = (
+            "import numpy as np\n"
+            "from markovquant.geometry import CylinderGrid, _sandwich\n"
+            "rng = np.random.default_rng(5)\n"
+            "n = 1 << 16\n"
+            "grid = CylinderGrid(k=0, r=1.5, mids=np.sort(rng.uniform(0, 10, n)),\n"
+            "    halves=rng.uniform(0, 1e-3, n), masses=rng.dirichlet(np.ones(n)))\n"
+            "print(*(x.hex() for x in _sandwich(grid, np.array([2.0, 5.0, 8.0]), 1.5)))\n"
+        )
+        src = str(Path(geometry.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=120, check=True,
+            )
+            outs.append(run.stdout)
+        assert outs[0] and outs[0] == outs[1]
 
     def test_refinement_narrows(self, sys_a):
         rz = realize(sys_a)
@@ -388,27 +424,60 @@ class TestLloyd:
         with pytest.raises(UnsupportedOrderError):
             lloyd_refine(rz, Codebook(points=(0.5,)), 0.5, 4)
 
-    @pytest.mark.parametrize("r", [1, 2])
-    @pytest.mark.parametrize("name,k", [("a", 5), ("a", 7), ("b", 4), ("c", 4)])
+    @pytest.mark.parametrize(
+        "name,k,r",
+        [(name, k, r) for name, k in [("a", 5), ("a", 7), ("b", 4), ("c", 4)] for r in (1, 2)]
+        + [(name, k, r) for name, k in [("a", 5), ("c", 4)] for r in (F(5, 4), F(3, 2), 3)],
+        ids=str,
+    )
     def test_two_point_matches_split_enumeration(self, request, name, k, r):
         # fixture A's masses tie exactly, so equal-cost splits occur
         grid = level_grid(realize(request.getfixturevalue(f"sys_{name}")), r, k)
         book, cost = optimal_two_point(grid, r)
-        assert cost == pytest.approx(split_enumeration(grid, r), abs=1e-12)
-        assert discrete_cost(grid, book, r) == pytest.approx(cost, abs=1e-12)
+        tol = two_point_tolerance(r)
+        assert cost == pytest.approx(split_enumeration(grid, r), **tol)
+        assert discrete_cost(grid, book, r) == pytest.approx(cost, **tol)
 
-    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("r", [1, 2, F(5, 4), F(3, 2), 3], ids=str)
     def test_two_point_matches_split_enumeration_random(self, r):
+        # the ternary reference costs O(n) searches per grid: smaller grids there
         rng = np.random.default_rng(11)
-        for _ in range(10):
-            n = int(rng.integers(2, 200))
+        n_max, count = (200, 10) if r in (1, 2) else (61, 5)
+        for _ in range(count):
+            n = int(rng.integers(2, n_max))
             mids = np.sort(rng.uniform(0.0, 10.0, n))
             grid = CylinderGrid(
                 k=0, r=float(r), mids=mids, halves=np.zeros(n), masses=rng.dirichlet(np.ones(n))
             )
             book, cost = optimal_two_point(grid, r)
-            assert cost == pytest.approx(split_enumeration(grid, r), abs=1e-12)
-            assert discrete_cost(grid, book, r) == pytest.approx(cost, abs=1e-12)
+            tol = two_point_tolerance(r)
+            assert cost == pytest.approx(split_enumeration(grid, r), **tol)
+            assert discrete_cost(grid, book, r) == pytest.approx(cost, **tol)
+
+    @pytest.mark.parametrize("r", [1, 2, F(3, 2)], ids=str)
+    def test_two_point_optimum_at_either_end(self, r):
+        # a lone far cell beside a cluster: the best cut is the first or the last
+        cluster = np.linspace(10.0, 11.0, 20)
+        for mids, lone in ((np.concatenate(([0.0], cluster)), 0.0), (np.append(cluster, 21.0), 21.0)):
+            n = mids.size
+            grid = CylinderGrid(
+                k=0, r=float(r), mids=mids, halves=np.zeros(n), masses=np.full(n, 1.0 / n)
+            )
+            book, cost = optimal_two_point(grid, r)
+            assert lone in book.points.tolist()
+            assert cost == pytest.approx(split_enumeration(grid, r), **two_point_tolerance(r))
+
+    def test_two_point_evaluates_few_cuts(self, sys_b, monkeypatch):
+        # B at level 5 has 1,602 cells at r = 3/2: enumeration recenters 1,601 cuts
+        grid = level_grid(realize(sys_b), F(3, 2), 5)
+        calls = []
+        kernel = geometry._cell_centers
+        monkeypatch.setattr(
+            geometry, "_cell_centers", lambda *args: calls.append(1) or kernel(*args)
+        )
+        optimal_two_point(grid, F(3, 2))
+        assert grid.size == 1602
+        assert 0 < len(calls) <= 200
 
     def test_two_point_optimum_agreement(self, sys_a):
         # split-enumeration optimum is reproduced by Lloyd from quantile init

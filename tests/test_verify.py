@@ -1,13 +1,17 @@
 """Verification suite: one list of checks on every path, and shared stages."""
 
 import dataclasses
+import json
 import weakref
 from fractions import Fraction
 
 import pytest
 
-from markovquant import antichain, geometry, run_verification
+from markovquant import antichain, geometry, run_verification, spectral
+from markovquant.cli import main
 from markovquant.model import MarkovSystem
+from markovquant.verify import analysis_report
+from conftest import FIXTURE_DIR
 
 NAMES = [
     "model_valid",
@@ -160,3 +164,53 @@ def test_antichain_definition_passes_on_asymmetric_fixtures(fixture, r, request)
     sys_ = request.getfixturevalue(fixture)
     suite = run_verification(sys_, r, range(3, 5), depth_offset=1, mc_samples=1000)
     assert _by_name(suite)["antichain_definition"].status == "PASS"
+
+
+def _count_solves(monkeypatch) -> list:
+    """Record (scope, keyword arguments) of every spectral.solve_sr call."""
+    calls = []
+    solve = spectral.solve_sr
+
+    def counted(sys_, scope, r, **kwargs):
+        calls.append((scope, kwargs))
+        return solve(sys_, scope, r, **kwargs)
+
+    monkeypatch.setattr(spectral, "solve_sr", counted)
+    return calls
+
+
+def test_one_component_model_solves_its_scope_once(sys_a, sys_b, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    analysis_report(sys_a, 1)  # one SCC holding both vertices: the full scope
+    assert len(calls) == 1 and calls[0][0] != "full"
+    calls.clear()
+    analysis_report(sys_b, 1)  # four components: the full scope is its own
+    assert [scope for scope, _ in calls].count("full") == 1
+    calls.clear()
+    _verify_a(sys_a)  # the tight solve of the eigenvector band is the only full one
+    assert [kwargs for scope, kwargs in calls if scope == "full"] == [{"tol": 1e-12}]
+
+
+def test_analyze_json_unchanged_by_the_reused_root(monkeypatch, tmp_path, capsys):
+    args = ["analyze", str(FIXTURE_DIR / "fixture_a.json"), "--r", "1", "--r", "3/2"]
+    assert main(args + ["--out", str(tmp_path / "reused")]) == 0
+    monkeypatch.setattr(
+        spectral, "full_solution", lambda sys_, cs: spectral.solve_sr(sys_, "full", cs.r)
+    )
+    assert main(args + ["--out", str(tmp_path / "solved")]) == 0
+    capsys.readouterr()
+    reused, solved = (
+        (tmp_path / d / "analyze_fixture_a.json").read_bytes() for d in ("reused", "solved")
+    )
+    assert reused == solved
+    assert json.loads(reused)["orders"][1]["r"] == 1.5
+
+
+def test_verify_at_a_fractional_order_lists_every_check(tmp_path, capsys):
+    # the 2-point optimum at r = 3/2 runs on the depth-6 grid of fixture C
+    args = ["verify", str(FIXTURE_DIR / "fixture_c.json"), "--r", "3/2",
+            "--k-min", "4", "--k-max", "6", "--depth-offset", "2", "--out", str(tmp_path)]
+    assert main(args) == 0, capsys.readouterr().out
+    checks = json.loads((tmp_path / "verify_fixture_c.json").read_text())["results"][0]["checks"]
+    assert [c["name"] for c in checks] == NAMES
+    assert {c["name"]: c["status"] for c in checks}["lloyd_vs_bruteforce"] == "PASS"
