@@ -153,6 +153,7 @@ def cmd_verify(args) -> int:
     ks = range(args.k_min, args.k_max + 1)
     all_ok = True
     results = []
+    counts = {"PASS": 0, "SKIP": 0, "FAIL": 0}
     for r in _parse_orders(args.r):
         suite = verify.run_verification(
             system,
@@ -170,6 +171,7 @@ def cmd_verify(args) -> int:
             if check.reason:
                 line += f" ({check.reason})"
             print(line)
+            counts[check.status] += 1
         all_ok = all_ok and suite.ok
     if args.out is not None:
         report = {
@@ -178,7 +180,10 @@ def cmd_verify(args) -> int:
             "results": results,
         }
         _emit(_json_text(report), args.out, f"verify_{Path(args.model).stem}.json")
-    print("verification:", "ok" if all_ok else "FAILED")
+    print(
+        "verification:", "ok" if all_ok else "FAILED",
+        "({PASS} pass, {SKIP} skip, {FAIL} fail)".format(**counts),
+    )
     return 0 if all_ok else 1
 
 

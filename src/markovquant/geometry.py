@@ -29,6 +29,9 @@ bound is non-increasing by construction.  The exact 2-point optimum is a
 branch and bound over the cuts of the grid, one path for every order.  Dot
 products over the grid use numpy's own loop, not BLAS, so no sum depends on
 the thread count.  A seeded Monte Carlo sampler is a validation sidecar only.
+It walks all samples at once, grouped by vertex, and draws the same stream as
+one `Generator.choice` call per vertex and step, so its output is fixed by the
+seed alone.
 """
 
 from __future__ import annotations
@@ -533,6 +536,8 @@ def error_curve(
     integration runs at depth k + depth_offset.  Normalized columns report
     upper * n^{r/s_r}, with and without the predicted logarithmic correction.
     """
+    if depth_offset < 0:
+        raise ValueError(f"depth offset must be >= 0, got {depth_offset}")
     if cs is None:
         cs = spectral.critical_analysis(sys, r)
     rz = realize(sys)
@@ -576,26 +581,34 @@ def sample_support_points(
     Walks the chain vectorized until every cylinder is shorter than
     `resolution`, then returns the cylinder midpoints.  Raises
     SamplingResolutionError if that takes more than 10,000 steps.
+
+    Each step sorts the samples stably by vertex, draws one uniform per
+    sample and picks each vertex's edges by searching its row's cdf over
+    its contiguous slice of the draws.  That is how `Generator.choice`
+    picks, and the draws are consumed in the order that one choice call
+    per vertex (ascending), over its samples in index order, would consume
+    them; the samples are therefore bit-identical to that per-vertex walk
+    for every seed.
     """
     sysm = rz.system
     rng = np.random.default_rng(seed)
     roots, place = rz.layout_floats()
-    chi = sysm.chi_float()
-    verts = np.array(sysm.vertices)
-    cur = rng.choice(verts, size=n_samples, p=chi)
-    left = np.array([roots[v] for v in cur])
+    edges = sysm.edges  # lexicographic: each row's edges are contiguous, by successor
+    # 0-based vertices in the smallest unsigned dtype, so stable sorts are radix sorts
+    key = np.min_scalar_type(sysm.n - 1)
+    succ = np.array([j - 1 for _, j in edges], dtype=key)
+    off = np.array([place[e][0] for e in edges])
+    ratio = np.array([place[e][1] for e in edges])
+    first = np.searchsorted([i for i, _ in edges], np.arange(1, sysm.n + 1)).tolist()
+    cdfs = []  # built as Generator.choice builds them from the same p
+    for i in sysm.vertices:
+        cdf = np.array([float(sysm.edge_p(i, j)) for j in sysm.successors(i)]).cumsum()
+        cdf /= cdf[-1]
+        cdfs.append(cdf)
+    cur = rng.choice(sysm.n, size=n_samples, p=sysm.chi_float()).astype(key)
+    left = np.array([roots[v] for v in sysm.vertices])[cur]
     length = np.ones(n_samples)
-    succ_arr = {i: np.array(sysm.successors(i)) for i in sysm.vertices}
-    prob_arr = {
-        i: np.array([float(sysm.edge_p(i, j)) for j in sysm.successors(i)])
-        for i in sysm.vertices
-    }
-    off_arr = {
-        i: np.array([place[(i, j)][0] for j in sysm.successors(i)]) for i in sysm.vertices
-    }
-    rat_arr = {
-        i: np.array([place[(i, j)][1] for j in sysm.successors(i)]) for i in sysm.vertices
-    }
+    edge = np.empty(n_samples, dtype=np.intp)
     steps = 0
     while float(length.max()) >= resolution:
         if steps == _SAMPLE_STEPS:
@@ -604,21 +617,17 @@ def sample_support_points(
                 f"above the resolution {resolution:g}"
             )
         steps += 1
-        nxt = np.empty_like(cur)
-        offs = np.empty(n_samples)
-        rats = np.empty(n_samples)
-        for i in sysm.vertices:
-            mask = cur == i
-            cnt = int(mask.sum())
-            if cnt == 0:
-                continue
-            pick = rng.choice(len(succ_arr[i]), size=cnt, p=prob_arr[i])
-            nxt[mask] = succ_arr[i][pick]
-            offs[mask] = off_arr[i][pick]
-            rats[mask] = rat_arr[i][pick]
-        left = left + offs * length
-        length = length * rats
-        cur = nxt
+        order = np.argsort(cur, kind="stable")
+        ends = np.cumsum(np.bincount(cur, minlength=sysm.n)).tolist()
+        u = rng.random(n_samples)  # u[lo:hi] are the draws of the samples order[lo:hi]
+        for v, (lo, hi) in enumerate(zip([0] + ends, ends)):
+            if lo < hi:
+                edge[lo:hi] = cdfs[v].searchsorted(u[lo:hi], side="right") + first[v]
+        picked = np.empty_like(edge)
+        picked[order] = edge
+        left = left + off[picked] * length
+        length = length * ratio[picked]
+        cur = succ[picked]
     return left + 0.5 * length
 
 
@@ -626,6 +635,8 @@ def monte_carlo_error(
     rz: Realization, codebook: Codebook, r, n_samples: int, seed: int
 ) -> tuple[float, float]:
     """(estimate, standard error) of the r-th power error by Monte Carlo."""
+    if n_samples < 2:
+        raise ValueError(f"Monte Carlo needs at least 2 samples, got {n_samples}")
     xs = sample_support_points(rz, n_samples, seed)
     d = _nearest_distance(codebook.array(), xs) ** float(as_fraction(r))
     mean = float(d.mean())

@@ -248,25 +248,36 @@ def _critical_structure(ctx: _Context) -> Iterator[CheckResult]:
     )
 
 
-def _antichain_definition(ctx: _Context) -> Iterator[CheckResult]:
-    sys, ac0, rq = ctx.sys, ctx.ac0, ctx.rq
+def _definition_holds(sys: MarkovSystem, rq: Fraction, k: int, words) -> list[bool]:
+    """Per word w, exactly: p^b c^a of w[:-1] >= eta_lo^(kb) > p^b c^a of w > 0, r = a/b.
+
+    Each edge's p^b c^a is an integer pair (numerator, denominator); a word
+    multiplies its pairs without reducing them, and each comparison with the
+    threshold is one cross-multiplication.  A step along no edge weighs 0.
+    """
     a, b = rq.numerator, rq.denominator
-    thr_pow = antichain_mod._threshold_power(sys, rq, ac0.k)
-    known = {(v,): (Fraction(1), Fraction(1)) for v in sys.vertices}
+    powers = {}
+    for i, j in sys.edges:
+        p, c = sys.edge_p(i, j), sys.edge_c(i, j)
+        powers[(i, j)] = (p.numerator**b * c.numerator**a, p.denominator**b * c.denominator**a)
+    thr = antichain_mod._threshold_power(sys, rq, k)
+    tn, td = thr.numerator, thr.denominator
+    holds = []
+    for w in words:
+        num = den = 1
+        for e in zip(w, w[1:-1]):  # the parent's edges
+            e_num, e_den = powers.get(e, (0, 1))
+            num, den = num * e_num, den * e_den
+        parent_ok = num * td >= tn * den
+        e_num, e_den = powers.get(tuple(w[-2:]), (0, 1))
+        num, den = num * e_num, den * e_den
+        holds.append(parent_ok and tn * den > num * td and num > 0)
+    return holds
 
-    def power(w):  # exact p^b c^a of a path, each prefix's (p, c) from its parent's
-        d = len(w)
-        while w[:d] not in known:
-            d -= 1
-        p, c = known[w[:d]]
-        for i in range(d, len(w)):
-            p *= sys.edge_p(w[i - 1], w[i])
-            c *= sys.edge_c(w[i - 1], w[i])
-            known[w[: i + 1]] = (p, c)
-        return p**b * c**a
 
-    # a zero weight would be a step along no edge
-    def_ok = all(power(w[:-1]) >= thr_pow > power(w) > 0 for w in ac0.words)
+def _antichain_definition(ctx: _Context) -> Iterator[CheckResult]:
+    ac0 = ctx.ac0
+    def_ok = all(_definition_holds(ctx.sys, ctx.rq, ac0.k, ac0.words))
     partition = antichain_mod.measure_partition_sum(ac0)
     swords = sorted(ac0.words)
     prefix_free = all(
@@ -536,6 +547,8 @@ def run_verification(
     ks = tuple(sorted(set(int(k) for k in k_range)))
     if not ks:
         raise ValueError("empty k range")
+    if depth_offset < 0:
+        raise ValueError(f"depth offset must be >= 0, got {depth_offset}")
     suite = VerificationSuite(r=float(as_fraction(r)), k_range=ks)
     rep = validate_system(sys)
     suite.checks.append(

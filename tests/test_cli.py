@@ -147,6 +147,15 @@ class TestVerifyCommand:
         by_name = {c["name"]: c for c in suite["checks"]}
         assert by_name["transient_decay"]["status"] == "SKIP"
 
+    def test_summary_counts_checks(self, capsys):
+        # verify-b-cap's configuration: the depth-14 grid overruns the cap
+        code = main(["verify", B, "--r", "1", "--k-min", "6", "--k-max", "12",
+                     "--depth-offset", "2", "--cap", "1000000"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert out.count("[SKIP]") == 2
+        assert out.splitlines()[-1] == "verification: ok (13 pass, 2 skip, 0 fail)"
+
     def test_invalid_model_fails_fast(self, tmp_path, capsys):
         cfg = json.loads(Path(A).read_text())
         cfg["edges"][0]["p"] = "0.4"
@@ -195,6 +204,18 @@ class TestArgErrors:
             ["antichain", B, "--r", "1", "--k-min", "8", "--k-max", "8", "--cap", "100"]
         ) == 2
         assert "capacity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_verify_needs_two_mc_samples(self, capsys, samples):
+        args = ["verify", A, "--r", "1", "--k-min", "3", "--k-max", "4",
+                "--depth-offset", "1", "--mc-samples", samples]
+        assert main(args) == 2
+        assert f"at least 2 samples, got {samples}" in capsys.readouterr().err
+
+    def test_verify_rejects_negative_depth_offset(self, capsys):
+        args = ["verify", A, "--k-min", "4", "--k-max", "6", "--depth-offset", "-2"]
+        assert main(args) == 2
+        assert "depth offset must be >= 0, got -2" in capsys.readouterr().err
 
     def test_verify_report_deterministic(self, tmp_path, capsys):
         args = ["verify", A, "--r", "1", "--k-min", "3", "--k-max", "5",

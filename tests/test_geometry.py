@@ -104,6 +104,40 @@ def realizable_random_models(count: int, seed: int = 0) -> list:
     return models
 
 
+def per_vertex_walk(rz, n_samples: int, seed: int, resolution: float = 1e-12) -> np.ndarray:
+    """The sampler's reference walk: one `Generator.choice` call per vertex and step.
+
+    `sample_support_points` must return these arrays bit for bit.
+    """
+    sysm = rz.system
+    rng = np.random.default_rng(seed)
+    roots, place = rz.layout_floats()
+    cur = rng.choice(np.array(sysm.vertices), size=n_samples, p=sysm.chi_float())
+    left = np.array([roots[v] for v in cur])
+    length = np.ones(n_samples)
+    succ = {i: np.array(sysm.successors(i)) for i in sysm.vertices}
+    prob = {i: np.array([float(sysm.edge_p(i, j)) for j in succ[i]]) for i in sysm.vertices}
+    off = {i: np.array([place[(i, j)][0] for j in succ[i]]) for i in sysm.vertices}
+    rat = {i: np.array([place[(i, j)][1] for j in succ[i]]) for i in sysm.vertices}
+    while float(length.max()) >= resolution:
+        nxt = np.empty_like(cur)
+        offs = np.empty(n_samples)
+        rats = np.empty(n_samples)
+        for i in sysm.vertices:
+            mask = cur == i
+            cnt = int(mask.sum())
+            if cnt == 0:
+                continue
+            pick = rng.choice(len(succ[i]), size=cnt, p=prob[i])
+            nxt[mask] = succ[i][pick]
+            offs[mask] = off[i][pick]
+            rats[mask] = rat[i][pick]
+        left = left + offs * length
+        length = length * rats
+        cur = nxt
+    return left + 0.5 * length
+
+
 class TestRealize:
     def test_fixture_a_middle_thirds(self, sys_a):
         rz = realize(sys_a)
@@ -323,6 +357,24 @@ class TestIntegrateError:
         # all samples live in the root templates
         assert ((xs % 2) <= 1).all()
 
+    @pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_c", *range(6)])
+    def test_sampler_matches_per_vertex_walk(self, request, name):
+        if isinstance(name, int):
+            sys_ = realizable_random_models(6)[name]
+        else:
+            sys_ = request.getfixturevalue(name)
+        rz = realize(sys_)
+        for seed in (0, 5, 12345):
+            for n in (2, 7, 1000):
+                got = sample_support_points(rz, n, seed)
+                want = per_vertex_walk(rz, n, seed)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_monte_carlo_needs_two_samples(self, sys_a, n):
+        with pytest.raises(ValueError, match=f"got {n}"):
+            monte_carlo_error(realize(sys_a), Codebook(points=(0.5,)), 1, n, seed=0)
+
     def test_template_midpoints_diameter_bound(self, sys_a):
         # one point per unit template: error of order r is at most 2^-r
         rz = realize(sys_a)
@@ -510,6 +562,10 @@ class TestErrorCurve:
         for a, b in zip(plain, refined):
             assert b.upper <= a.upper + 1e-15
             assert b.n == a.n
+
+    def test_negative_depth_offset_rejected(self, sys_a):
+        with pytest.raises(ValueError, match="depth offset"):
+            error_curve(sys_a, 1, range(4, 6), depth_offset=-2)
 
     def test_corrected_coincides_when_no_log_term(self, sys_a):
         rows = error_curve(sys_a, 1, range(4, 8))

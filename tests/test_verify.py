@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from markovquant import antichain, geometry, run_verification, spectral
+from markovquant import antichain, geometry, run_verification, spectral, verify
 from markovquant.cli import main
 from markovquant.model import MarkovSystem
 from markovquant.verify import analysis_report
@@ -164,6 +164,52 @@ def test_antichain_definition_passes_on_asymmetric_fixtures(fixture, r, request)
     sys_ = request.getfixturevalue(fixture)
     suite = run_verification(sys_, r, range(3, 5), depth_offset=1, mc_samples=1000)
     assert _by_name(suite)["antichain_definition"].status == "PASS"
+
+
+def _fraction_definition(sys_, rq, k, w) -> bool:
+    """The definition from fresh Fraction products: parent >= eta_lo^k > word > 0."""
+    a, b = rq.numerator, rq.denominator
+
+    def power(word):
+        p = c = Fraction(1)
+        for i, j in zip(word, word[1:]):
+            p, c = p * sys_.edge_p(i, j), c * sys_.edge_c(i, j)
+        return p**b * c**a
+
+    p_lo = min(sys_.edge_p(i, j) for i, j in sys_.edges)
+    c_lo = min(sys_.edge_c(i, j) for i, j in sys_.edges)
+    return power(w[:-1]) >= (p_lo**b * c_lo**a) ** k > power(w) > 0
+
+
+@pytest.mark.parametrize("fixture", ["sys_a", "sys_b", "sys_c"])
+@pytest.mark.parametrize("r", [1, Fraction(3, 2), 2], ids=["r1", "r3_2", "r2"])
+def test_integer_definition_matches_fractions(fixture, r, request):
+    # members, their children, their parents, and words with a step along no edge
+    sys_ = request.getfixturevalue(fixture)
+    rq, k = Fraction(r), 4
+    members = antichain.enumerate_antichain(sys_, r, k, exact=True, store_words=True).words
+    words = list(members)
+    for w in members[:50]:
+        words += [w + (j,) for j in sys_.successors(w[-1])] + [w[:-1]]
+        words += [w[:-1] + (j,) for j in sys_.vertices if not sys_.is_edge(w[-2], j)]
+        words += [(i,) + w for i in sys_.vertices if not sys_.is_edge(i, w[0])]
+    got = verify._definition_holds(sys_, rq, k, words)
+    assert got == [_fraction_definition(sys_, rq, k, w) for w in words]
+    assert all(got[: len(members)]) and not any(got[len(members) :])
+
+
+def test_integer_definition_keeps_fixture_a_ties(sys_a):
+    # every depth-k word of fixture A weighs exactly eta_lo^k: each member's
+    # parent sits on the threshold and must still count as internal
+    members = antichain.enumerate_antichain(sys_a, 1, 4, exact=True, store_words=True).words
+    assert {len(w) for w in members} == {6}
+    assert all(verify._definition_holds(sys_a, Fraction(1), 4, members))
+    assert not any(verify._definition_holds(sys_a, Fraction(1), 4, [w[:-1] for w in members]))
+
+
+def test_negative_depth_offset_rejected(sys_a):
+    with pytest.raises(ValueError, match="depth offset"):
+        run_verification(sys_a, 1, range(4, 6), depth_offset=-2)
 
 
 def _count_solves(monkeypatch) -> list:
