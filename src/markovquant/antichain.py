@@ -23,8 +23,8 @@ compared against p_min^{kb} * c_min^{ka} for r = a/b in lowest terms, in
 integers over one common scale per depth.  Members fold into a
 histogram keyed by (chain, chi, p, c), so counts and the sums built from
 them do not depend on traversal order.  The pass also records, per depth,
-which state every child word goes to; the geometry module replays these
-tables to place the members' cylinders.
+which state every child of a state goes to; the geometry module lays out
+the members' cylinders under each state once from these tables.
 """
 
 from __future__ import annotations
@@ -48,14 +48,14 @@ class CapacityError(RuntimeError):
 
 
 class Level(NamedTuple):
-    """The non-member words of one length, merged into states.
+    """The states of one depth: its non-member words, merged by state.
 
     At the first depth the states are the roots, state v - 1 holding vertex v.
     The children of state s occupy slots first[s] .. first[s + 1] - 1, one per
-    outgoing edge of its vertex in `sys.edges` order.
+    outgoing edge of its vertex in `sys.edges` order; the words of a state
+    share its slots.
     """
 
-    words: int  # words at this depth, summed over its states
     first: tuple[int, ...]  # state -> its first slot; one trailing entry ends the last state
     edge: tuple[int, ...]  # slot -> index of the edge into `sys.edges`
     child: tuple[int, ...]  # slot -> state at the next depth, or -1 when the child is a member
@@ -196,7 +196,7 @@ def scan(
         if hits:
             l1 = l1 or depth
             l2 = depth
-        levels.append(Level(sum(counts), tuple(first), tuple(edge), tuple(child)))
+        levels.append(Level(tuple(first), tuple(edge), tuple(child)))
         if phi + sum(nxt_counts) > capacity:
             raise CapacityError(f"antichain at k={k} exceeds capacity cap {capacity} words")
         states, counts = nxt, nxt_counts

@@ -17,12 +17,14 @@ and mass, giving rigorous two-sided bounds for any codebook alpha:
     lower = sum m * max(0, d(mid, alpha) - half)^r
     upper = sum m * (d(mid, alpha) + half)^r.
 
-Grids are sorted by midpoint, and in one dimension the cells of a
-nearest-point assignment are intervals, so every cell is a contiguous slice
-of the grid.  The cells of a codebook are solved together: the best single
-point of a cell is the mean for r=2 and the weighted median for r=1; for any
-other order a ternary search on the convex cell objective advances every
-cell at once, one `np.add.reduceat` per trial point and step.  Lloyd
+A grid lays out the members under each state of the antichain pass once,
+children left to right, so grids come out sorted by midpoint by
+construction.  In one dimension the cells of a nearest-point assignment are
+intervals, so every cell is a contiguous slice of the grid.  The cells of a
+codebook are solved together: the best single point of a cell is the mean
+for r=2 and the weighted median for r=1; for any other order a ternary
+search on the convex cell objective advances every cell at once, one
+`np.add.reduceat` per trial point and step.  Lloyd
 refinement alternates assignment with these center updates; a step is
 accepted only if the sandwich upper bound does not increase, so the reported
 bound is non-increasing by construction.  The exact 2-point optimum is a
@@ -50,8 +52,6 @@ from .antichain import DEFAULT_CAPACITY, Antichain
 from .graphs import CriticalStructure
 from .model import MarkovSystem, as_fraction, validate_word
 
-# rows of the grid replay expanded at once; bounds its temporary arrays
-_CHUNK = 1 << 12
 # grid cells per sandwich pass: its temporaries stay a few MB where grid-sized
 # ones added several copies of the grid to the peak memory of verify
 _SANDWICH_CHUNK = 1 << 16
@@ -160,55 +160,44 @@ def level_grid(
 ) -> CylinderGrid:
     """(midpoint, half-width, mass) of every cylinder of the level-k antichain.
 
-    The antichain pass decides membership and records, per depth, which
-    state each child word goes to.  This replays those tables over one row
-    (state, left end, length, mass) per word, a bounded chunk of rows at a
-    time, and writes each member's cylinder into arrays sized to phi.
-    Arrays are sorted by midpoint so Lloyd cells become contiguous slices.
+    Words in one state of the antichain pass have the same members below
+    them, up to the affine map of their own cylinder.  So the members under
+    each state are laid out once, relative to its cylinder, from the deepest
+    depth up: rows (left, length, mass) of one array per depth, a slice per
+    state.  A member slot writes its edge's (offset, ratio, p); a slot to a
+    state writes that state's slice scaled by (ratio, ratio, p) and shifted
+    by the offset.  The roots' layouts, shifted by the template and scaled
+    by chi, are the grid.  Slots follow `sys.edges`, the order in which
+    `realize` places children left to right, so the grid comes out sorted
+    by midpoint and Lloyd cells are contiguous slices.
     """
     sys = rz.system
     res = antichain_mod.scan(sys, r, k, capacity=capacity)
     roots, place = rz.layout_floats()
-    off = np.array([place[e][0] for e in sys.edges])
-    ratio = np.array([place[e][1] for e in sys.edges])
-    prob = np.array([float(sys.edge_p(i, j)) for i, j in sys.edges])
-    state = np.arange(sys.n)
-    left = np.array([roots[v] for v in sys.vertices])
-    length = np.ones(sys.n)
-    mass = sys.chi_float()
-    mids, halves, masses = np.empty(res.phi), np.empty(res.phi), np.empty(res.phi)
-    done = 0
-    sizes = [lvl.words for lvl in res.levels[1:]] + [0]  # rows of the next depth
-    for lvl, size in zip(res.levels, sizes):
-        first, edge, child = np.array(lvl.first), np.array(lvl.edge), np.array(lvl.child)
-        rows = (np.empty(size, dtype=np.intp), np.empty(size), np.empty(size), np.empty(size))
-        kept = 0
-        for lo in range(0, state.size, _CHUNK):
-            st = state[lo : lo + _CHUNK]
-            deg = first[st + 1] - first[st]
-            parent = np.repeat(np.arange(lo, lo + st.size), deg)
-            slot = np.arange(parent.size) + np.repeat(first[st] - (np.cumsum(deg) - deg), deg)
-            e, to = edge[slot], child[slot]
-            span = length[parent]
-            lft = left[parent] + off[e] * span
-            span = ratio[e] * span
-            mss = mass[parent] * prob[e]
-            hit = to < 0
-            n_hit = int(np.count_nonzero(hit))
-            mids[done : done + n_hit] = lft[hit] + 0.5 * span[hit]
-            halves[done : done + n_hit] = 0.5 * span[hit]
-            masses[done : done + n_hit] = mss[hit]
-            done += n_hit
-            miss = ~hit
-            for dst, src in zip(rows, (to, lft, span, mss)):
-                dst[kept : kept + parent.size - n_hit] = src[miss]
-            kept += parent.size - n_hit
-        state, left, length, mass = rows
-    order = np.argsort(mids, kind="stable")
-    # gather one array at a time: never more than one sorted copy alongside
-    mids = mids[order]
-    halves = halves[order]
-    masses = masses[order]
+    unit = np.array([[*place[e], float(sys.edge_p(*e))] for e in sys.edges]).T
+    scale, off = unit[[1, 1, 2]], unit[0].tolist()
+    below = [0]  # state -> start of its slice, then the total
+    nxt = None  # layout of the depth below; only two depths are alive at once
+    for lvl in reversed(res.levels):
+        edge, child = np.array(lvl.edge), np.array(lvl.child)
+        # cells a slot writes: index -1, a member, reads the appended 1
+        count = np.append(np.diff(below), 1)[child]
+        start = np.concatenate(([0], np.cumsum(count)))
+        cur = np.empty((3, start[-1]))
+        member = child < 0
+        cur[:, start[:-1][member]] = unit[:, edge[member]]
+        for pos, e, t in zip(*(a[~member].tolist() for a in (start[:-1], edge, child))):
+            lo, hi = below[t], below[t + 1]
+            np.multiply(nxt[:, lo:hi], scale[:, e : e + 1], out=cur[:, pos : pos + hi - lo])
+            cur[0, pos : pos + hi - lo] += off[e]
+        below = start[np.array(lvl.first)].tolist()
+        nxt = cur
+    mids, halves, masses = nxt
+    for v, chi, lo, hi in zip(sys.vertices, sys.chi_float(), below, below[1:]):
+        mids[lo:hi] += roots[v]
+        masses[lo:hi] *= chi
+    halves *= 0.5
+    mids += halves
     return CylinderGrid(k=k, r=float(as_fraction(r)), mids=mids, halves=halves, masses=masses)
 
 

@@ -14,6 +14,24 @@ from conftest import FIXTURE_DIR, S1_H1_B, S_R_A
 A = str(FIXTURE_DIR / "fixture_a.json")
 B = str(FIXTURE_DIR / "fixture_b.json")
 C = str(FIXTURE_DIR / "fixture_c.json")
+# valid measure model whose rows cannot be realized in 1-D:
+# ratios sum to 1.2 per row, but every c entry is < 1
+WIDE = {
+    "n": 2,
+    "edges": [
+        {"from": 1, "to": 1, "p": "1/2", "c": "0.6"},
+        {"from": 1, "to": 2, "p": "1/2", "c": "0.6"},
+        {"from": 2, "to": 1, "p": "1/2", "c": "0.6"},
+        {"from": 2, "to": 2, "p": "1/2", "c": "0.6"},
+    ],
+    "chi": ["1/2", "1/2"],
+}
+
+
+def write_wide(tmp_path) -> str:
+    model = tmp_path / "wide.json"
+    model.write_text(json.dumps(WIDE))
+    return str(model)
 
 
 class TestValidate:
@@ -167,22 +185,8 @@ class TestVerifyCommand:
         assert "[FAIL] model_valid" in out
 
     def test_infeasible_layout_skips_geometry_runs_symbolic(self, tmp_path, capsys):
-        # valid measure model whose rows cannot be realized in 1-D:
-        # ratios sum to 1.2 per row, but every c entry is < 1
-        cfg = {
-            "n": 2,
-            "edges": [
-                {"from": 1, "to": 1, "p": "1/2", "c": "0.6"},
-                {"from": 1, "to": 2, "p": "1/2", "c": "0.6"},
-                {"from": 2, "to": 1, "p": "1/2", "c": "0.6"},
-                {"from": 2, "to": 2, "p": "1/2", "c": "0.6"},
-            ],
-            "chi": ["1/2", "1/2"],
-        }
-        model = tmp_path / "wide.json"
-        model.write_text(json.dumps(cfg))
         code = main(
-            ["verify", str(model), "--r", "1", "--k-min", "3", "--k-max", "6"]
+            ["verify", write_wide(tmp_path), "--r", "1", "--k-min", "3", "--k-max", "6"]
         )
         out = capsys.readouterr().out
         assert code == 0, out
@@ -206,11 +210,14 @@ class TestArgErrors:
         assert "capacity" in capsys.readouterr().err
 
     @pytest.mark.parametrize("samples", ["0", "1"])
-    def test_verify_needs_two_mc_samples(self, capsys, samples):
-        args = ["verify", A, "--r", "1", "--k-min", "3", "--k-max", "4",
-                "--depth-offset", "1", "--mc-samples", samples]
-        assert main(args) == 2
-        assert f"at least 2 samples, got {samples}" in capsys.readouterr().err
+    def test_verify_needs_two_mc_samples(self, tmp_path, capsys, samples):
+        # the wide model SKIPs the Monte Carlo check: only an up-front test rejects it
+        for args in (
+            [A, "--r", "1", "--k-min", "3", "--k-max", "4", "--depth-offset", "1"],
+            [write_wide(tmp_path), "--r", "1", "--k-min", "3", "--k-max", "5"],
+        ):
+            assert main(["verify", *args, "--mc-samples", samples]) == 2
+            assert f"at least 2 samples, got {samples}" in capsys.readouterr().err
 
     def test_verify_rejects_negative_depth_offset(self, capsys):
         args = ["verify", A, "--k-min", "4", "--k-max", "6", "--depth-offset", "-2"]

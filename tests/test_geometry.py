@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -220,8 +221,11 @@ class TestGrids:
             assert grid.masses.sum() == pytest.approx(1.0, abs=1e-12)
             assert (grid.masses > 0).all()
 
-    def test_grid_matches_exact_intervals(self, sys_b):
+    def test_grid_matches_exact_intervals(self, sys_b, sys_c):
+        # the grid is sorted by construction: its rows, in grid order, are the
+        # exact intervals sorted by midpoint; at k = 6 states of B and C merge
         cases = [(sys_b, 1, 3), (sys_b, F(3, 2), 3)]
+        cases += [(sys_b, 1, 6), (sys_b, F(3, 2), 6), (sys_c, F(3, 2), 6)]
         cases += [(sys, r, 2) for sys in realizable_random_models(3) for r in (1, F(3, 2))]
         for sys, r, k in cases:
             rz = realize(sys)
@@ -233,11 +237,26 @@ class TestGrids:
                 mass = path_weight(sys, w).measure_weight
                 exact.append((float(left) + float(length) / 2, float(length) / 2, float(mass)))
             exact = np.array(sorted(exact))
-            got = np.array(
-                sorted(zip(grid.mids.tolist(), grid.halves.tolist(), grid.masses.tolist()))
-            )
+            got = np.column_stack((grid.mids, grid.halves, grid.masses))
             assert got.shape == exact.shape
             assert np.allclose(got, exact, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "name, r, k",
+        [("sys_b", 1, 12), ("sys_c", F(3, 2), 13), ("sys_a", 1, 16)],
+        ids=["b-12", "c-13", "a-16"],
+    )
+    def test_grid_peak_memory(self, request, name, r, k):
+        # at most two depths of per-state layouts are alive at once; a view of
+        # a consumed depth kept past its use reads about 1.9 on B
+        rz = realize(request.getfixturevalue(name))
+        tracemalloc.start()
+        try:
+            grid = level_grid(rz, r, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.65 * 24 * grid.size
 
     def test_grid_capacity_checked_before_arrays(self, sys_b):
         # phi at k = 40 is about 7.1e15; the pass stops once the words found
