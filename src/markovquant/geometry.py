@@ -22,9 +22,10 @@ children left to right, so grids come out sorted by midpoint by
 construction.  In one dimension the cells of a nearest-point assignment are
 intervals, so every cell is a contiguous slice of the grid.  The cells of a
 codebook are solved together: the best single point of a cell is the mean
-for r=2 and the weighted median for r=1; for any other order a ternary
-search on the convex cell objective advances every cell at once, one
-`np.add.reduceat` per trial point and step.  Lloyd
+for r=2 and the weighted median for r=1; for any other order r > 1 it is the
+root of the cost's derivative, found by bisecting every cell's bracket at once
+on the derivative's sign, one `np.add.reduceat` per step, down to width 1e-12.
+Orders below 1 are refused: their cell cost is not convex.  Lloyd
 refinement alternates assignment with these center updates; a step is
 accepted only if the sandwich upper bound does not increase, so the reported
 bound is non-increasing by construction.  The exact 2-point optimum is a
@@ -67,7 +68,7 @@ class InfeasibleLayoutError(ValueError):
 
 
 class UnsupportedOrderError(ValueError):
-    """Raised for Lloyd refinement with order r < 1."""
+    """Raised for cell recentering (Lloyd, quantile, 2-point) with order r < 1."""
 
 
 class SamplingResolutionError(RuntimeError):
@@ -326,10 +327,16 @@ def _cell_centers(mids, masses, starts, ends, r: float) -> np.ndarray:
 
     An empty cell gets NaN; the other cells must be adjacent, each ending
     where the next one starts.  Orders 1 and 2 take the closed forms of
-    `_cell_center`.  Any other order r >= 1 runs a ternary search on each
-    cell's convex objective down to width 1e-12; all cells step together,
-    and each trial cost is one reduceat over the grid slice they span.
+    `_cell_center`.  Any other order r > 1 bisects each cell's bracket, from
+    its first to its last midpoint, on the sign of the derivative
+    sum m * sign(t - x) * |t - x|^(r-1) of its strictly convex cost, and
+    returns the bracket's midpoint once it is at most 1e-12 wide or, past
+    8192 where one ulp is wider, two adjacent floats.  All cells step
+    together, each step one reduceat over the grid slice they span.  Orders
+    below 1 raise `UnsupportedOrderError`.
     """
+    if r < 1.0:
+        raise UnsupportedOrderError(f"recentering a cell needs r >= 1, got {r}")
     out = np.full(starts.size, np.nan)
     full = ends > starts
     starts, ends = starts[full], ends[full]
@@ -341,23 +348,26 @@ def _cell_centers(mids, masses, starts, ends, r: float) -> np.ndarray:
     lo, hi = int(starts[0]), int(ends[-1])
     x, m = mids[lo:hi], masses[lo:hi]
     offsets, counts = starts - lo, ends - starts
+    buf = np.empty(x.size)
 
-    def costs(t: np.ndarray) -> np.ndarray:
-        buf = t.repeat(counts)
-        np.subtract(x, buf, out=buf)
-        np.abs(buf, out=buf)
-        np.power(buf, r, out=buf)
+    def slopes(t: np.ndarray) -> np.ndarray:
+        # each cell's cost derivative over r at its point t
+        d = t.repeat(counts)
+        np.subtract(d, x, out=d)
+        np.abs(d, out=buf)
+        np.power(buf, r - 1.0, out=buf)
+        np.copysign(buf, d, out=buf)
         np.multiply(buf, m, out=buf)
         return np.add.reduceat(buf, offsets)
 
     a, b = mids[starts], mids[ends - 1]  # one-point cells never move
-    while (live := b - a > 1e-12).any():
-        third = (b - a) / 3.0
-        t1, t2 = a + third, b - third
-        left = costs(t1) <= costs(t2)
-        np.copyto(b, t2, where=live & left)
-        np.copyto(a, t1, where=live & ~left)
-    out[full] = 0.5 * (a + b)
+    t = 0.5 * (a + b)
+    while (live := (b - a > 1e-12) & (a < t) & (t < b)).any():
+        right = slopes(t) < 0.0  # the root lies right of t
+        np.copyto(a, t, where=live & right)
+        np.copyto(b, t, where=live & ~right)
+        t = 0.5 * (a + b)
+    out[full] = t
     return out
 
 

@@ -10,8 +10,11 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovquant import (
     CapacityError,
@@ -46,11 +49,11 @@ F = Fraction
 
 
 def scalar_ternary(x: np.ndarray, m: np.ndarray, r: float) -> float:
-    """One cell's ternary search, the rule `_cell_centers` applies to all cells.
+    """One cell's ternary search on its cost, down to width 1e-12.
 
-    Costs are summed in the kernel's order (first term, then the rest
-    pairwise): the objective is flat at its minimum, so another summation
-    order can move the returned point by up to about 1e-8 of the cell width.
+    An independent reference for `split_enumeration`, whose costs it is
+    compared on.  Comparing costs locates the flat minimum only to about 1e-8
+    of the cell width, so its point is no reference for `_cell_centers`.
     """
 
     def cost(t: float) -> float:
@@ -65,6 +68,40 @@ def scalar_ternary(x: np.ndarray, m: np.ndarray, r: float) -> float:
         else:
             a = t1
     return 0.5 * (a + b)
+
+
+def mp_rational(q):
+    """A rational order as an exact int or an mpf at the current precision."""
+    q = F(q)
+    return int(q) if q.denominator == 1 else mpmath.mpf(q.numerator) / q.denominator
+
+
+def mp_slope(x, m, r, t):
+    """Sum m * sign(t - x) * |t - x|^(r-1) of one cell at the current mpmath precision."""
+    e, t = mp_rational(F(r) - 1), mpmath.mpf(t)
+    return mpmath.fsum(
+        mi * (t - xi) ** e if xi < t else -mi * (xi - t) ** e for xi, mi in zip(x, m)
+    )
+
+
+def mp_cost(x, m, r, t):
+    """Sum m * |t - x|^r of one cell at the current mpmath precision."""
+    e, t = mp_rational(r), mpmath.mpf(t)
+    return mpmath.fsum(mi * abs(t - xi) ** e for xi, mi in zip(x, m))
+
+
+def mpmath_root(x, m, r) -> float:
+    """The root of one cell's slope by a 50-digit bisection, to width 1e-14."""
+    with mpmath.workdps(50):
+        x, m = [mpmath.mpf(v) for v in x.tolist()], [mpmath.mpf(v) for v in m.tolist()]
+        a, b = x[0], x[-1]
+        while b - a > 1e-14:
+            t = (a + b) / 2
+            if mp_slope(x, m, r, t) < 0:
+                a = t
+            else:
+                b = t
+        return float((a + b) / 2)
 
 
 def split_enumeration(grid, r) -> float:
@@ -422,7 +459,7 @@ class TestIntegrateError:
 
 class TestCellKernel:
     @pytest.mark.parametrize("r", [F(5, 4), F(3, 2), 3])
-    def test_matches_scalar_ternary(self, r):
+    def test_matches_mpmath_root(self, r):
         rf = float(r)
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -442,8 +479,58 @@ class TestCellKernel:
                 elif e - s == 1:
                     assert got[i] == mids[s]
                 else:
-                    want = scalar_ternary(mids[s:e], masses[s:e], rf)
-                    assert abs(got[i] - want) <= 1e-12
+                    assert abs(got[i] - mpmath_root(mids[s:e], masses[s:e], r)) <= 1e-12
+        # equal masses placed symmetrically: the root is the middle grid point
+        mids = np.array([0.5, 1.25, 2.0, 2.75, 3.5])
+        masses = np.full(5, 0.2)
+        assert mp_slope(mids.tolist(), masses.tolist(), r, 2.0) == 0
+        got = _cell_centers(mids, masses, np.array([0]), np.array([5]), rf)
+        assert abs(got[0] - 2.0) <= 1e-12
+
+    def test_bracket_of_adjacent_floats_stops(self):
+        # from 8192 on one ulp exceeds 1e-12, so a bracket of two adjacent
+        # floats is never 1e-12 wide; in a subprocess, as a hang would not fail
+        script = (
+            "import numpy as np\n"
+            "from markovquant.geometry import _cell_centers\n"
+            "x = np.array([8192.0, 8192.0 + 2 ** -38, 16384.0 - 2 ** -39, 16384.0])\n"
+            "c = _cell_centers(x, np.full(4, 0.25), np.array([0, 2]), np.array([2, 4]), 1.5)\n"
+            "print(*(v.hex() for v in c))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(geometry.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        got = [float.fromhex(v) for v in run.stdout.split()]
+        assert 8192.0 <= got[0] <= 8192.0 + 2**-38
+        assert 16384.0 - 2**-39 <= got[1] <= 16384.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        cell=st.lists(
+            st.tuples(st.floats(0.0, 10.0), st.floats(0.01, 1.0)), min_size=2, max_size=40
+        ),
+        r=st.sampled_from([F(5, 4), F(3, 2), F(5, 2), F(3)]),
+    )
+    def test_center_brackets_the_root(self, cell, r):
+        mids = np.sort(np.array([x for x, _ in cell]))
+        masses = np.array([w for _, w in cell])
+        c = float(_cell_centers(mids, masses, np.array([0]), np.array([mids.size]), float(r))[0])
+        with mpmath.workdps(50):
+            mids = [mpmath.mpf(v) for v in mids.tolist()]
+            masses = [mpmath.mpf(v) for v in masses.tolist()]
+            # the root lies within 1e-12 of c
+            assert mp_slope(mids, masses, r, c - 1e-12) <= 0
+            assert mp_slope(mids, masses, r, c + 1e-12) >= 0
+            # so, by convexity, cost(c) exceeds the least cost by at most
+            # |cost'(c)| * 1e-12: the whole excess on a cell narrower than
+            # the bracket, whose midpoint c is, and negligible on wider ones
+            best = min(mp_cost(mids, masses, r, x) for x in mids)
+            slack = abs(r * mp_slope(mids, masses, r, c)) * mpmath.mpf(1e-12)
+            assert mp_cost(mids, masses, r, c) <= best * (1 + mpmath.mpf(1e-12)) + slack
 
 
 class TestLloyd:
@@ -494,6 +581,17 @@ class TestLloyd:
         rz = realize(sys_a)
         with pytest.raises(UnsupportedOrderError):
             lloyd_refine(rz, Codebook(points=(0.5,)), 0.5, 4)
+
+    @pytest.mark.parametrize("r", [F(1, 2), F(99, 100)], ids=str)
+    def test_recentering_rejects_small_order(self, sys_c, r):
+        # below r = 1 a cell's cost is not convex: no quantile warm start or
+        # 2-point optimum is computed, not even with one-point cells
+        grid = level_grid(realize(sys_c), r, 4)
+        for n in (2, grid.size):
+            with pytest.raises(UnsupportedOrderError):
+                quantile_codebook(grid, n, float(r))
+        with pytest.raises(UnsupportedOrderError):
+            optimal_two_point(grid, r)
 
     @pytest.mark.parametrize(
         "name,k,r",
