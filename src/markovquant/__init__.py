@@ -10,14 +10,12 @@ and direct quantization on a 1-D realization with rigorous two-sided bounds.
 from .antichain import (
     Antichain,
     CapacityError,
-    ChainDecomposition,
-    ChainSum,
     DEFAULT_CAPACITY,
     SeriesRow,
-    chain_decomposition,
     enumerate_antichain,
     implicit_exponent,
     measure_partition_sum,
+    member_words,
     theorem_ratio_series,
 )
 from .geometry import (
@@ -62,7 +60,6 @@ from .model import (
     eta_bounds,
     load_model,
     path_weight,
-    successors,
     validate_system,
 )
 from .spectral import (

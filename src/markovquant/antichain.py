@@ -23,8 +23,11 @@ compared against p_min^{kb} * c_min^{ka} for r = a/b in lowest terms, in
 integers over one common scale per depth.  Members fold into a
 histogram keyed by (chain, chi, p, c), so counts and the sums built from
 them do not depend on traversal order.  The pass also records, per depth,
-which state every child of a state goes to; the geometry module lays out
-the members' cylinders under each state once from these tables.
+which state every child of a state goes to; member words are read off these
+tables, and the geometry module lays out the members' cylinders under each
+state once from them.  Each histogram key is weighed once, in logs taken
+from its exact integers, so no weight underflows at any depth; every float
+statistic is a sum of exp(log count + e * log w) over those keys.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from sys import float_info
 from typing import Iterable, NamedTuple
 
 from . import spectral
@@ -72,7 +76,6 @@ class ScanResult:
     depth_max: int
     hist: dict  # (chain, chi, p, c) -> number of member words
     exact: bool
-    words: tuple[Word, ...] | None
     levels: tuple[Level, ...] = field(repr=False)
 
 
@@ -88,12 +91,6 @@ def _critical_map(sys: MarkovSystem, cs: CriticalStructure | None) -> list[int]:
     return cmap
 
 
-def _weight_float(p: Fraction, c: Fraction, rq: Fraction) -> float:
-    if rq.denominator == 1:
-        return float(p * c**rq.numerator)
-    return float(p) * float(c) ** float(rq)
-
-
 def _threshold_power(sys: MarkovSystem, rq: Fraction, k: int) -> Fraction:
     """eta_lo^k raised to the b-th power for r = a/b: p_min^(kb) * c_min^(ka)."""
     p_lo, c_lo, _, _ = edge_extremes(sys)
@@ -107,18 +104,16 @@ def scan(
     *,
     cs: CriticalStructure | None = None,
     exact: bool = False,
-    store_words: bool = False,
     capacity: int = DEFAULT_CAPACITY,
 ) -> ScanResult:
     """Count the level-k antichain in one exact pass over merged word states.
 
-    Membership, phi, the depth range and the histogram are exact whatever
-    `exact` says; `exact` (implied by store_words) only makes the antichain's
-    sum_energy an exact Fraction for integer r.  store_words also keeps every
-    member word, for small levels.  Raises CapacityError as soon as the
-    members found plus the words still to expand exceed `capacity`: each word
-    left to expand has at least two member descendants, so that sum never
-    exceeds the final phi.
+    Membership, phi, the depth range, the histogram and the per-depth state
+    tables are exact whatever `exact` says; `exact` only makes the
+    antichain's sum_energy an exact Fraction for integer r.  Raises
+    CapacityError as soon as the members found plus the words still to
+    expand exceed `capacity`: each word left to expand has at least two
+    member descendants, so that sum never exceeds the final phi.
     """
     if k < 1:
         raise ValueError(f"level k must be >= 1, got {k}")
@@ -139,7 +134,6 @@ def scan(
     chis = sorted(set(sys.chi))
 
     hist: dict = {}
-    members: list[Word] = []
     levels: list[Level] = []
     phi = l1 = l2 = 0
     # state: (last vertex, chain, index of the root's chi in chis, P, C)
@@ -148,7 +142,6 @@ def scan(
         for v in sys.vertices
     ]
     counts = [1] * sys.n
-    held = [[(v,)] for v in sys.vertices] if store_words else None
     depth = 1
     while states:
         depth += 1
@@ -159,7 +152,6 @@ def scan(
         ids: dict[tuple, int] = {}
         nxt: list[tuple] = []
         nxt_counts: list[int] = []
-        nxt_held: list[list[Word]] = []
         first, edge, child = [0], [], []
         for s, (v, chain, chi, p, c) in enumerate(states):
             n = counts[s]
@@ -173,8 +165,6 @@ def scan(
                     key = (ch2, chi, p2, c2)
                     hits[key] = hits.get(key, 0) + n
                     t = -1
-                    if held is not None:
-                        members.extend(w + (j,) for w in held[s])
                 else:
                     st = (j, ch2, chi, p2, c2)
                     t = ids.get(st)
@@ -182,10 +172,7 @@ def scan(
                         t = ids[st] = len(nxt)
                         nxt.append(st)
                         nxt_counts.append(0)
-                        nxt_held.append([])
                     nxt_counts[t] += n
-                    if held is not None:
-                        nxt_held[t].extend(w + (j,) for w in held[s])
                 edge.append(e)
                 child.append(t)
             first.append(len(edge))
@@ -200,22 +187,20 @@ def scan(
         if phi + sum(nxt_counts) > capacity:
             raise CapacityError(f"antichain at k={k} exceeds capacity cap {capacity} words")
         states, counts = nxt, nxt_counts
-        if held is not None:
-            held = nxt_held
     return ScanResult(
         k=k, r=rq, phi=phi, depth_min=l1, depth_max=l2, hist=hist,
-        exact=exact or store_words, words=tuple(members) if store_words else None,
-        levels=tuple(levels),
+        exact=exact, levels=tuple(levels),
     )
 
 
-def _weight_items(res: ScanResult) -> list[tuple[Chain, float, int]]:
-    """(chain, float weight, count) triples in a canonical order."""
-    out = [
-        (chain, _weight_float(p, c, res.r), cnt) for (chain, _chi, p, c), cnt in res.hist.items()
-    ]
-    out.sort(key=lambda t: (t[0], t[1]))
-    return out
+def _log(q: Fraction) -> float:
+    """log q from its integers: exact inputs of any size, no underflow."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+def _power_sum(table, e: float) -> float:
+    """Sum of count * w^e over a weight table, as one correctly rounded sum."""
+    return math.fsum(math.exp(lc + e * lw) for _chain, lw, lc in table)
 
 
 @dataclass(frozen=True)
@@ -226,7 +211,9 @@ class Antichain:
     integer r, float otherwise); sum_dim is Sum (p*c^r)^{s/(s+r)} at the
     dimension exponent s = s_dim.  class_sums splits sum_dim by the visited
     chain of critical components (all mass under () when no critical
-    structure was supplied).
+    structure was supplied).  Each float is a sum over log_weights, one
+    (chain, log w, log count) row per histogram key, sorted.  levels are the
+    pass's per-depth state tables; `member_words` reads the members off them.
     """
 
     k: int
@@ -238,43 +225,10 @@ class Antichain:
     sum_energy: Fraction | float
     sum_dim: float
     class_sums: dict[Chain, float]
-    classified: bool
     exact: bool
     hist: dict = field(repr=False)
-    words: tuple[Word, ...] | None = field(default=None, repr=False)
-
-    def weight_counts(self) -> list[tuple[float, int]]:
-        """(float weight, count) pairs, ascending by weight."""
-        agg: dict[float, int] = {}
-        for _chain, w, cnt in _weight_items(self):
-            agg[w] = agg.get(w, 0) + cnt
-        return sorted(agg.items())
-
-
-def _build_antichain(res: ScanResult, s_dim: float, classified: bool) -> Antichain:
-    rq = res.r
-    expo = s_dim / (s_dim + float(rq))
-    items = _weight_items(res)
-    sum_dim = 0.0
-    class_sums: dict[Chain, float] = {}
-    for chain, w, cnt in items:
-        term = cnt * w**expo
-        sum_dim += term
-        class_sums[chain] = class_sums.get(chain, 0.0) + term
-    if res.exact and rq.denominator == 1:
-        a = rq.numerator
-        sum_energy: Fraction | float = sum(
-            cnt * p * c**a for (_ch, _chi, p, c), cnt in res.hist.items()
-        )
-    else:
-        sum_energy = math.fsum(cnt * w for _ch, w, cnt in items)
-    return Antichain(
-        k=res.k, r=rq, s_dim=s_dim, phi=res.phi,
-        depth_min=res.depth_min, depth_max=res.depth_max,
-        sum_energy=sum_energy, sum_dim=sum_dim,
-        class_sums=class_sums, classified=classified,
-        exact=res.exact, hist=res.hist, words=res.words,
-    )
+    log_weights: tuple[tuple[Chain, float, float], ...] = field(repr=False)
+    levels: tuple[Level, ...] = field(repr=False)
 
 
 def enumerate_antichain(
@@ -284,7 +238,6 @@ def enumerate_antichain(
     *,
     critical: CriticalStructure | None = None,
     exact: bool = False,
-    store_words: bool = False,
     capacity: int = DEFAULT_CAPACITY,
 ) -> Antichain:
     """Enumerate the level-k antichain and its statistics.
@@ -297,10 +250,60 @@ def enumerate_antichain(
         s_dim = critical.s_r
     else:
         s_dim = spectral.solve_sr(sys, "full", r).root
-    res = scan(
-        sys, r, k, cs=critical, exact=exact, store_words=store_words, capacity=capacity
+    res = scan(sys, r, k, cs=critical, exact=exact, capacity=capacity)
+    rq = res.r
+    rf = float(rq)
+    # log w = log p + r log c, from the exact integers of each key
+    table = tuple(sorted(
+        (chain, _log(p) + rf * _log(c), math.log(cnt))
+        for (chain, _chi, p, c), cnt in res.hist.items()
+    ))
+    expo = s_dim / (s_dim + rf)
+    sum_dim = 0.0
+    class_sums: dict[Chain, float] = {}
+    for chain, lw, lc in table:
+        term = math.exp(lc + expo * lw)
+        sum_dim += term
+        class_sums[chain] = class_sums.get(chain, 0.0) + term
+    if res.exact and rq.denominator == 1:
+        a = rq.numerator
+        sum_energy: Fraction | float = sum(
+            cnt * p * c**a for (_ch, _chi, p, c), cnt in res.hist.items()
+        )
+    else:
+        sum_energy = _power_sum(table, 1.0)
+    return Antichain(
+        k=k, r=rq, s_dim=s_dim, phi=res.phi,
+        depth_min=res.depth_min, depth_max=res.depth_max,
+        sum_energy=sum_energy, sum_dim=sum_dim, class_sums=class_sums,
+        exact=res.exact, hist=res.hist, log_weights=table, levels=res.levels,
     )
-    return _build_antichain(res, s_dim, classified=critical is not None)
+
+
+def member_words(sys: MarkovSystem, ac: Antichain) -> list[Word]:
+    """The antichain's member words, in lexicographic order.
+
+    A depth-first walk of the pass's level tables, the symbolic twin of
+    `geometry.level_grid`'s layout walk: a slot to a state continues the word
+    into that state's slots one depth down, a member slot ends it.  Slots
+    follow `sys.edges`, so words come out sorted.  Words can be thousands of
+    levels deep, so the walk keeps its own stack.
+    """
+    heads = [j for _i, j in sys.edges]
+    words: list[Word] = []
+    # (depth, state or -1 for a member, word so far); the next word on top
+    stack = [(0, v - 1, (v,)) for v in reversed(sys.vertices)]
+    while stack:
+        d, s, w = stack.pop()
+        if s < 0:
+            words.append(w)
+            continue
+        first, edge, child = ac.levels[d]
+        stack.extend(
+            (d + 1, child[slot], w + (heads[edge[slot]],))
+            for slot in reversed(range(first[s], first[s + 1]))
+        )
+    return words
 
 
 def measure_partition_sum(ac: Antichain) -> Fraction:
@@ -323,11 +326,9 @@ def implicit_exponent(ac: Antichain, tol: float = 1e-10) -> float:
     if ac.phi < 2:
         raise ValueError("implicit exponent needs an antichain with >= 2 words")
     rf = float(ac.r)
-    weights = ac.weight_counts()
 
     def f(t: float) -> float:
-        e = t / (t + rf)
-        return math.fsum(cnt * w**e for w, cnt in weights) - 1.0
+        return _power_sum(ac.log_weights, t / (t + rf)) - 1.0
 
     lo = 0.0
     hi = 1.0
@@ -343,58 +344,6 @@ def implicit_exponent(ac: Antichain, tol: float = 1e-10) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class ChainSum:
-    """Dimension-exponent mass of one chain class inside an antichain."""
-
-    chain: Chain
-    value: float
-    k: int
-    r: float
-
-
-@dataclass(frozen=True)
-class ChainDecomposition:
-    """Per-chain split of sum_dim, plus the transient (l = 0) residual."""
-
-    chain_sums: tuple[ChainSum, ...]  # classes with l >= 1, sorted by chain
-    residual_l0: float
-    total: float
-
-    def value(self, chain: Chain) -> float:
-        for cs_ in self.chain_sums:
-            if cs_.chain == chain:
-                return cs_.value
-        return 0.0
-
-
-def chain_decomposition(
-    sys: MarkovSystem,
-    r,
-    ac: Antichain,
-    cs: CriticalStructure,
-    capacity: int = DEFAULT_CAPACITY,
-) -> ChainDecomposition:
-    """Split the antichain's dimension sum by visited critical-component chain.
-
-    Re-scans with classification if the antichain was enumerated without a
-    critical structure.
-    """
-    if not ac.classified:
-        res = scan(sys, r, ac.k, cs=cs, exact=ac.exact, capacity=capacity)
-        ac = _build_antichain(res, cs.s_r, classified=True)
-    sums = [
-        ChainSum(chain=ch, value=val, k=ac.k, r=float(ac.r))
-        for ch, val in sorted(ac.class_sums.items())
-        if ch
-    ]
-    return ChainDecomposition(
-        chain_sums=tuple(sums),
-        residual_l0=ac.class_sums.get((), 0.0),
-        total=ac.sum_dim,
-    )
 
 
 @dataclass(frozen=True)
@@ -426,7 +375,9 @@ def theorem_ratio_series(
 
     `uncorrected` tracks the plain power law; `corrected` divides out the
     logarithmic factor predicted for t_r comparable critical components.
-    With t_r = 1 the two columns coincide.
+    With t_r = 1 the two columns coincide.  Both are taken in logs, so phi
+    may be far beyond the float range; a sum_energy below the normal float
+    range, where it is 0 or has lost its digits, raises ValueError.
     """
     if cs is None:
         cs = spectral.critical_analysis(sys, r)
@@ -436,14 +387,18 @@ def theorem_ratio_series(
     rows: list[SeriesRow] = []
     for k in k_range:
         ac = enumerate_antichain(sys, r, k, critical=cs, exact=exact, capacity=capacity)
-        u = ac.phi**power * float(ac.sum_energy)
-        corrected = u / math.log(ac.phi) ** log_expo
+        energy = float(ac.sum_energy)
+        if energy < float_info.min:
+            raise ValueError(f"sum_energy at k={k} is below the float range: {energy!r}")
+        log_u = power * math.log(ac.phi) + math.log(energy)
+        # log_expo is 0.0 when t_r = 1, and then corrected is u exactly
+        corrected = math.exp(log_u - log_expo * math.log(math.log(ac.phi)))
         rows.append(
             SeriesRow(
                 k=k, phi=ac.phi, depth_min=ac.depth_min, depth_max=ac.depth_max,
-                sum_energy=float(ac.sum_energy), sum_dim=ac.sum_dim,
+                sum_energy=energy, sum_dim=ac.sum_dim,
                 t_k=implicit_exponent(ac),
-                corrected=corrected, uncorrected=u,
+                corrected=corrected, uncorrected=math.exp(log_u),
                 class_sums=dict(ac.class_sums),
             )
         )

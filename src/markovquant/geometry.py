@@ -219,9 +219,6 @@ class Codebook:
     def size(self) -> int:
         return int(self.points.size)
 
-    def array(self) -> np.ndarray:
-        return self.points
-
 
 @dataclass(frozen=True)
 class ErrorEstimate:
@@ -240,14 +237,9 @@ class ErrorEstimate:
 
 
 def antichain_codebook(rz: Realization, ac: Antichain) -> Codebook:
-    """Midpoints of the antichain's cylinders (needs materialized words)."""
-    if ac.words is None:
-        raise ValueError(
-            "antichain has no materialized words; enumerate with store_words=True "
-            "or build the codebook from level_grid"
-        )
+    """Midpoints of the antichain's cylinders, from its exact member words."""
     pts = []
-    for w in ac.words:
+    for w in antichain_mod.member_words(rz.system, ac):
         left, length = cylinder_interval(rz, w)
         pts.append(float(left) + float(length) / 2.0)
     return Codebook(points=pts)
@@ -301,7 +293,7 @@ def integrate_error(
         raise ValueError(f"order r must be positive, got {r}")
     if grid is None:
         grid = level_grid(rz, r, depth, capacity=capacity)
-    lower, upper = _sandwich(grid, codebook.array(), rf)
+    lower, upper = _sandwich(grid, codebook.points, rf)
     return ErrorEstimate(
         n=codebook.size, r=rf, lower=lower, upper=upper,
         method="antichain", integration_depth=grid.k,
@@ -405,7 +397,7 @@ def lloyd_refine(
     target_n = initial.size
     respawn = None
 
-    best = initial.array()
+    best = initial.points
     lo0, up0 = _sandwich(grid, best, rf)
     trace = [
         ErrorEstimate(n=initial.size, r=rf, lower=lo0, upper=up0,
@@ -459,7 +451,7 @@ def quantile_codebook(grid: CylinderGrid, n: int, r: float = 2.0) -> Codebook:
 
 def discrete_cost(grid: CylinderGrid, codebook: Codebook, r) -> float:
     """Plain discretized objective sum m * d(mid, alpha)^r (no cylinder radii)."""
-    d = _nearest_distance(codebook.array(), grid.mids)
+    d = _nearest_distance(codebook.points, grid.mids)
     return _dot(grid.masses, d ** float(as_fraction(r)))
 
 
@@ -637,7 +629,7 @@ def monte_carlo_error(
     if n_samples < 2:
         raise ValueError(f"Monte Carlo needs at least 2 samples, got {n_samples}")
     xs = sample_support_points(rz, n_samples, seed)
-    d = _nearest_distance(codebook.array(), xs) ** float(as_fraction(r))
+    d = _nearest_distance(codebook.points, xs) ** float(as_fraction(r))
     mean = float(d.mean())
     stderr = float(d.std(ddof=1) / math.sqrt(n_samples))
     return mean, stderr

@@ -230,11 +230,6 @@ def validate_system(sys: MarkovSystem) -> ValidationReport:
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
 
-def successors(sys: MarkovSystem, i: int) -> tuple[int, ...]:
-    """Ordered successor list of vertex i (ascending)."""
-    return sys.successors(i)
-
-
 def validate_word(sys: MarkovSystem, word: Sequence[int]) -> Word:
     """Return the word as a tuple, raising InvalidWordError on a non-edge pair."""
     w = tuple(int(v) for v in word)

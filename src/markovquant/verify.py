@@ -189,10 +189,10 @@ class _Context:
         return spectral.full_solution(self.sys, self.cs)
 
     @_stage
-    def ac0(self):  # exact, with its words
+    def ac0(self):
         return antichain_mod.enumerate_antichain(
             self.sys, self.r, self.ks[0], critical=self.cs, exact=True,
-            store_words=True, capacity=self.capacity,
+            capacity=self.capacity,
         )
 
     @_stage
@@ -277,9 +277,10 @@ def _definition_holds(sys: MarkovSystem, rq: Fraction, k: int, words) -> list[bo
 
 def _antichain_definition(ctx: _Context) -> Iterator[CheckResult]:
     ac0 = ctx.ac0
-    def_ok = all(_definition_holds(ctx.sys, ctx.rq, ac0.k, ac0.words))
+    words = antichain_mod.member_words(ctx.sys, ac0)
+    def_ok = all(_definition_holds(ctx.sys, ctx.rq, ac0.k, words))
     partition = antichain_mod.measure_partition_sum(ac0)
-    swords = sorted(ac0.words)
+    swords = sorted(words)
     prefix_free = all(
         not (len(u) <= len(v) and v[: len(u)] == u) for u, v in zip(swords, swords[1:])
     )

@@ -22,6 +22,7 @@ from markovquant import (
     integrate_error,
     level_grid,
     lloyd_refine,
+    member_words,
     path_weight,
     quantile_codebook,
     realize,
@@ -268,9 +269,9 @@ def test_criterion_10_lloyd_equals_bruteforce(sys_a):
     # independent oracle: exact depth-10 discretization via words and interval
     # walks, then split enumeration with prefix sums (r = 2 closed forms)
     rz = realize(sys_a)
-    ac = enumerate_antichain(sys_a, 2, 10, exact=True, store_words=True)
+    ac = enumerate_antichain(sys_a, 2, 10, exact=True)
     pts = []
-    for w in ac.words:
+    for w in member_words(sys_a, ac):
         left, length = cylinder_interval(rz, w)
         pw = path_weight(sys_a, w)
         pts.append((float(left + length / 2), float(pw.measure_weight)))
@@ -307,6 +308,25 @@ def test_criterion_10_lloyd_equals_bruteforce(sys_a):
     total = time.time() - _MODULE_T0
     print(f"[acceptance] total module runtime {total:.1f}s (< 600s budget)", flush=True)
     assert total < 600.0
+
+
+@pytest.mark.parametrize("name, r", [("b", 1), ("b", 2), ("c", 1)], ids=["b-r1", "b-r2", "c-r1"])
+def test_criterion_11_deep_chain_sum_exponent(request, name, r):
+    # k = 40, 80, 160: member weights reach far below the float range (on B
+    # at r = 2 from k = 147); the band is stated in k, where log phi ~ k
+    # only up to a constant that a deep window would magnify
+    sys_ = request.getfixturevalue(f"sys_{name}")
+    cs = critical_analysis(sys_, r)
+    rows = theorem_ratio_series(sys_, r, (40, 80, 160), cs=cs, capacity=10**300)
+    band = _band([row.sum_dim / row.k ** (cs.t_r - 1) for row in rows])
+    t_ok = all(cs.s_r / 2 <= row.t_k <= 2 * cs.s_r for row in rows)
+    u_ok = all(math.isfinite(row.uncorrected) and row.uncorrected > 0 for row in rows)
+    _report(
+        f"11 deep S_k ~ k^(T_r - 1) ({name.upper()}, r={r})",
+        band <= 1.5 and t_ok and u_ok,
+        f"k=40,80,160: S_k/k^{cs.t_r - 1} band {band:.3f} <= 1.5, "
+        f"t_k in [s_r/2, 2 s_r]: {t_ok}, U_k finite and positive: {u_ok}",
+    )
 
 
 def test_oracle_constant_t11_consistency(sys_a):

@@ -1,5 +1,6 @@
 """Antichain enumeration against brute-force oracles, sums, exponents, chains."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,12 +9,13 @@ import pytest
 
 from markovquant import (
     CapacityError,
-    chain_decomposition,
+    MarkovSystem,
     critical_analysis,
     enumerate_antichain,
     eta_bounds,
     implicit_exponent,
     measure_partition_sum,
+    member_words,
     path_weight,
     theorem_ratio_series,
 )
@@ -25,19 +27,19 @@ F = Fraction
 class TestAgainstOracle:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_fixture_b_words_match(self, sys_b, k):
-        ac = enumerate_antichain(sys_b, 1, k, exact=True, store_words=True)
-        assert sorted(ac.words) == oracle_antichain(sys_b, 1, k)
+        ac = enumerate_antichain(sys_b, 1, k, exact=True)
+        assert member_words(sys_b, ac) == oracle_antichain(sys_b, 1, k)
 
     @pytest.mark.parametrize("sys_name,k", [("a", 3), ("c", 3), ("a", 5), ("c", 5)])
     def test_other_fixtures_match(self, request, sys_name, k):
         sys = request.getfixturevalue(f"sys_{sys_name}")
-        ac = enumerate_antichain(sys, 1, k, exact=True, store_words=True)
-        assert sorted(ac.words) == oracle_antichain(sys, 1, k)
+        ac = enumerate_antichain(sys, 1, k, exact=True)
+        assert member_words(sys, ac) == oracle_antichain(sys, 1, k)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_order_two_matches(self, sys_a, k):
-        ac = enumerate_antichain(sys_a, 2, k, exact=True, store_words=True)
-        assert sorted(ac.words) == oracle_antichain(sys_a, 2, k)
+        ac = enumerate_antichain(sys_a, 2, k, exact=True)
+        assert member_words(sys_a, ac) == oracle_antichain(sys_a, 2, k)
 
     @pytest.mark.parametrize("r", [F(1), F(2), F(3, 2)])
     @pytest.mark.parametrize("seed", range(4))
@@ -46,14 +48,35 @@ class TestAgainstOracle:
         # holds both p_min and c_min, so the threshold p_min * c_min^r is
         # below every edge's p * c^r
         sys = random_rational_system(random.Random(seed))
-        ac = enumerate_antichain(sys, r, 2, exact=True, store_words=True)
-        words = sorted(ac.words)
+        ac = enumerate_antichain(sys, r, 2, exact=True)
+        words = member_words(sys, ac)
         assert words == oracle_antichain_fractional(sys, r, 2)
         if r.denominator == 1:
             assert words == oracle_antichain(sys, r.numerator, 2)
         if (seed, r) == (1, 1):
             assert len(words) == 216
         assert measure_partition_sum(ac) == 1
+
+    def test_words_deeper_than_the_recursion_limit(self):
+        # two vertices, self-loops (p, c) = (a, a) and cross edges (b, b); at
+        # k = r = 1 the threshold is b^2.  Per root v (u the other vertex):
+        # the tie (v, u) stays internal, so (v, u, u) and (v, u, v) are
+        # members; so are v^(m+1) u for m = 1..L, L the last m with
+        # a^(2m) >= b^2, and the all-self-loop word v^(L+2)
+        a, b = F(199, 200), F(1, 200)
+        edges = [(1, 1, a, a), (1, 2, b, b), (2, 2, a, a), (2, 1, b, b)]
+        sys = MarkovSystem.from_edges(2, edges, chi=[F(1, 2), F(1, 2)])
+        big_l, w = 0, a * a
+        while w >= b * b:
+            big_l, w = big_l + 1, w * a * a
+        expected = []
+        for v, u in ((1, 2), (2, 1)):
+            expected += [(v, u, u), (v, u, v), (v,) * (big_l + 2)]
+            expected += [(v,) * (m + 1) + (u,) for m in range(1, big_l + 1)]
+        ac = enumerate_antichain(sys, 1, 1)
+        # deeper than Python's default recursion limit of 1000
+        assert ac.depth_max == big_l + 2 > 1000
+        assert member_words(sys, ac) == sorted(expected)
 
     def test_float_mode_agrees_with_exact(self, sys_b):
         for k in (2, 5, 8):
@@ -67,11 +90,12 @@ class TestAgainstOracle:
 
 class TestFixtureAClosedForms:
     def test_level_one(self, sys_a):
-        ac = enumerate_antichain(sys_a, 1, 1, exact=True, store_words=True)
+        ac = enumerate_antichain(sys_a, 1, 1, exact=True)
         assert ac.phi == 8
         assert ac.depth_min == ac.depth_max == 3
         assert ac.sum_energy == F(2, 9)
-        assert len(ac.words) == 8 and all(len(w) == 3 for w in ac.words)
+        words = member_words(sys_a, ac)
+        assert len(words) == 8 and all(len(w) == 3 for w in words)
 
     @pytest.mark.parametrize("k", [2, 4, 7, 10])
     def test_cardinality_and_single_weight_class(self, sys_a, k):
@@ -103,8 +127,8 @@ class TestDefinitionalInvariants:
         k = 3
         eta_lo, _ = eta_bounds(sys, 1)
         thr = eta_lo**k
-        ac = enumerate_antichain(sys, 1, k, exact=True, store_words=True)
-        for w in ac.words:
+        ac = enumerate_antichain(sys, 1, k, exact=True)
+        for w in member_words(sys, ac):
             pw = path_weight(sys, w)
             parent = path_weight(sys, w[:-1])
             assert parent.p_weight * parent.c_weight >= thr
@@ -120,8 +144,8 @@ class TestDefinitionalInvariants:
         assert measure_partition_sum(ac) == 1
 
     def test_prefix_free(self, sys_b):
-        ac = enumerate_antichain(sys_b, 1, 4, exact=True, store_words=True)
-        words = sorted(ac.words)
+        ac = enumerate_antichain(sys_b, 1, 4, exact=True)
+        words = sorted(member_words(sys_b, ac))
         for u, v in zip(words, words[1:]):
             assert not (len(u) <= len(v) and v[: len(u)] == u)
 
@@ -167,16 +191,14 @@ class TestImplicitExponent:
     def test_substitution_property(self, sys_b):
         ac = enumerate_antichain(sys_b, 1, 6)
         t = implicit_exponent(ac)
-        total = sum(cnt * w ** (t / (t + 1)) for w, cnt in ac.weight_counts())
+        total = sum(
+            cnt * float(p * c) ** (t / (t + 1)) for (_ch, _chi, p, c), cnt in ac.hist.items()
+        )
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_single_word_rejected(self, sys_a):
         ac = enumerate_antichain(sys_a, 1, 1, exact=True)
-        crippled = type(ac)(
-            k=ac.k, r=ac.r, s_dim=ac.s_dim, phi=1, depth_min=3, depth_max=3,
-            sum_energy=ac.sum_energy, sum_dim=ac.sum_dim, class_sums=ac.class_sums,
-            classified=ac.classified, exact=ac.exact, hist=ac.hist, words=None,
-        )
+        crippled = dataclasses.replace(ac, phi=1)
         with pytest.raises(ValueError):
             implicit_exponent(crippled)
 
@@ -186,13 +208,8 @@ class TestChainDecomposition:
         cs = critical_analysis(sys_b, 1)
         ac = enumerate_antichain(sys_b, 1, 10, critical=cs)
         assert set(ac.class_sums) == {(), (0,), (1,), (0, 1)}
-        dec = chain_decomposition(sys_b, 1, ac, cs)
-        assert [c.chain for c in dec.chain_sums] == [(0,), (0, 1), (1,)]
-        assert dec.residual_l0 > 0
-        assert dec.total == pytest.approx(ac.sum_dim, rel=1e-12)
-        assert dec.residual_l0 + sum(c.value for c in dec.chain_sums) == pytest.approx(
-            ac.sum_dim, rel=1e-12
-        )
+        assert ac.class_sums[()] > 0  # the transient (l = 0) residual
+        assert sum(ac.class_sums.values()) == pytest.approx(ac.sum_dim, rel=1e-12)
 
     def test_fixture_c_no_pair_class(self, sys_c):
         cs = critical_analysis(sys_c, 1)
@@ -209,22 +226,14 @@ class TestChainDecomposition:
             vals.append(ac.class_sums[(0, 1)])
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    def test_unclassified_antichain_is_rescanned(self, sys_b):
-        cs = critical_analysis(sys_b, 1)
-        plain = enumerate_antichain(sys_b, 1, 7)
-        assert set(plain.class_sums) == {()}
-        dec = chain_decomposition(sys_b, 1, plain, cs)
-        classified = enumerate_antichain(sys_b, 1, 7, critical=cs)
-        assert dec.value((0, 1)) == pytest.approx(classified.class_sums[(0, 1)], rel=1e-12)
-
     def test_chain_tracking_matches_per_word_classification(self, sys_b):
         from markovquant import visited_chain
 
         cs = critical_analysis(sys_b, 1)
-        ac = enumerate_antichain(sys_b, 1, 4, critical=cs, exact=True, store_words=True)
+        ac = enumerate_antichain(sys_b, 1, 4, critical=cs, exact=True)
         expo = cs.s_r / (cs.s_r + 1.0)
         expected: dict = {}
-        for w in ac.words:
+        for w in member_words(sys_b, ac):
             pw = path_weight(sys_b, w)
             ch = visited_chain(cs, w)
             expected[ch] = expected.get(ch, 0.0) + float(pw.p_weight * pw.c_weight) ** expo
@@ -263,6 +272,15 @@ class TestSeries:
         assert row.sum_dim == pytest.approx(ac.sum_dim)
         assert row.uncorrected == pytest.approx(ac.phi ** (1 / cs.s_r) * float(ac.sum_energy))
 
+    def test_energy_below_the_float_range_raises(self, sys_b):
+        # at r = 2 the energy sum of B leaves the normal float range at
+        # k = 169 (about 6e-321 at k = 175) while sum_dim and the exponent,
+        # taken from log weights, stay finite
+        ac = enumerate_antichain(sys_b, 2, 175, capacity=10**300)
+        assert ac.sum_dim > 1.0 and 0.0 < implicit_exponent(ac) < 1.0
+        with pytest.raises(ValueError, match="k=175"):
+            theorem_ratio_series(sys_b, 2, [175], capacity=10**300)
+
     @pytest.mark.parametrize("sys_name", ["a", "b", "c"])
     def test_consecutive_cardinality_ratio_bounded(self, request, sys_name):
         # phi_{k+1} / phi_k stays bounded (eta_lo^-2 would suffice; 400 on fixtures)
@@ -296,9 +314,10 @@ class TestValidationOfArguments:
             enumerate_antichain(sys_a, -1, 3)
 
     def test_fractional_order_runs(self, sys_a):
-        ac = enumerate_antichain(sys_a, "3/2", 3, exact=True, store_words=True)
-        assert ac.phi == len(ac.words) > 0
-        assert sorted(ac.words) == oracle_antichain_fractional(sys_a, F(3, 2), 3)
+        ac = enumerate_antichain(sys_a, "3/2", 3, exact=True)
+        words = member_words(sys_a, ac)
+        assert ac.phi == len(words) > 0
+        assert words == oracle_antichain_fractional(sys_a, F(3, 2), 3)
 
 
 def oracle_antichain_fractional(sys, rq, k):

@@ -13,7 +13,6 @@ from markovquant import (
     eta_bounds,
     load_model,
     path_weight,
-    successors,
     validate_system,
 )
 
@@ -81,19 +80,19 @@ class TestValidation:
 
 class TestSuccessors:
     def test_fixture_a(self, sys_a):
-        assert successors(sys_a, 1) == (1, 2)
-        assert successors(sys_a, 2) == (1, 2)
+        assert sys_a.successors(1) == (1, 2)
+        assert sys_a.successors(2) == (1, 2)
 
     def test_fixture_b(self, sys_b):
-        assert successors(sys_b, 2) == (1, 5)
-        assert successors(sys_b, 4) == (3, 6)
-        assert successors(sys_b, 6) == (6, 7)
+        assert sys_b.successors(2) == (1, 5)
+        assert sys_b.successors(4) == (3, 6)
+        assert sys_b.successors(6) == (6, 7)
 
     def test_out_of_range(self, sys_a):
         with pytest.raises(IndexError):
-            successors(sys_a, 3)
+            sys_a.successors(3)
         with pytest.raises(IndexError):
-            successors(sys_a, 0)
+            sys_a.successors(0)
 
 
 class TestPathWeight:

@@ -1,6 +1,5 @@
 """Verification suite: one list of checks on every path, and shared stages."""
 
-import dataclasses
 import json
 import weakref
 from fractions import Fraction
@@ -140,18 +139,16 @@ def test_capped_curve_does_not_keep_its_grids(sys_a, monkeypatch):
 def test_antichain_definition_fails_on_a_word_past_the_threshold(sys_a, monkeypatch):
     # replace one member by one of its children: still prefix-free with the
     # same partition sum, but the child's parent is already below eta_lo^k
-    real = antichain.enumerate_antichain
+    real = antichain.member_words
 
-    def extended(*args, **kwargs):
-        ac = real(*args, **kwargs)
-        if not kwargs.get("store_words"):
-            return ac
-        w = ac.words[0]
-        child = next(j for j in sys_a.vertices if sys_a.is_edge(w[-1], j))
-        return dataclasses.replace(ac, words=(w + (child,),) + ac.words[1:])
+    def extended(sys_, ac):
+        words = real(sys_, ac)
+        w = words[0]
+        child = next(j for j in sys_.vertices if sys_.is_edge(w[-1], j))
+        return [w + (child,)] + words[1:]
 
     assert _by_name(_verify_a(sys_a))["antichain_definition"].status == "PASS"
-    monkeypatch.setattr(antichain, "enumerate_antichain", extended)
+    monkeypatch.setattr(antichain, "member_words", extended)
     check = _by_name(_verify_a(sys_a))["antichain_definition"]
     assert check.status == "FAIL"
     assert check.measured["prefix_free"] is True
@@ -187,7 +184,7 @@ def test_integer_definition_matches_fractions(fixture, r, request):
     # members, their children, their parents, and words with a step along no edge
     sys_ = request.getfixturevalue(fixture)
     rq, k = Fraction(r), 4
-    members = antichain.enumerate_antichain(sys_, r, k, exact=True, store_words=True).words
+    members = antichain.member_words(sys_, antichain.enumerate_antichain(sys_, r, k, exact=True))
     words = list(members)
     for w in members[:50]:
         words += [w + (j,) for j in sys_.successors(w[-1])] + [w[:-1]]
@@ -201,7 +198,7 @@ def test_integer_definition_matches_fractions(fixture, r, request):
 def test_integer_definition_keeps_fixture_a_ties(sys_a):
     # every depth-k word of fixture A weighs exactly eta_lo^k: each member's
     # parent sits on the threshold and must still count as internal
-    members = antichain.enumerate_antichain(sys_a, 1, 4, exact=True, store_words=True).words
+    members = antichain.member_words(sys_a, antichain.enumerate_antichain(sys_a, 1, 4, exact=True))
     assert {len(w) for w in members} == {6}
     assert all(verify._definition_holds(sys_a, Fraction(1), 4, members))
     assert not any(verify._definition_holds(sys_a, Fraction(1), 4, [w[:-1] for w in members]))
