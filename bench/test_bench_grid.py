@@ -4,10 +4,11 @@ Kept out of the tier-1 `testpaths`; run it from the repository root with
 
     PYTHONPATH=src python -m pytest bench/test_bench_grid.py --benchmark-json BENCH_8.json
 
-Each case builds one level-k grid of a fixture: B at r = 1, k = 12 and 14,
-the codebook and integration grids of the last error-curve level of `verify`
-on B with k 6..12 and offset 2 (686,254 and 3,530,444 cells), and C at
-r = 3/2, k = 13 (81,920 cells).
+Each case builds one level-k grid of a fixture: B at r = 1, k = 12 and 14
+(686,254 and 3,530,444 cells), the codebook and integration grids of a
+Lloyd-refined error curve on B at level 12 and offset 2, and C at r = 3/2,
+k = 13 (81,920 cells).  The unrefined curve of `verify` builds neither: it
+sums its sandwich per member key (`bench/test_bench_curve.py`).
 """
 
 from fractions import Fraction

@@ -35,6 +35,7 @@ from .geometry import (
     integrate_error,
     level_grid,
     lloyd_refine,
+    member_sandwich,
     monte_carlo_error,
     optimal_two_point,
     quantile_codebook,

@@ -23,11 +23,14 @@ compared against p_min^{kb} * c_min^{ka} for r = a/b in lowest terms, in
 integers over one common scale per depth.  Members fold into a
 histogram keyed by (chain, chi, p, c), so counts and the sums built from
 them do not depend on traversal order.  The pass also records, per depth,
-which state every child of a state goes to; member words are read off these
-tables, and the geometry module lays out the members' cylinders under each
-state once from them.  Each histogram key is weighed once, in logs taken
-from its exact integers, so no weight underflows at any depth; every float
-statistic is a sum of exp(log count + e * log w) over those keys.
+which state every child of a state goes to, and the states and their
+multiplicities; member words are read off these tables, and the geometry
+module lays out the members' cylinders under each state once from them.
+`member_keys` folds the members by (last vertex, p, c), and `descend` runs
+the same pass from such keys, one word each, to a deeper threshold.  Each
+histogram key is weighed once, in logs taken from its exact integers, so no
+weight underflows at any depth; every float statistic is a sum of
+exp(log count + e * log w) over those keys.
 """
 
 from __future__ import annotations
@@ -54,15 +57,19 @@ class CapacityError(RuntimeError):
 class Level(NamedTuple):
     """The states of one depth: its non-member words, merged by state.
 
-    At the first depth the states are the roots, state v - 1 holding vertex v.
-    The children of state s occupy slots first[s] .. first[s + 1] - 1, one per
-    outgoing edge of its vertex in `sys.edges` order; the words of a state
-    share its slots.
+    At the first depth the states are the roots: in `scan`, state v - 1 holds
+    vertex v.  The children of state s occupy slots first[s] .. first[s + 1] - 1,
+    one per outgoing edge of its vertex in `sys.edges` order; the words of a
+    state share its slots.
     """
 
     first: tuple[int, ...]  # state -> its first slot; one trailing entry ends the last state
     edge: tuple[int, ...]  # slot -> index of the edge into `sys.edges`
     child: tuple[int, ...]  # slot -> state at the next depth, or -1 when the child is a member
+    # state -> (last vertex, chain, index of its root's chi in sorted(set(sys.chi)), P, C),
+    # P and C over this depth's scales
+    states: list
+    counts: list  # state -> number of words merged into it
 
 
 @dataclass(frozen=True)
@@ -97,52 +104,44 @@ def _threshold_power(sys: MarkovSystem, rq: Fraction, k: int) -> Fraction:
     return p_lo ** (k * rq.denominator) * c_lo ** (k * rq.numerator)
 
 
-def scan(
-    sys: MarkovSystem,
-    r,
-    k: int,
-    *,
-    cs: CriticalStructure | None = None,
-    exact: bool = False,
-    capacity: int = DEFAULT_CAPACITY,
-) -> ScanResult:
-    """Count the level-k antichain in one exact pass over merged word states.
+def _scales(sys: MarkovSystem) -> tuple[int, int]:
+    """(dp, dc): the lcm of the edge denominators of p and of c.
 
-    Membership, phi, the depth range, the histogram and the per-depth state
-    tables are exact whatever `exact` says; `exact` only makes the
-    antichain's sum_energy an exact Fraction for integer r.  Raises
-    CapacityError as soon as the members found plus the words still to
-    expand exceed `capacity`: each word left to expand has at least two
-    member descendants, so that sum never exceeds the final phi.
+    A word of length d has p = P / dp^(d-1) and c = C / dc^(d-1) for integers
+    P and C, so at one depth equal weights are equal integers.
+    """
+    dp = math.lcm(*(sys.edge_p(i, j).denominator for i, j in sys.edges))
+    dc = math.lcm(*(sys.edge_c(i, j).denominator for i, j in sys.edges))
+    return dp, dc
+
+
+def _descend(
+    sys: MarkovSystem, rq: Fraction, k: int, states: list, counts: list, depth: int,
+    cmap: list[int], capacity: int,
+) -> tuple[tuple[Level, ...], int, list]:
+    """The pass from `states`, the words of length `depth`, to the level-k antichain.
+
+    A state is (last vertex, chain, chi index, P, C), P and C over the scales
+    of `depth`; counts are its word multiplicities.  Returns the per-depth
+    Levels, phi and, per depth with members, (depth, members keyed by
+    (chain, chi index, P, C)).  Raises CapacityError as soon as the members
+    found plus the words still to expand exceed `capacity`: each word left to
+    expand has at least two member descendants, so that sum never exceeds the
+    final phi.
     """
     if k < 1:
         raise ValueError(f"level k must be >= 1, got {k}")
-    rq = as_fraction(r)
     if rq <= 0:
-        raise ValueError(f"order r must be positive, got {r}")
-    cmap = _critical_map(sys, cs)
+        raise ValueError(f"order r must be positive, got {rq}")
     a, b = rq.numerator, rq.denominator
     thr_pow = _threshold_power(sys, rq, k)
-    # Weights are integers over one scale per depth: a word of length d has
-    # p = P / dp^(d-1) and c = C / dc^(d-1), dp and dc the lcm of the edge
-    # denominators, so at one depth equal weights are equal integers.
-    dp = math.lcm(*(sys.edge_p(i, j).denominator for i, j in sys.edges))
-    dc = math.lcm(*(sys.edge_c(i, j).denominator for i, j in sys.edges))
+    dp, dc = _scales(sys)
     out: list[list[tuple]] = [[] for _ in range(sys.n + 1)]
     for e, (i, j) in enumerate(sys.edges):
         out[i].append((e, j, int(sys.edge_p(i, j) * dp), int(sys.edge_c(i, j) * dc), cmap[j]))
-    chis = sorted(set(sys.chi))
-
-    hist: dict = {}
+    found: list[tuple[int, dict]] = []
     levels: list[Level] = []
-    phi = l1 = l2 = 0
-    # state: (last vertex, chain, index of the root's chi in chis, P, C)
-    states = [
-        (v, (cmap[v],) if cmap[v] >= 0 else (), chis.index(sys.chi[v - 1]), 1, 1)
-        for v in sys.vertices
-    ]
-    counts = [1] * sys.n
-    depth = 1
+    phi = 0
     while states:
         depth += 1
         scale_p, scale_c = dp ** (depth - 1), dc ** (depth - 1)
@@ -176,21 +175,107 @@ def scan(
                 edge.append(e)
                 child.append(t)
             first.append(len(edge))
-        for (ch, chi, p, c), n in hits.items():
-            key = (ch, chis[chi], Fraction(p, scale_p), Fraction(c, scale_c))
-            hist[key] = hist.get(key, 0) + n
-            phi += n
         if hits:
-            l1 = l1 or depth
-            l2 = depth
-        levels.append(Level(tuple(first), tuple(edge), tuple(child)))
+            found.append((depth, hits))
+            phi += sum(hits.values())
+        levels.append(Level(tuple(first), tuple(edge), tuple(child), states, counts))
         if phi + sum(nxt_counts) > capacity:
             raise CapacityError(f"antichain at k={k} exceeds capacity cap {capacity} words")
         states, counts = nxt, nxt_counts
+    return tuple(levels), phi, found
+
+
+def scan(
+    sys: MarkovSystem,
+    r,
+    k: int,
+    *,
+    cs: CriticalStructure | None = None,
+    exact: bool = False,
+    capacity: int = DEFAULT_CAPACITY,
+) -> ScanResult:
+    """Count the level-k antichain in one exact pass over merged word states.
+
+    Membership, phi, the depth range, the histogram and the per-depth state
+    tables are exact whatever `exact` says; `exact` only makes the
+    antichain's sum_energy an exact Fraction for integer r.  Raises
+    CapacityError as soon as the members found plus the words still to
+    expand exceed `capacity`.
+    """
+    rq = as_fraction(r)
+    cmap = _critical_map(sys, cs)
+    chis = sorted(set(sys.chi))
+    roots = [
+        (v, (cmap[v],) if cmap[v] >= 0 else (), chis.index(sys.chi[v - 1]), 1, 1)
+        for v in sys.vertices
+    ]
+    levels, phi, found = _descend(sys, rq, k, roots, [1] * sys.n, 1, cmap, capacity)
+    dp, dc = _scales(sys)
+    hist: dict = {}
+    for depth, hits in found:
+        scale_p, scale_c = dp ** (depth - 1), dc ** (depth - 1)
+        for (ch, chi, p, c), n in hits.items():
+            key = (ch, chis[chi], Fraction(p, scale_p), Fraction(c, scale_c))
+            hist[key] = hist.get(key, 0) + n
     return ScanResult(
-        k=k, r=rq, phi=phi, depth_min=l1, depth_max=l2, hist=hist,
-        exact=exact, levels=tuple(levels),
+        k=k, r=rq, phi=phi, depth_min=found[0][0], depth_max=found[-1][0], hist=hist,
+        exact=exact, levels=levels,
     )
+
+
+def member_keys(sys: MarkovSystem, levels: tuple[Level, ...]) -> dict:
+    """The members of a pass from the vertices, folded by (last vertex, p, c).
+
+    Maps each key to the sum of chi over its member words.  Reads the member
+    slots of each depth's states, not the words: a member slot of a state of
+    multiplicity n stands for n words with the chi of the state's root.
+    Words with one key have the same members below them, up to the affine map
+    of their own cylinder.
+    """
+    dp, dc = _scales(sys)
+    chis = sorted(set(sys.chi))
+    ends = [
+        (j, int(sys.edge_p(i, j) * dp), int(sys.edge_c(i, j) * dc)) for i, j in sys.edges
+    ]
+    keys: dict = {}
+    for depth, lvl in enumerate(levels, start=2):  # members of lvl have this length
+        folded: dict[tuple, int] = {}
+        for s, (_v, _chain, chi, p, c) in enumerate(lvl.states):
+            n = lvl.counts[s]
+            for slot in range(lvl.first[s], lvl.first[s + 1]):
+                if lvl.child[slot] < 0:
+                    j, pe, ce = ends[lvl.edge[slot]]
+                    key = (j, chi, p * pe, c * ce)
+                    folded[key] = folded.get(key, 0) + n
+        scale_p, scale_c = dp ** (depth - 1), dc ** (depth - 1)
+        for (j, chi, p, c), n in folded.items():
+            key = (j, Fraction(p, scale_p), Fraction(c, scale_c))
+            keys[key] = keys.get(key, 0) + n * chis[chi]
+    return keys
+
+
+def descend(
+    sys: MarkovSystem, r, k: int, roots, depth: int, *, capacity: int = DEFAULT_CAPACITY
+) -> tuple[Level, ...]:
+    """The pass's level tables from `roots` down to the level-k threshold.
+
+    roots are (last vertex, p, c) of words no longer than `depth`, each
+    taken as one word, in order: the first level's state s is roots[s].
+    Raises CapacityError once the members found plus the words still to
+    expand exceed `capacity`, so the cap bounds the members laid out below
+    the roots.
+    """
+    rq = as_fraction(r)
+    dp, dc = _scales(sys)
+    scale_p, scale_c = dp ** (depth - 1), dc ** (depth - 1)
+    states = []
+    for v, p, c in roots:
+        p, c = p * scale_p, c * scale_c
+        if p.denominator != 1 or c.denominator != 1:
+            raise ValueError(f"root weights are not over the integer scales of depth {depth}")
+        states.append((v, (), 0, p.numerator, c.numerator))
+    cmap = [-1] * (sys.n + 1)
+    return _descend(sys, rq, k, states, [1] * len(states), depth, cmap, capacity)[0]
 
 
 def _log(q: Fraction) -> float:
@@ -298,10 +383,10 @@ def member_words(sys: MarkovSystem, ac: Antichain) -> list[Word]:
         if s < 0:
             words.append(w)
             continue
-        first, edge, child = ac.levels[d]
+        lvl = ac.levels[d]
         stack.extend(
-            (d + 1, child[slot], w + (heads[edge[slot]],))
-            for slot in reversed(range(first[s], first[s + 1]))
+            (d + 1, lvl.child[slot], w + (heads[lvl.edge[slot]],))
+            for slot in reversed(range(lvl.first[s], lvl.first[s + 1]))
         )
     return words
 

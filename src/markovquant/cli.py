@@ -198,14 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, k_default=(6, 12)):
+    def common(p, cap_help, k_default=(6, 12)):
         p.add_argument("model", help="model config JSON")
         p.add_argument("--r", action="append", metavar="R",
                        help="order r (> 0); repeatable; default 1")
         p.add_argument("--k-min", type=int, default=k_default[0])
         p.add_argument("--k-max", type=int, default=k_default[1])
-        p.add_argument("--cap", type=int, default=DEFAULT_CAPACITY,
-                       help="word-count capacity cap per antichain")
+        p.add_argument("--cap", type=int, default=DEFAULT_CAPACITY, help=cap_help)
         p.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (default: stdout)")
 
@@ -220,17 +219,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("antichain", help="antichain level series (CSV)")
-    common(p)
+    common(p, "cap on the words of each level's antichain: members plus words still to expand")
     p.set_defaults(func=cmd_antichain)
 
     p = sub.add_parser("quantize", help="quantization error curve (CSV)")
-    common(p, k_default=(4, 9))
+    common(p, "cap on the words of each level-k antichain, and on the cells of each "
+              "Lloyd grid (--refine) or the rows laid out under the member keys",
+           k_default=(4, 9))
     p.add_argument("--refine", action="store_true", help="Lloyd-refine the codebooks")
     p.add_argument("--depth-offset", type=int, default=6)
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("verify", help="run the verification suite")
-    common(p, k_default=(6, 12))
+    common(p, "cap on the words of each antichain, the rows laid out under the error "
+              "curve's member keys, and the cells of each grid of the Lloyd, Monte Carlo "
+              "and codebook-identity checks")
     p.add_argument("--depth-offset", type=int, default=6)
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--mc-samples", type=int, default=100_000)

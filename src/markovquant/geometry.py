@@ -19,8 +19,17 @@ and mass, giving rigorous two-sided bounds for any codebook alpha:
 
 A grid lays out the members under each state of the antichain pass once,
 children left to right, so grids come out sorted by midpoint by
-construction.  In one dimension the cells of a nearest-point assignment are
-intervals, so every cell is a contiguous slice of the grid.  The cells of a
+construction.
+
+The grid codebook of level k, every member's midpoint, needs no grid at the
+integration depth K: its sandwich splits into one term per member, which
+depends only on the member's key (last vertex, p, c).  `member_sandwich`
+lays out each key's level-K cylinders once, in the key's own unit
+coordinates, and certifies the rounding; `error_curve` integrates unrefined
+codebooks this way.
+
+In one dimension the cells of a nearest-point assignment are intervals, so
+every cell is a contiguous slice of the grid.  The cells of a
 codebook are solved together: the best single point of a cell is the mean
 for r=2 and the weighted median for r=1; for any other order r > 1 it is the
 root of the cost's derivative, found by bisecting every cell's bracket at once
@@ -61,6 +70,8 @@ _SAMPLE_STEPS = 10_000
 # relative slack of the 2-point pruning test: computed side costs are
 # monotone in the cut only up to rounding
 _PRUNE_SLACK = 1e-13
+# unit roundoff of float64 arithmetic
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class InfeasibleLayoutError(ValueError):
@@ -156,32 +167,26 @@ class CylinderGrid:
         return int(self.mids.size)
 
 
-def level_grid(
-    rz: Realization, r, k: int, capacity: int = DEFAULT_CAPACITY
-) -> CylinderGrid:
-    """(midpoint, half-width, mass) of every cylinder of the level-k antichain.
+def _layout(sys: MarkovSystem, place: dict, levels) -> tuple[np.ndarray, list[int]]:
+    """Rows (left, length, mass) of the members under each first-depth state.
 
     Words in one state of the antichain pass have the same members below
     them, up to the affine map of their own cylinder.  So the members under
     each state are laid out once, relative to its cylinder, from the deepest
-    depth up: rows (left, length, mass) of one array per depth, a slice per
-    state.  A member slot writes its edge's (offset, ratio, p); a slot to a
-    state writes that state's slice scaled by (ratio, ratio, p) and shifted
-    by the offset.  The roots' layouts, shifted by the template and scaled
-    by chi, are the grid.  Slots follow `sys.edges`, the order in which
-    `realize` places children left to right, so the grid comes out sorted
-    by midpoint and Lloyd cells are contiguous slices.
+    depth up: rows of one array per depth, a slice per state.  A member slot
+    writes its edge's (offset, ratio, p); a slot to a state writes that
+    state's slice scaled by (ratio, ratio, p) and shifted by the offset.
+    Returns the first depth's array and the bounds of each state's slice in
+    it.  Slots follow `sys.edges`, the order in which `realize` places
+    children left to right, so every slice comes out sorted by position.
     """
-    sys = rz.system
-    res = antichain_mod.scan(sys, r, k, capacity=capacity)
-    roots, place = rz.layout_floats()
     unit = np.array([[*place[e], float(sys.edge_p(*e))] for e in sys.edges]).T
     scale, off = unit[[1, 1, 2]], unit[0].tolist()
     below = [0]  # state -> start of its slice, then the total
     nxt = None  # layout of the depth below; only two depths are alive at once
-    for lvl in reversed(res.levels):
+    for lvl in reversed(levels):
         edge, child = np.array(lvl.edge), np.array(lvl.child)
-        # cells a slot writes: index -1, a member, reads the appended 1
+        # rows a slot writes: index -1, a member, reads the appended 1
         count = np.append(np.diff(below), 1)[child]
         start = np.concatenate(([0], np.cumsum(count)))
         cur = np.empty((3, start[-1]))
@@ -193,7 +198,22 @@ def level_grid(
             cur[0, pos : pos + hi - lo] += off[e]
         below = start[np.array(lvl.first)].tolist()
         nxt = cur
-    mids, halves, masses = nxt
+    return nxt, below
+
+
+def level_grid(
+    rz: Realization, r, k: int, capacity: int = DEFAULT_CAPACITY
+) -> CylinderGrid:
+    """(midpoint, half-width, mass) of every cylinder of the level-k antichain.
+
+    The pass from the vertices is laid out by `_layout`; the roots' slices,
+    shifted by their templates and scaled by chi, are the grid, sorted by
+    midpoint, so Lloyd cells are contiguous slices.
+    """
+    sys = rz.system
+    res = antichain_mod.scan(sys, r, k, capacity=capacity)
+    roots, place = rz.layout_floats()
+    (mids, halves, masses), below = _layout(sys, place, res.levels)
     for v, chi, lo, hi in zip(sys.vertices, sys.chi_float(), below, below[1:]):
         mids[lo:hi] += roots[v]
         masses[lo:hi] *= chi
@@ -230,6 +250,8 @@ class ErrorEstimate:
     upper: float
     method: str
     integration_depth: int
+    keys: int = 0  # member keys of a per-key sandwich; 0 on a grid
+    rows: int = 0  # rows laid out under those keys
 
     @property
     def width(self) -> float:
@@ -297,6 +319,66 @@ def integrate_error(
     return ErrorEstimate(
         n=codebook.size, r=rf, lower=lower, upper=upper,
         method="antichain", integration_depth=grid.k,
+    )
+
+
+def member_sandwich(
+    rz: Realization, r, k: int, depth: int, *, capacity: int = DEFAULT_CAPACITY
+) -> ErrorEstimate:
+    """Sandwich of the level-k grid codebook (every member's midpoint) at `depth`.
+
+    With s = min(sep_t, 1), every other level-k midpoint lies at least
+    s * |J_sigma| outside a member's cylinder J_sigma.  So at local position
+    y in J_sigma the distance to the codebook is at most |y - 1/2| * |J_sigma|
+    and at least min(|y - 1/2|, 1/2 + s - |y - 1/2|) * |J_sigma|, exactly
+    |y - 1/2| * |J_sigma| when sep_t >= 1/2.  Both bounds are 1-Lipschitz in
+    y, so each level-`depth` cylinder under sigma, at local midpoint m with
+    half-width h, contributes its relative mass times (|m - 1/2| + h)^r to
+    the upper sum and (max(0, min(|m - 1/2|, 1/2 + s - |m - 1/2|) - h))^r
+    to the lower.  Those local sums depend on the member only through its key
+    (last vertex, p, c): the members are folded by key, the keys laid out by
+    one pass from them, each once, and the sandwich is
+    Sum over keys of (sum of chi) * p * c^r * local sum.  No grid is built.
+
+    The local distances are widened by (5 * layout depth + 8) * 2^-53, a
+    bound on the rounding of the unit-cylinder layout, and the sums by their
+    relative rounding bound, so [lower, upper] holds the exact sandwich.
+    n is the exact phi_k.
+    """
+    if depth < k:
+        raise ValueError(f"integration depth {depth} is below the codebook level {k}")
+    sys = rz.system
+    rq = as_fraction(r)
+    rf = float(rq)
+    res = antichain_mod.scan(sys, r, k, capacity=capacity)
+    keys = antichain_mod.member_keys(sys, res.levels)
+    if depth > k:
+        levels = antichain_mod.descend(sys, r, depth, keys, res.depth_max, capacity=capacity)
+        (left, length, mass), below = _layout(sys, rz.layout_floats()[1], levels)
+    else:  # a level-k member is its own only level-k cylinder
+        levels = ()
+        left, length, mass = np.zeros(len(keys)), np.ones(len(keys)), np.ones(len(keys))
+        below = list(range(len(keys) + 1))
+    slack = (5 * len(levels) + 8) * _UNIT_ROUNDOFF
+    half = 0.5 * length
+    a = np.abs(left + half - 0.5)
+    far = (0.5 + float(min(rz.sep_t, 1))) - a
+    upper_local = np.add.reduceat(mass * (a + half + slack) ** rf, below[:-1])
+    near = np.maximum(np.minimum(a, far) - half - slack, 0.0)
+    lower_local = np.add.reduceat(mass * near**rf, below[:-1])
+    if rq.denominator == 1:
+        coef = [float(w * p * c**rq.numerator) for (_v, p, c), w in keys.items()]
+    else:
+        coef = [float(w * p) * float(c) ** rf for (_v, p, c), w in keys.items()]
+    # relative rounding: 2 units per layout depth in the masses, one per row
+    # in a key's sum, r + 4 in a coefficient, a few in the powers and products
+    widen = (2 * len(levels) + int(np.diff(below).max()) + rf + 16) * _UNIT_ROUNDOFF
+    return ErrorEstimate(
+        n=res.phi, r=rf,
+        lower=math.fsum(np.multiply(coef, lower_local).tolist()) * (1.0 - widen),
+        upper=math.fsum(np.multiply(coef, upper_local).tolist()) * (1.0 + widen),
+        method="member keys", integration_depth=depth,
+        keys=len(keys), rows=int(below[-1]),
     )
 
 
@@ -523,9 +605,11 @@ def error_curve(
 ) -> list[CurveRow]:
     """Two-sided error bounds at the antichain codebook sizes n = phi_k.
 
-    Codebooks are the level-k cylinder midpoints (optionally Lloyd refined);
-    integration runs at depth k + depth_offset.  Normalized columns report
-    upper * n^{r/s_r}, with and without the predicted logarithmic correction.
+    Codebooks are the level-k cylinder midpoints; integration runs at depth
+    k + depth_offset.  Unrefined codebooks are sandwiched per member key by
+    `member_sandwich`, with no grid; refined ones are Lloyd-refined on the
+    level grids.  Normalized columns report upper * n^{r/s_r}, with and
+    without the predicted logarithmic correction.
     """
     if depth_offset < 0:
         raise ValueError(f"depth offset must be >= 0, got {depth_offset}")
@@ -537,20 +621,19 @@ def error_curve(
     log_expo = (cs.t_r - 1) * (1.0 + power)
     rows: list[CurveRow] = []
     for k in k_range:
-        code_grid = level_grid(rz, r, k, capacity=capacity)
-        codebook = grid_codebook(code_grid)
         depth = k + depth_offset
-        grid = level_grid(rz, r, depth, capacity=capacity) if depth_offset > 0 else code_grid
         iterations = 0
         if refine:
-            codebook, trace = lloyd_refine(
-                rz, codebook, r, depth, max_iter=max_iter, grid=grid
-            )
+            code_grid = level_grid(rz, r, k, capacity=capacity)
+            grid = level_grid(rz, r, depth, capacity=capacity) if depth_offset > 0 else code_grid
+            trace = lloyd_refine(
+                rz, grid_codebook(code_grid), r, depth, max_iter=max_iter, grid=grid
+            )[1]
             est = trace[-1]
             iterations = len(trace) - 1
         else:
-            est = integrate_error(rz, codebook, r, depth, grid=grid)
-        n = codebook.size
+            est = member_sandwich(rz, r, k, depth, capacity=capacity)
+        n = est.n
         norm = n**power
         logc = math.log(n) ** log_expo if n > 1 else 1.0
         rows.append(

@@ -14,7 +14,9 @@ Oracle values below were recomputed independently (200-step bisection at
 
 from __future__ import annotations
 
+import functools
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -101,3 +103,66 @@ def random_rational_system(rng: random.Random, n_min: int = 2, n_max: int = 6) -
     chi_w = [rng.randint(1, 5) for _ in range(n)]
     chi = [Fraction(w, sum(chi_w)) for w in chi_w]
     return MarkovSystem(p, c, chi)
+
+
+def exact_member_sandwich(sys: MarkovSystem, r: int, k: int, depth: int) -> tuple[Fraction, Fraction]:
+    """Exact (lower, upper) sandwich of the level-k grid codebook at `depth`.
+
+    Straight from the definitions, in Fractions, by recursion over words: the
+    level-k members are grouped by (last vertex, p, c) with a memo on exact
+    word states, and each group's level-`depth` descendants are laid out in
+    its unit cylinder from `realize`'s exact placement.  A descendant at
+    local midpoint m with half-width h adds its relative mass times
+    (|m - 1/2| + h)^r to the upper sum and max(0, min(|m - 1/2|,
+    1/2 + s - |m - 1/2|) - h)^r to the lower, s = min(sep_t, 1); a group
+    weighs its sum of chi times p * c^r.  Integer r only.
+    """
+    from markovquant import realize
+
+    rz = realize(sys)
+    s = min(rz.sep_t, 1)
+    p_lo = min(sys.edge_p(i, j) for i, j in sys.edges)
+    c_lo = min(sys.edge_c(i, j) for i, j in sys.edges)
+    thr_k, thr_d = (p_lo * c_lo**r) ** k, (p_lo * c_lo**r) ** depth
+    half = Fraction(1, 2)
+
+    @functools.lru_cache(maxsize=None)
+    def members(v, p, c):
+        found = Counter()
+        for j in sys.successors(v):
+            p2, c2 = p * sys.edge_p(v, j), c * sys.edge_c(v, j)
+            if p2 * c2**r < thr_k:
+                found[(j, p2, c2)] += 1
+            else:
+                found.update(dict(members(j, p2, c2)))
+        return tuple(found.items())
+
+    def local(v, p, c, left, length, mass):
+        lower = upper = Fraction(0)
+        for j in sys.successors(v):
+            off, ratio = rz.placement[(v, j)]
+            p2, c2 = p * sys.edge_p(v, j), c * sys.edge_c(v, j)
+            left2, length2, mass2 = left + off * length, length * ratio, mass * sys.edge_p(v, j)
+            if p2 * c2**r < thr_d:
+                h = length2 / 2
+                a = abs(left2 + h - half)
+                upper += mass2 * (a + h) ** r
+                lower += mass2 * max(Fraction(0), min(a, half + s - a) - h) ** r
+            else:
+                lo, up = local(j, p2, c2, left2, length2, mass2)
+                lower, upper = lower + lo, upper + up
+        return lower, upper
+
+    groups = Counter()
+    for v in sys.vertices:
+        for key, n in members(v, Fraction(1), Fraction(1)):
+            groups[key] += n * sys.chi[v - 1]
+    lower = upper = Fraction(0)
+    for (v, p, c), chi_sum in groups.items():
+        if depth == k:
+            lo, up = Fraction(0), half**r
+        else:
+            lo, up = local(v, p, c, Fraction(0), Fraction(1), Fraction(1))
+        lower += chi_sum * p * c**r * lo
+        upper += chi_sum * p * c**r * up
+    return lower, upper

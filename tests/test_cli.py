@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from markovquant import theorem_ratio_series
+from markovquant import geometry, theorem_ratio_series
+from markovquant.antichain import CapacityError
 from markovquant.cli import main
 from conftest import FIXTURE_DIR, S1_H1_B, S_R_A
 
@@ -165,14 +166,27 @@ class TestVerifyCommand:
         by_name = {c["name"]: c for c in suite["checks"]}
         assert by_name["transient_decay"]["status"] == "SKIP"
 
-    def test_summary_counts_checks(self, capsys):
-        # verify-b-cap's configuration: the depth-14 grid overruns the cap
+    def test_summary_counts_checks(self, capsys, monkeypatch):
+        # verify-b-cap's configuration, with an error curve that overruns the cap
+        def overrun(*args, **kwargs):
+            raise CapacityError("antichain at k=14 exceeds capacity cap 1000000 words")
+
+        monkeypatch.setattr(geometry, "error_curve", overrun)
         code = main(["verify", B, "--r", "1", "--k-min", "6", "--k-max", "12",
                      "--depth-offset", "2", "--cap", "1000000"])
         out = capsys.readouterr().out
         assert code == 0, out
         assert out.count("[SKIP]") == 2
         assert out.splitlines()[-1] == "verification: ok (13 pass, 2 skip, 0 fail)"
+
+    def test_capped_run_passes_every_check(self, capsys):
+        # verify-b-cap's configuration: the error curve lays out 46 member
+        # keys at depth 14, not the 3.53M-cell grid that overran the cap
+        code = main(["verify", B, "--r", "1", "--k-min", "6", "--k-max", "12",
+                     "--depth-offset", "2", "--cap", "1000000"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert out.splitlines()[-1] == "verification: ok (15 pass, 0 skip, 0 fail)"
 
     def test_invalid_model_fails_fast(self, tmp_path, capsys):
         cfg = json.loads(Path(A).read_text())

@@ -33,6 +33,7 @@ from markovquant import (
     integrate_error,
     level_grid,
     lloyd_refine,
+    member_sandwich,
     member_words,
     monte_carlo_error,
     optimal_two_point,
@@ -43,8 +44,9 @@ from markovquant import (
     validate_system,
 )
 from markovquant import geometry
+from markovquant.antichain import descend, member_keys, scan
 from markovquant.geometry import _cell_centers
-from conftest import S_R_A, all_words, random_rational_system
+from conftest import S_R_A, all_words, exact_member_sandwich, random_rational_system
 
 F = Fraction
 
@@ -683,3 +685,95 @@ class TestErrorCurve:
         rows = error_curve(sys_a, 1, range(4, 8))
         for row in rows:
             assert row.corrected == row.uncorrected
+
+    def test_unrefined_curve_builds_no_grid(self, sys_b, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid codebook's curve built a grid")
+
+        monkeypatch.setattr(geometry, "CylinderGrid", no_grid)
+        rows = error_curve(sys_b, 1, (6, 9), depth_offset=2)
+        assert [row.k for row in rows] == [6, 9]
+
+    def test_unrefined_n_is_phi(self, sys_b):
+        rows = error_curve(sys_b, F(3, 2), (5, 7), depth_offset=1)
+        assert [row.n for row in rows] == [scan(sys_b, F(3, 2), k).phi for k in (5, 7)]
+
+
+class TestMemberSandwich:
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("k, depth", [(3, 5), (5, 8)])
+    def test_contains_exact_sandwich(self, request, name, r, k, depth):
+        model = request.getfixturevalue(f"sys_{name}")
+        est = member_sandwich(realize(model), r, k, depth)
+        lower, upper = exact_member_sandwich(model, r, k, depth)
+        assert est.lower <= lower and upper <= est.upper
+        assert float(lower) == pytest.approx(est.lower, rel=1e-12)
+        assert float(upper) == pytest.approx(est.upper, rel=1e-12)
+
+    def test_contains_exact_sandwich_at_depth(self, sys_b):
+        # the grid route read both bounds 8e-8 low here
+        est = member_sandwich(realize(sys_b), 1, 12, 14)
+        lower, upper = exact_member_sandwich(sys_b, 1, 12, 14)
+        assert est.lower <= lower and upper <= est.upper
+        assert float(lower) == 9.329153872254421e-12
+        assert float(upper) == pytest.approx(9.818750947144317e-12, rel=1e-15)
+        assert (est.lower, est.upper) == pytest.approx((lower, upper), rel=1e-13)
+        assert (est.keys, est.n) == (46, 686254)
+
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    @pytest.mark.parametrize("r", [1, F(3, 2), 2])
+    @pytest.mark.parametrize("k, depth", [(3, 5), (5, 8)])
+    def test_matches_grid_route(self, request, name, r, k, depth):
+        # sep_t = 1 on A-C: the codebook point nearest a cell is its member's
+        rz = realize(request.getfixturevalue(f"sys_{name}"))
+        book = grid_codebook(level_grid(rz, r, k))
+        grid_est = integrate_error(rz, book, r, depth)
+        est = member_sandwich(rz, r, k, depth)
+        assert est.lower == pytest.approx(grid_est.lower, rel=1e-11)
+        assert est.upper == pytest.approx(grid_est.upper, rel=1e-11)
+        assert est.n == book.size
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_contains_grid_bracket_below_half_separation(self, seed, r):
+        # sep_t 0.375 and 1/12: a neighbour's midpoint can be the nearest one,
+        # so the per-key lower is a bound, not the distance; the grid route's
+        # own rounding gets a 1e-12 relative allowance
+        rz = realize(random_rational_system(random.Random(seed)))
+        assert rz.sep_t < F(1, 2)
+        grid_est = integrate_error(rz, grid_codebook(level_grid(rz, r, 3)), r, 5)
+        est = member_sandwich(rz, r, 3, 5)
+        assert est.lower <= grid_est.lower * (1 + 1e-12)
+        assert grid_est.upper * (1 - 1e-12) <= est.upper
+
+    def test_own_level_is_the_codebook_identity(self, sys_b):
+        rz = realize(sys_b)
+        grid = level_grid(rz, 2, 6)
+        est = member_sandwich(rz, 2, 6, 6)
+        assert est.lower == 0.0 and est.rows == est.keys
+        assert est.upper == pytest.approx(
+            integrate_error(rz, grid_codebook(grid), 2, 6, grid=grid).upper, rel=1e-13
+        )
+
+    def test_keys_partition_the_measure(self, sys_b, sys_c):
+        for model in (sys_b, sys_c):
+            keys = member_keys(model, scan(model, F(3, 2), 7).levels)
+            assert sum(w * p for (_v, p, _c), w in keys.items()) == 1
+
+    def test_capacity_counts_rows_laid_out(self, sys_a):
+        rz = realize(sys_a)
+        est = member_sandwich(rz, 1, 4, 10)
+        assert scan(sys_a, 1, 4).phi < est.rows - 1
+        assert member_sandwich(rz, 1, 4, 10, capacity=est.rows).rows == est.rows
+        with pytest.raises(CapacityError, match="k=10"):
+            member_sandwich(rz, 1, 4, 10, capacity=est.rows - 1)
+
+    def test_descend_rejects_roots_off_the_depth_scale(self, sys_a):
+        with pytest.raises(ValueError, match="integer scales of depth 2"):
+            descend(sys_a, 1, 6, [(1, F(1, 8), F(1, 3))], 2)
+
+    def test_depth_below_level_rejected(self, sys_a):
+        with pytest.raises(ValueError, match="below the codebook level"):
+            member_sandwich(realize(sys_a), 1, 5, 4)
+

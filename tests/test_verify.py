@@ -4,9 +4,11 @@ import json
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from markovquant import antichain, geometry, run_verification, spectral, verify
+from markovquant.antichain import CapacityError
 from markovquant.cli import main
 from markovquant.model import MarkovSystem
 from markovquant.verify import analysis_report
@@ -89,14 +91,17 @@ def test_invalid_model_reports_model_valid_only(sys_a):
     assert [(c.name, c.status) for c in suite.checks] == [("model_valid", "FAIL")]
 
 
+def _overrun(*args, **kwargs):
+    # a stand-in: the grid codebook's curve builds no grid that overruns this cap
+    raise CapacityError("antichain at k=10 exceeds capacity cap 1500 words")
+
+
 def test_capped_curve_skips_bracket_and_decay_from_one_run(sys_a, monkeypatch):
-    # only the depth-10 integration grid (4,096 cells) overruns 1,500 words
     calls = []
-    real = geometry.error_curve
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args, **kwargs)
+        return _overrun(*args, **kwargs)
 
     monkeypatch.setattr(geometry, "error_curve", counted)
     suite = _verify_a(sys_a, capacity=1500)
@@ -111,29 +116,35 @@ def test_capped_curve_skips_bracket_and_decay_from_one_run(sys_a, monkeypatch):
 
 
 def test_capped_curve_does_not_keep_its_grids(sys_a, monkeypatch):
-    # the kept capacity error must not hold the curve's grids through its
-    # traceback while the later checks build theirs
-    grids, curve_grids, alive_after = [], [], []
-    real_curve, real_grid = geometry.error_curve, geometry.level_grid
+    # the kept capacity error must not hold the curve's arrays through its
+    # traceback while the later checks build their grids
+    curve_arrays, alive_after = [], []
+    real_grid = geometry.level_grid
 
     def curve(*args, **kwargs):
-        try:
-            return real_curve(*args, **kwargs)
-        finally:
-            curve_grids.extend(grids)
+        held = np.ones(1 << 16)
+        curve_arrays.append(weakref.ref(held))
+        return _overrun(*args, **kwargs)
 
     def level_grid(*args, **kwargs):
-        if curve_grids and not alive_after:
-            alive_after.append(sum(ref() is not None for ref in curve_grids))
-        grid = real_grid(*args, **kwargs)
-        grids.append(weakref.ref(grid))
-        return grid
+        if curve_arrays and not alive_after:
+            alive_after.append(sum(ref() is not None for ref in curve_arrays))
+        return real_grid(*args, **kwargs)
 
     monkeypatch.setattr(geometry, "error_curve", curve)
     monkeypatch.setattr(geometry, "level_grid", level_grid)
     suite = _verify_a(sys_a, capacity=1500)
     assert _by_name(suite)["error_decay"].status == "SKIP"
-    assert len(curve_grids) == 5 and alive_after == [0]
+    assert len(curve_arrays) == 1 and alive_after == [0]
+
+
+def test_grid_curve_fits_where_its_grids_overran(sys_a):
+    # 1,500 words cannot hold a depth-10 integration grid (4,096 cells), but
+    # the curve lays out its member keys instead, in far fewer rows
+    suite = _verify_a(sys_a, capacity=1500)
+    assert all(c.status != "SKIP" or "capacity" not in c.reason for c in suite.checks)
+    assert _by_name(suite)["quantization_bracket"].status == "PASS"
+    assert _by_name(suite)["error_decay"].status == "PASS"
 
 
 def test_antichain_definition_fails_on_a_word_past_the_threshold(sys_a, monkeypatch):
