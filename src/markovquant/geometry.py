@@ -19,7 +19,9 @@ and mass, giving rigorous two-sided bounds for any codebook alpha:
 
 A grid lays out the members under each state of the antichain pass once,
 children left to right, so grids come out sorted by midpoint by
-construction.
+construction.  It records its order r and level k; the grid kernels
+(sandwich, Lloyd, 2-point optimum, discrete cost) read both from it and
+build no grid of their own.
 
 The grid codebook of level k, every member's midpoint, needs no grid at the
 integration depth K: its sandwich splits into one term per member, which
@@ -290,34 +292,24 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _sandwich(grid: CylinderGrid, points: np.ndarray, r: float) -> tuple[float, float]:
+def _sandwich(grid: CylinderGrid, points: np.ndarray) -> tuple[float, float]:
     lower = upper = 0.0
     for lo in range(0, grid.size, _SANDWICH_CHUNK):
         part = slice(lo, lo + _SANDWICH_CHUNK)
         d, h, m = _nearest_distance(points, grid.mids[part]), grid.halves[part], grid.masses[part]
-        lower += _dot(m, np.maximum(d - h, 0.0) ** r)
-        upper += _dot(m, (d + h) ** r)
+        lower += _dot(m, np.maximum(d - h, 0.0) ** grid.r)
+        upper += _dot(m, (d + h) ** grid.r)
     return lower, upper
 
 
-def integrate_error(
-    rz: Realization,
-    codebook: Codebook,
-    r,
-    depth: int,
-    *,
-    grid: CylinderGrid | None = None,
-    capacity: int = DEFAULT_CAPACITY,
-) -> ErrorEstimate:
-    """Sandwich the integral of d(x, codebook)^r over the depth-K antichain."""
-    rf = float(as_fraction(r))
-    if rf <= 0:
-        raise ValueError(f"order r must be positive, got {r}")
-    if grid is None:
-        grid = level_grid(rz, r, depth, capacity=capacity)
-    lower, upper = _sandwich(grid, codebook.points, rf)
+def integrate_error(grid: CylinderGrid, codebook: Codebook) -> ErrorEstimate:
+    """Sandwich the integral of d(x, codebook)^r over the grid's cells.
+
+    The order is the grid's `r` and the integration depth its level `k`.
+    """
+    lower, upper = _sandwich(grid, codebook.points)
     return ErrorEstimate(
-        n=codebook.size, r=rf, lower=lower, upper=upper,
+        n=codebook.size, r=grid.r, lower=lower, upper=upper,
         method="antichain", integration_depth=grid.k,
     )
 
@@ -451,36 +443,27 @@ def _respawn_order(grid: CylinderGrid) -> np.ndarray:
 
 
 def lloyd_refine(
-    rz: Realization,
-    initial: Codebook,
-    r,
-    depth: int,
-    max_iter: int = 100,
-    rel_tol: float = 1e-9,
-    *,
-    grid: CylinderGrid | None = None,
-    capacity: int = DEFAULT_CAPACITY,
+    grid: CylinderGrid, initial: Codebook, max_iter: int = 100, rel_tol: float = 1e-9
 ) -> tuple[Codebook, list[ErrorEstimate]]:
-    """Refine a codebook by Lloyd iteration on the discretized measure.
+    """Refine a codebook by Lloyd iteration on the grid's discretized measure.
 
     Assignment maps each cylinder midpoint to its nearest code point (ties to
     the lower index); the update recenters each cell for the L_r objective.
     Empty cells are respawned at the heaviest midpoint not already used.  A
     step is kept only when the sandwich upper bound does not increase, and
     iteration stops at relative improvement < rel_tol or max_iter; the trace
-    of accepted estimates is therefore non-increasing in `upper`.
+    of accepted estimates is therefore non-increasing in `upper`.  The order
+    is the grid's `r` and the integration depth its level `k`.
     """
-    rf = float(as_fraction(r))
+    rf = grid.r
     if rf < 1.0:
-        raise UnsupportedOrderError(f"Lloyd refinement needs r >= 1, got {r}")
-    if grid is None:
-        grid = level_grid(rz, r, depth, capacity=capacity)
+        raise UnsupportedOrderError(f"Lloyd refinement needs r >= 1, got {rf}")
     mids, masses = grid.mids, grid.masses
     target_n = initial.size
     respawn = None
 
     best = initial.points
-    lo0, up0 = _sandwich(grid, best, rf)
+    lo0, up0 = _sandwich(grid, best)
     trace = [
         ErrorEstimate(n=initial.size, r=rf, lower=lo0, upper=up0,
                       method="lloyd", integration_depth=grid.k)
@@ -507,7 +490,7 @@ def lloyd_refine(
         cand_arr = np.array(sorted(set(new_pts)))
         if cand_arr.size == best.size and np.array_equal(cand_arr, best):
             break  # fixed point
-        lo_c, up_c = _sandwich(grid, cand_arr, rf)
+        lo_c, up_c = _sandwich(grid, cand_arr)
         if up_c > trace[-1].upper:
             break  # step would loosen the certified bound; keep best-so-far
         best = cand_arr
@@ -520,7 +503,7 @@ def lloyd_refine(
     return Codebook(points=best), trace
 
 
-def quantile_codebook(grid: CylinderGrid, n: int, r: float = 2.0) -> Codebook:
+def quantile_codebook(grid: CylinderGrid, n: int, r: float) -> Codebook:
     """Deterministic n-point warm start: r-centers of equal-mass quantile cells."""
     if n < 1:
         raise ValueError("need n >= 1 code points")
@@ -531,13 +514,13 @@ def quantile_codebook(grid: CylinderGrid, n: int, r: float = 2.0) -> Codebook:
     return Codebook(points=centers[cuts[1:] > cuts[:-1]])
 
 
-def discrete_cost(grid: CylinderGrid, codebook: Codebook, r) -> float:
+def discrete_cost(grid: CylinderGrid, codebook: Codebook) -> float:
     """Plain discretized objective sum m * d(mid, alpha)^r (no cylinder radii)."""
     d = _nearest_distance(codebook.points, grid.mids)
-    return _dot(grid.masses, d ** float(as_fraction(r)))
+    return _dot(grid.masses, d**grid.r)
 
 
-def optimal_two_point(grid: CylinderGrid, r) -> tuple[Codebook, float]:
+def optimal_two_point(grid: CylinderGrid) -> tuple[Codebook, float]:
     """Exact 2-point optimum of the discretized measure, by branch and bound.
 
     In one dimension the cells of an optimal quantizer are intervals, so the
@@ -548,9 +531,10 @@ def optimal_two_point(grid: CylinderGrid, r) -> tuple[Codebook, float]:
     f_L(lo) + f_R(hi).  Ranges of cuts are halved lowest bound first, each cut
     evaluated once, and a range is dropped once its bound is within
     _PRUNE_SLACK (relative) of the best cut found.  The points and the cost
-    returned are those of recentering the chosen cut directly.
+    returned are those of recentering the chosen cut directly, at the grid's
+    order `r`.
     """
-    rf = float(as_fraction(r))
+    rf = grid.r
     mids, masses = grid.mids, grid.masses
     n = grid.size
     if n < 2:
@@ -607,9 +591,11 @@ def error_curve(
 
     Codebooks are the level-k cylinder midpoints; integration runs at depth
     k + depth_offset.  Unrefined codebooks are sandwiched per member key by
-    `member_sandwich`, with no grid; refined ones are Lloyd-refined on the
-    level grids.  Normalized columns report upper * n^{r/s_r}, with and
-    without the predicted logarithmic correction.
+    `member_sandwich`, with no grid; refined ones start from the level-k grid's
+    midpoints and are Lloyd-refined on the level-(k + depth_offset) grid,
+    the one grid that sets their order and integration depth.  Normalized
+    columns report upper * n^{r/s_r}, with and without the predicted
+    logarithmic correction.
     """
     if depth_offset < 0:
         raise ValueError(f"depth offset must be >= 0, got {depth_offset}")
@@ -626,9 +612,7 @@ def error_curve(
         if refine:
             code_grid = level_grid(rz, r, k, capacity=capacity)
             grid = level_grid(rz, r, depth, capacity=capacity) if depth_offset > 0 else code_grid
-            trace = lloyd_refine(
-                rz, grid_codebook(code_grid), r, depth, max_iter=max_iter, grid=grid
-            )[1]
+            trace = lloyd_refine(grid, grid_codebook(code_grid), max_iter=max_iter)[1]
             est = trace[-1]
             iterations = len(trace) - 1
         else:

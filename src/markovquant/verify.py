@@ -451,7 +451,7 @@ def _codebook_identity(ctx: _Context) -> Iterator[CheckResult]:
             for (_ch, chi, p, c), cnt in ac0.hist.items()
         ) / 2.0 ** float(rq)
     grid0 = geometry.level_grid(rz, ctx.r, ac0.k, capacity=ctx.capacity)
-    est0 = geometry.integrate_error(rz, geometry.grid_codebook(grid0), ctx.r, ac0.k, grid=grid0)
+    est0 = geometry.integrate_error(grid0, geometry.grid_codebook(grid0))
     dev = abs(est0.upper - expected)
     yield CheckResult(
         name="codebook_identity",
@@ -469,10 +469,10 @@ def _lloyd(ctx: _Context) -> Iterator[CheckResult]:
     depth_l = min(10, ctx.ks[0] + ctx.depth_offset)
     grid_l = geometry.level_grid(rz, ctx.r, depth_l, capacity=ctx.capacity)
     start = geometry.quantile_codebook(grid_l, 2, ctx.rf)
-    refined, trace = geometry.lloyd_refine(rz, start, ctx.r, depth_l, grid=grid_l)
+    refined, trace = geometry.lloyd_refine(grid_l, start)
     monotone = all(b.upper <= a.upper + 1e-15 for a, b in zip(trace, trace[1:]))
-    bf_book, bf_cost = geometry.optimal_two_point(grid_l, ctx.r)
-    lloyd_cost = geometry.discrete_cost(grid_l, refined, ctx.r)
+    bf_book, bf_cost = geometry.optimal_two_point(grid_l)
+    lloyd_cost = geometry.discrete_cost(grid_l, refined)
     yield CheckResult(
         name="lloyd_monotone",
         passed=monotone and trace[-1].upper <= trace[0].upper,
@@ -492,13 +492,13 @@ def _lloyd(ctx: _Context) -> Iterator[CheckResult]:
 
 
 def _monte_carlo_bracket(ctx: _Context) -> Iterator[CheckResult]:
-    # the seeded sample must fall in the widened bracket
+    """The seeded sample must fall in the widened bracket of an at most 4-point
+    quantile codebook, summed on the level-mid_k grid the codebook comes from."""
     rz, rf = ctx.rz, ctx.rf
     mid_k = ctx.quant_ks[len(ctx.quant_ks) // 2]
     grid_mc = geometry.level_grid(rz, ctx.r, mid_k, capacity=ctx.capacity)
     book_mc = geometry.quantile_codebook(grid_mc, min(4, grid_mc.size), rf if rf >= 1 else 2.0)
-    depth_mc = mid_k + ctx.depth_offset
-    est_mc = geometry.integrate_error(rz, book_mc, ctx.r, depth_mc, capacity=ctx.capacity)
+    est_mc = geometry.integrate_error(grid_mc, book_mc)
     mc_mean, mc_err = geometry.monte_carlo_error(rz, book_mc, ctx.r, ctx.mc_samples, ctx.seed)
     yield CheckResult(
         name="monte_carlo_bracket",
@@ -509,6 +509,8 @@ def _monte_carlo_bracket(ctx: _Context) -> Iterator[CheckResult]:
             "mc_stderr": mc_err,
             "lower": est_mc.lower,
             "upper": est_mc.upper,
+            "k": mid_k,
+            "integration_depth": est_mc.integration_depth,
             "samples": ctx.mc_samples,
             "seed": ctx.seed,
         },

@@ -237,7 +237,7 @@ def test_criterion_09_numeric_quantization(sys_a, sys_b, structures):
         worst_dev = 0.0
         for k in range(4, 10):
             grid = level_grid(rz_a, r, k)
-            est = integrate_error(rz_a, grid_codebook(grid), r, k, grid=grid)
+            est = integrate_error(grid, grid_codebook(grid))
             ac = enumerate_antichain(sys_a, r, k, exact=True)
             expected = float(
                 sum(cnt * chi * p * c**r for (_ch, chi, p, c), cnt in ac.hist.items())
@@ -296,8 +296,8 @@ def test_criterion_10_lloyd_equals_bruteforce(sys_a):
 
     grid = level_grid(rz, 2, 10)
     start = quantile_codebook(grid, 2, 2)
-    refined, _trace = lloyd_refine(rz, start, 2, 10, grid=grid)
-    lloyd_cost = discrete_cost(grid, refined, 2)
+    refined, _trace = lloyd_refine(grid, start)
+    lloyd_cost = discrete_cost(grid, refined)
     dev = abs(lloyd_cost - best)
     ok = dev <= 1e-9
     _report(

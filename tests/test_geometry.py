@@ -329,7 +329,7 @@ class TestIntegrateError:
         for r in (1, 2):
             k = 4
             grid = level_grid(rz, r, k)
-            est = integrate_error(rz, grid_codebook(grid), r, k, grid=grid)
+            est = integrate_error(grid, grid_codebook(grid))
             ac = enumerate_antichain(sys_a, r, k, exact=True)
             expected = float(
                 sum(cnt * chi * p * c**r for (_ch, chi, p, c), cnt in ac.hist.items())
@@ -349,11 +349,11 @@ class TestIntegrateError:
         lower = float(np.einsum("i,i->", grid.masses, np.maximum(d - grid.halves, 0.0) ** rf))
         upper = float(np.einsum("i,i->", grid.masses, (d + grid.halves) ** rf))
         assert grid.size <= geometry._SANDWICH_CHUNK
-        one = integrate_error(rz, book, r, 7, grid=grid)
+        one = integrate_error(grid, book)
         assert (one.lower, one.upper) == (lower, upper)
         monkeypatch.setattr(geometry, "_SANDWICH_CHUNK", 37)
         assert grid.size > 37 * 3
-        est = integrate_error(rz, book, r, 7, grid=grid)
+        est = integrate_error(grid, book)
         assert est.lower == pytest.approx(lower, rel=1e-12)
         assert est.upper == pytest.approx(upper, rel=1e-12)
 
@@ -366,7 +366,7 @@ class TestIntegrateError:
             "n = 1 << 16\n"
             "grid = CylinderGrid(k=0, r=1.5, mids=np.sort(rng.uniform(0, 10, n)),\n"
             "    halves=rng.uniform(0, 1e-3, n), masses=rng.dirichlet(np.ones(n)))\n"
-            "print(*(x.hex() for x in _sandwich(grid, np.array([2.0, 5.0, 8.0]), 1.5)))\n"
+            "print(*(x.hex() for x in _sandwich(grid, np.array([2.0, 5.0, 8.0]))))\n"
         )
         src = str(Path(geometry.__file__).resolve().parents[1])
         outs = []
@@ -386,7 +386,9 @@ class TestIntegrateError:
         widths = []
         bounds = []
         for depth in (4, 6, 8, 10):
-            est = integrate_error(rz, book, 1, depth)
+            grid = level_grid(rz, 1, depth)
+            est = integrate_error(grid, book)
+            assert (est.r, est.integration_depth) == (grid.r, grid.k) == (1.0, depth)
             widths.append(est.width)
             bounds.append((est.lower, est.upper))
         assert widths == sorted(widths, reverse=True)
@@ -398,7 +400,7 @@ class TestIntegrateError:
         rz = realize(sys_a)
         for pts in ((0.5, 2.5), (0.2, 0.8, 2.5), (1.7,)):
             book = Codebook(points=pts)
-            est = integrate_error(rz, book, 1, 10)
+            est = integrate_error(level_grid(rz, 1, 10), book)
             mc, se = monte_carlo_error(rz, book, 1, 200_000, seed=99)
             assert est.lower - 3 * se <= mc <= est.upper + 3 * se
 
@@ -433,7 +435,7 @@ class TestIntegrateError:
         rz = realize(sys_a)
         book = Codebook(points=(0.5, 2.5))
         for r in (1, 2):
-            est = integrate_error(rz, book, r, 8)
+            est = integrate_error(level_grid(rz, r, 8), book)
             assert est.upper <= 2.0**-r
 
     def test_sampler_raises_at_step_cap(self):
@@ -451,7 +453,7 @@ class TestIntegrateError:
     def test_positive_order_required(self, sys_a):
         rz = realize(sys_a)
         with pytest.raises(ValueError):
-            integrate_error(rz, Codebook(points=(0.5,)), 0, 3)
+            integrate_error(level_grid(rz, 0, 3), Codebook(points=(0.5,)))
 
 
 class TestCellKernel:
@@ -534,8 +536,8 @@ class TestLloyd:
     def test_fixed_point_returned_unchanged(self, sys_a):
         rz = realize(sys_a)
         grid = level_grid(rz, 2, 8)
-        book, _cost = optimal_two_point(grid, 2)
-        refined, trace = lloyd_refine(rz, book, 2, 8, grid=grid)
+        book, _cost = optimal_two_point(grid)
+        refined, trace = lloyd_refine(grid, book)
         assert refined.points == pytest.approx(book.points, abs=1e-12)
         assert len(trace) == 1
 
@@ -543,17 +545,17 @@ class TestLloyd:
         rz = realize(sys_a)
         grid = level_grid(rz, 2, 8)
         start = Codebook(points=(0.1, 0.2, 0.3))
-        refined, trace = lloyd_refine(rz, start, 2, 8, grid=grid)
+        refined, trace = lloyd_refine(grid, start)
         uppers = [e.upper for e in trace]
         assert all(b <= a for a, b in zip(uppers, uppers[1:]))
         assert uppers[-1] < uppers[0]
-        assert discrete_cost(grid, refined, 2) < discrete_cost(grid, start, 2)
+        assert discrete_cost(grid, refined) < discrete_cost(grid, start)
 
     def test_empty_cell_respawn(self, sys_a):
         rz = realize(sys_a)
         grid = level_grid(rz, 2, 6)
         start = Codebook(points=(-5.0, 0.5, 2.5))  # leftmost cell is empty
-        refined, trace = lloyd_refine(rz, start, 2, 6, grid=grid)
+        refined, trace = lloyd_refine(grid, start)
         assert refined.size == 3
         assert min(refined.points) >= 0.0
         assert trace[-1].upper <= trace[0].upper
@@ -561,7 +563,7 @@ class TestLloyd:
     def test_weighted_median_for_order_one(self, sys_a):
         rz = realize(sys_a)
         grid = level_grid(rz, 1, 8)
-        refined, trace = lloyd_refine(rz, quantile_codebook(grid, 2, 1), 1, 8, grid=grid)
+        refined, trace = lloyd_refine(grid, quantile_codebook(grid, 2, 1))
         # a weighted median never leaves the support
         for p in refined.points:
             assert grid.mids.min() <= p <= grid.mids.max()
@@ -570,14 +572,15 @@ class TestLloyd:
     def test_general_order_ternary_search(self, sys_a):
         rz = realize(sys_a)
         grid = level_grid(rz, 1.5, 6)
-        refined, trace = lloyd_refine(rz, quantile_codebook(grid, 2, 1.5), 1.5, 6, grid=grid)
+        refined, trace = lloyd_refine(grid, quantile_codebook(grid, 2, 1.5))
+        assert all((e.r, e.integration_depth) == (grid.r, grid.k) == (1.5, 6) for e in trace)
         assert trace[-1].upper <= trace[0].upper
         assert refined.size == 2
 
     def test_rejects_small_order(self, sys_a):
         rz = realize(sys_a)
         with pytest.raises(UnsupportedOrderError):
-            lloyd_refine(rz, Codebook(points=(0.5,)), 0.5, 4)
+            lloyd_refine(level_grid(rz, 0.5, 4), Codebook(points=(0.5,)))
 
     @pytest.mark.parametrize("r", [F(1, 2), F(99, 100)], ids=str)
     def test_recentering_rejects_small_order(self, sys_c, r):
@@ -588,7 +591,7 @@ class TestLloyd:
             with pytest.raises(UnsupportedOrderError):
                 quantile_codebook(grid, n, float(r))
         with pytest.raises(UnsupportedOrderError):
-            optimal_two_point(grid, r)
+            optimal_two_point(grid)
 
     @pytest.mark.parametrize(
         "name,k,r",
@@ -599,10 +602,10 @@ class TestLloyd:
     def test_two_point_matches_split_enumeration(self, request, name, k, r):
         # fixture A's masses tie exactly, so equal-cost splits occur
         grid = level_grid(realize(request.getfixturevalue(f"sys_{name}")), r, k)
-        book, cost = optimal_two_point(grid, r)
+        book, cost = optimal_two_point(grid)
         tol = two_point_tolerance(r)
         assert cost == pytest.approx(split_enumeration(grid, r), **tol)
-        assert discrete_cost(grid, book, r) == pytest.approx(cost, **tol)
+        assert discrete_cost(grid, book) == pytest.approx(cost, **tol)
 
     @pytest.mark.parametrize("r", [1, 2, F(5, 4), F(3, 2), 3], ids=str)
     def test_two_point_matches_split_enumeration_random(self, r):
@@ -615,10 +618,10 @@ class TestLloyd:
             grid = CylinderGrid(
                 k=0, r=float(r), mids=mids, halves=np.zeros(n), masses=rng.dirichlet(np.ones(n))
             )
-            book, cost = optimal_two_point(grid, r)
+            book, cost = optimal_two_point(grid)
             tol = two_point_tolerance(r)
             assert cost == pytest.approx(split_enumeration(grid, r), **tol)
-            assert discrete_cost(grid, book, r) == pytest.approx(cost, **tol)
+            assert discrete_cost(grid, book) == pytest.approx(cost, **tol)
 
     @pytest.mark.parametrize("r", [1, 2, F(3, 2)], ids=str)
     def test_two_point_optimum_at_either_end(self, r):
@@ -629,7 +632,7 @@ class TestLloyd:
             grid = CylinderGrid(
                 k=0, r=float(r), mids=mids, halves=np.zeros(n), masses=np.full(n, 1.0 / n)
             )
-            book, cost = optimal_two_point(grid, r)
+            book, cost = optimal_two_point(grid)
             assert lone in book.points.tolist()
             assert cost == pytest.approx(split_enumeration(grid, r), **two_point_tolerance(r))
 
@@ -641,7 +644,7 @@ class TestLloyd:
         monkeypatch.setattr(
             geometry, "_cell_centers", lambda *args: calls.append(1) or kernel(*args)
         )
-        optimal_two_point(grid, F(3, 2))
+        optimal_two_point(grid)
         assert grid.size == 1602
         assert 0 < len(calls) <= 200
 
@@ -649,9 +652,9 @@ class TestLloyd:
         # split-enumeration optimum is reproduced by Lloyd from quantile init
         rz = realize(sys_a)
         grid = level_grid(rz, 2, 8)
-        bf_book, bf_cost = optimal_two_point(grid, 2)
-        refined, _ = lloyd_refine(rz, quantile_codebook(grid, 2, 2), 2, 8, grid=grid)
-        assert discrete_cost(grid, refined, 2) == pytest.approx(bf_cost, abs=1e-12)
+        bf_book, bf_cost = optimal_two_point(grid)
+        refined, _ = lloyd_refine(grid, quantile_codebook(grid, 2, 2))
+        assert discrete_cost(grid, refined) == pytest.approx(bf_cost, abs=1e-12)
         assert refined.points == pytest.approx(bf_book.points, abs=1e-9)
 
 
@@ -728,7 +731,7 @@ class TestMemberSandwich:
         # sep_t = 1 on A-C: the codebook point nearest a cell is its member's
         rz = realize(request.getfixturevalue(f"sys_{name}"))
         book = grid_codebook(level_grid(rz, r, k))
-        grid_est = integrate_error(rz, book, r, depth)
+        grid_est = integrate_error(level_grid(rz, r, depth), book)
         est = member_sandwich(rz, r, k, depth)
         assert est.lower == pytest.approx(grid_est.lower, rel=1e-11)
         assert est.upper == pytest.approx(grid_est.upper, rel=1e-11)
@@ -742,7 +745,7 @@ class TestMemberSandwich:
         # own rounding gets a 1e-12 relative allowance
         rz = realize(random_rational_system(random.Random(seed)))
         assert rz.sep_t < F(1, 2)
-        grid_est = integrate_error(rz, grid_codebook(level_grid(rz, r, 3)), r, 5)
+        grid_est = integrate_error(level_grid(rz, r, 5), grid_codebook(level_grid(rz, r, 3)))
         est = member_sandwich(rz, r, 3, 5)
         assert est.lower <= grid_est.lower * (1 + 1e-12)
         assert grid_est.upper * (1 - 1e-12) <= est.upper
@@ -753,7 +756,7 @@ class TestMemberSandwich:
         est = member_sandwich(rz, 2, 6, 6)
         assert est.lower == 0.0 and est.rows == est.keys
         assert est.upper == pytest.approx(
-            integrate_error(rz, grid_codebook(grid), 2, 6, grid=grid).upper, rel=1e-13
+            integrate_error(grid, grid_codebook(grid)).upper, rel=1e-13
         )
 
     def test_keys_partition_the_measure(self, sys_b, sys_c):

@@ -147,6 +147,33 @@ def test_grid_curve_fits_where_its_grids_overran(sys_a):
     assert _by_name(suite)["error_decay"].status == "PASS"
 
 
+def test_monte_carlo_bracket_builds_one_grid_at_its_codebook_level(sys_a, monkeypatch):
+    # levels 4, 6, 8 on the curve: the codebook comes from level 6, and its
+    # bracket is summed on that grid, not on one at 6 + depth_offset
+    built, current = [], []
+    real_grid = geometry.level_grid
+
+    def level_grid(rz, r, k, **kwargs):
+        built.append((current[-1], k))
+        return real_grid(rz, r, k, **kwargs)
+
+    def tagged(check):
+        def run(ctx):
+            current.append(check.__name__)
+            yield from check(ctx)
+
+        return run
+
+    monkeypatch.setattr(geometry, "level_grid", level_grid)
+    monkeypatch.setattr(verify, "_CHECKS", tuple((n, b, tagged(f)) for n, b, f in verify._CHECKS))
+    suite = run_verification(sys_a, 1, range(4, 9), depth_offset=2)
+    assert [k for name, k in built if name == "_monte_carlo_bracket"] == [6]
+    assert 8 not in [k for _name, k in built]
+    check = _by_name(suite)["monte_carlo_bracket"]
+    assert check.status == "PASS"
+    assert (check.measured["k"], check.measured["integration_depth"]) == (6, 6)
+
+
 def test_antichain_definition_fails_on_a_word_past_the_threshold(sys_a, monkeypatch):
     # replace one member by one of its children: still prefix-free with the
     # same partition sum, but the child's parent is already below eta_lo^k
