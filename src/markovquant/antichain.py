@@ -447,6 +447,24 @@ class SeriesRow:
     class_sums: dict[Chain, float]
 
 
+def theorem_ratios(
+    value: float, n: int, r, cs: CriticalStructure, label: str
+) -> tuple[float, float]:
+    """(corrected, uncorrected): value * n^{r/s_r}, the plain power law, with and
+    without the factor (log n)^{(t_r-1)(1+r/s_r)} predicted for t_r comparable
+    critical components divided out.  Taken in logs, so n^{r/s_r} may be far
+    beyond the float range; a value below the normal float range, where it is
+    0 or has lost its digits, raises ValueError naming `label`.
+    """
+    if value < float_info.min:
+        raise ValueError(f"{label} is below the float range: {value!r}")
+    power = float(as_fraction(r)) / cs.s_r
+    log_expo = (cs.t_r - 1) * (1.0 + power)
+    log_u = power * math.log(n) + math.log(value)
+    # log_expo is 0.0 when t_r = 1, and then corrected is u exactly
+    return math.exp(log_u - log_expo * math.log(math.log(n))), math.exp(log_u)
+
+
 def theorem_ratio_series(
     sys: MarkovSystem,
     r,
@@ -458,32 +476,22 @@ def theorem_ratio_series(
 ) -> list[SeriesRow]:
     """Normalized antichain sums over a range of levels.
 
-    `uncorrected` tracks the plain power law; `corrected` divides out the
-    logarithmic factor predicted for t_r comparable critical components.
-    With t_r = 1 the two columns coincide.  Both are taken in logs, so phi
-    may be far beyond the float range; a sum_energy below the normal float
-    range, where it is 0 or has lost its digits, raises ValueError.
+    The ratio columns are `theorem_ratios` of sum_energy at phi: a
+    sum_energy below the normal float range raises ValueError.
     """
     if cs is None:
         cs = spectral.critical_analysis(sys, r)
-    rf = float(as_fraction(r))
-    power = rf / cs.s_r
-    log_expo = (cs.t_r - 1) * (1.0 + power)
     rows: list[SeriesRow] = []
     for k in k_range:
         ac = enumerate_antichain(sys, r, k, critical=cs, exact=exact, capacity=capacity)
         energy = float(ac.sum_energy)
-        if energy < float_info.min:
-            raise ValueError(f"sum_energy at k={k} is below the float range: {energy!r}")
-        log_u = power * math.log(ac.phi) + math.log(energy)
-        # log_expo is 0.0 when t_r = 1, and then corrected is u exactly
-        corrected = math.exp(log_u - log_expo * math.log(math.log(ac.phi)))
+        corrected, uncorrected = theorem_ratios(energy, ac.phi, r, cs, f"sum_energy at k={k}")
         rows.append(
             SeriesRow(
                 k=k, phi=ac.phi, depth_min=ac.depth_min, depth_max=ac.depth_max,
                 sum_energy=energy, sum_dim=ac.sum_dim,
                 t_k=implicit_exponent(ac),
-                corrected=corrected, uncorrected=math.exp(log_u),
+                corrected=corrected, uncorrected=uncorrected,
                 class_sums=dict(ac.class_sums),
             )
         )

@@ -31,11 +31,12 @@ coordinates, and certifies the rounding; `error_curve` integrates unrefined
 codebooks this way.
 
 In one dimension the cells of a nearest-point assignment are intervals, so
-every cell is a contiguous slice of the grid.  The cells of a
-codebook are solved together: the best single point of a cell is the mean
-for r=2 and the weighted median for r=1; for any other order r > 1 it is the
-root of the cost's derivative, found by bisecting every cell's bracket at once
-on the derivative's sign, one `np.add.reduceat` per step, down to width 1e-12.
+every cell is a contiguous slice of the grid.  The cells of a codebook are
+solved together, with no loop over cells: the best point of a cell is its
+mean for r=2 (two `np.add.reduceat`), its weighted median for r=1 (one
+`np.cumsum`, one `np.searchsorted`) and for any other order r > 1 the root
+of the cost's derivative, found by bisecting every cell's bracket at once on
+the derivative's sign, one `np.add.reduceat` per step, down to width 1e-12.
 Orders below 1 are refused: their cell cost is not convex.  Lloyd
 refinement alternates assignment with these center updates; a step is
 accepted only if the sandwich upper bound does not increase, so the reported
@@ -74,6 +75,9 @@ _SAMPLE_STEPS = 10_000
 _PRUNE_SLACK = 1e-13
 # unit roundoff of float64 arithmetic
 _UNIT_ROUNDOFF = 2.0**-53
+_LLOYD_REL_TOL = 1e-9  # Lloyd stops at a smaller relative gain in the upper bound
+_CURVE_LLOYD_ITERS = 50  # Lloyd steps per codebook of a refined error curve
+_SAMPLE_RESOLUTION = 1e-12  # sampled cylinders shorter than this are points
 
 
 class InfeasibleLayoutError(ValueError):
@@ -250,7 +254,6 @@ class ErrorEstimate:
     r: float
     lower: float
     upper: float
-    method: str
     integration_depth: int
     keys: int = 0  # member keys of a per-key sandwich; 0 on a grid
     rows: int = 0  # rows laid out under those keys
@@ -309,8 +312,7 @@ def integrate_error(grid: CylinderGrid, codebook: Codebook) -> ErrorEstimate:
     """
     lower, upper = _sandwich(grid, codebook.points)
     return ErrorEstimate(
-        n=codebook.size, r=grid.r, lower=lower, upper=upper,
-        method="antichain", integration_depth=grid.k,
+        n=codebook.size, r=grid.r, lower=lower, upper=upper, integration_depth=grid.k
     )
 
 
@@ -369,51 +371,45 @@ def member_sandwich(
         n=res.phi, r=rf,
         lower=math.fsum(np.multiply(coef, lower_local).tolist()) * (1.0 - widen),
         upper=math.fsum(np.multiply(coef, upper_local).tolist()) * (1.0 + widen),
-        method="member keys", integration_depth=depth,
-        keys=len(keys), rows=int(below[-1]),
+        integration_depth=depth, keys=len(keys), rows=int(below[-1]),
     )
-
-
-def _cell_center(mids, masses, lo: int, hi: int, r: float) -> float:
-    """Best single point for one contiguous cell of the sorted grid, r = 1 or 2."""
-    x = mids[lo:hi]
-    m = masses[lo:hi]
-    if x.size == 1:
-        return float(x[0])
-    if r == 2.0:
-        return _dot(m, x) / float(m.sum())
-    cum = np.cumsum(m)  # r = 1: weighted median
-    half = 0.5 * cum[-1]
-    pos = int(np.searchsorted(cum, half))
-    return float(x[min(pos, x.size - 1)])
 
 
 def _cell_centers(mids, masses, starts, ends, r: float) -> np.ndarray:
     """Best single point of each cell mids[starts[i]:ends[i]] of the sorted grid.
 
-    An empty cell gets NaN; the other cells must be adjacent, each ending
-    where the next one starts.  Orders 1 and 2 take the closed forms of
-    `_cell_center`.  Any other order r > 1 bisects each cell's bracket, from
-    its first to its last midpoint, on the sign of the derivative
-    sum m * sign(t - x) * |t - x|^(r-1) of its strictly convex cost, and
-    returns the bracket's midpoint once it is at most 1e-12 wide or, past
-    8192 where one ulp is wider, two adjacent floats.  All cells step
-    together, each step one reduceat over the grid slice they span.  Orders
-    below 1 raise `UnsupportedOrderError`.
+    An empty cell gets NaN and a one-point cell its point; the other cells
+    must be adjacent, each ending where the next one starts, and are solved
+    together over the slice they span.  At r = 2 a center is the mean, kept
+    in its cell against rounding; at r = 1 the first point whose cumulative
+    mass reaches half its cell's, by one cumsum and one searchsorted.  Any
+    other order r > 1 bisects each cell's bracket, from its first to its last
+    midpoint, on the sign of the derivative sum m * sign(t - x) * |t - x|^(r-1)
+    of its strictly convex cost, one reduceat per step, down to width 1e-12
+    or, past 8192 where one ulp is wider, two adjacent floats, and returns
+    the bracket's midpoint.  Orders below 1 raise `UnsupportedOrderError`.
     """
     if r < 1.0:
         raise UnsupportedOrderError(f"recentering a cell needs r >= 1, got {r}")
     out = np.full(starts.size, np.nan)
     full = ends > starts
     starts, ends = starts[full], ends[full]
-    if r == 1.0 or r == 2.0 or not starts.size:
-        out[full] = [
-            _cell_center(mids, masses, lo, hi, r) for lo, hi in zip(starts.tolist(), ends.tolist())
-        ]
+    if not starts.size:
         return out
     lo, hi = int(starts[0]), int(ends[-1])
     x, m = mids[lo:hi], masses[lo:hi]
     offsets, counts = starts - lo, ends - starts
+    a, b = mids[starts], mids[ends - 1]  # every center lies in [a, b]
+    if r == 2.0:
+        out[full] = np.clip(np.add.reduceat(m * x, offsets) / np.add.reduceat(m, offsets), a, b)
+        return out
+    if r == 1.0:
+        cum = np.cumsum(m)
+        top = cum[offsets + counts - 1]  # mass up to each cell's end
+        half = 0.5 * (np.concatenate(([0.0], top[:-1])) + top)
+        # half <= top, so only a cell whose mass rounds away can land before it
+        out[full] = x[np.maximum(np.searchsorted(cum, half), offsets)]
+        return out
     buf = np.empty(x.size)
 
     def slopes(t: np.ndarray) -> np.ndarray:
@@ -426,7 +422,6 @@ def _cell_centers(mids, masses, starts, ends, r: float) -> np.ndarray:
         np.multiply(buf, m, out=buf)
         return np.add.reduceat(buf, offsets)
 
-    a, b = mids[starts], mids[ends - 1]  # one-point cells never move
     t = 0.5 * (a + b)
     while (live := (b - a > 1e-12) & (a < t) & (t < b)).any():
         right = slopes(t) < 0.0  # the root lies right of t
@@ -443,7 +438,7 @@ def _respawn_order(grid: CylinderGrid) -> np.ndarray:
 
 
 def lloyd_refine(
-    grid: CylinderGrid, initial: Codebook, max_iter: int = 100, rel_tol: float = 1e-9
+    grid: CylinderGrid, initial: Codebook, max_iter: int = 100
 ) -> tuple[Codebook, list[ErrorEstimate]]:
     """Refine a codebook by Lloyd iteration on the grid's discretized measure.
 
@@ -451,7 +446,7 @@ def lloyd_refine(
     the lower index); the update recenters each cell for the L_r objective.
     Empty cells are respawned at the heaviest midpoint not already used.  A
     step is kept only when the sandwich upper bound does not increase, and
-    iteration stops at relative improvement < rel_tol or max_iter; the trace
+    iteration stops at relative improvement < 1e-9 or max_iter; the trace
     of accepted estimates is therefore non-increasing in `upper`.  The order
     is the grid's `r` and the integration depth its level `k`.
     """
@@ -465,8 +460,7 @@ def lloyd_refine(
     best = initial.points
     lo0, up0 = _sandwich(grid, best)
     trace = [
-        ErrorEstimate(n=initial.size, r=rf, lower=lo0, upper=up0,
-                      method="lloyd", integration_depth=grid.k)
+        ErrorEstimate(n=initial.size, r=rf, lower=lo0, upper=up0, integration_depth=grid.k)
     ]
     for _ in range(max_iter):
         # assignment: boundaries halfway between consecutive points; a midpoint
@@ -496,9 +490,9 @@ def lloyd_refine(
         best = cand_arr
         trace.append(
             ErrorEstimate(n=int(cand_arr.size), r=rf, lower=lo_c, upper=up_c,
-                          method="lloyd", integration_depth=grid.k)
+                          integration_depth=grid.k)
         )
-        if trace[-2].upper - up_c <= rel_tol * max(up_c, 1e-300):
+        if trace[-2].upper - up_c <= _LLOYD_REL_TOL * max(up_c, 1e-300):
             break
     return Codebook(points=best), trace
 
@@ -585,7 +579,6 @@ def error_curve(
     *,
     cs: CriticalStructure | None = None,
     capacity: int = DEFAULT_CAPACITY,
-    max_iter: int = 50,
 ) -> list[CurveRow]:
     """Two-sided error bounds at the antichain codebook sizes n = phi_k.
 
@@ -593,18 +586,16 @@ def error_curve(
     k + depth_offset.  Unrefined codebooks are sandwiched per member key by
     `member_sandwich`, with no grid; refined ones start from the level-k grid's
     midpoints and are Lloyd-refined on the level-(k + depth_offset) grid,
-    the one grid that sets their order and integration depth.  Normalized
-    columns report upper * n^{r/s_r}, with and without the predicted
-    logarithmic correction.
+    the one grid that sets their order and integration depth, for at most
+    50 steps.  The normalized columns are `antichain.theorem_ratios` of
+    upper at n, taken in logs: an upper below the normal float range raises
+    ValueError naming k.
     """
     if depth_offset < 0:
         raise ValueError(f"depth offset must be >= 0, got {depth_offset}")
     if cs is None:
         cs = spectral.critical_analysis(sys, r)
     rz = realize(sys)
-    rf = float(as_fraction(r))
-    power = rf / cs.s_r
-    log_expo = (cs.t_r - 1) * (1.0 + power)
     rows: list[CurveRow] = []
     for k in k_range:
         depth = k + depth_offset
@@ -612,32 +603,30 @@ def error_curve(
         if refine:
             code_grid = level_grid(rz, r, k, capacity=capacity)
             grid = level_grid(rz, r, depth, capacity=capacity) if depth_offset > 0 else code_grid
-            trace = lloyd_refine(grid, grid_codebook(code_grid), max_iter=max_iter)[1]
+            trace = lloyd_refine(grid, grid_codebook(code_grid), max_iter=_CURVE_LLOYD_ITERS)[1]
             est = trace[-1]
             iterations = len(trace) - 1
         else:
             est = member_sandwich(rz, r, k, depth, capacity=capacity)
-        n = est.n
-        norm = n**power
-        logc = math.log(n) ** log_expo if n > 1 else 1.0
+        corrected, uncorrected = antichain_mod.theorem_ratios(
+            est.upper, est.n, r, cs, f"upper at k={k}"
+        )
         rows.append(
             CurveRow(
-                k=k, n=n, lower=est.lower, upper=est.upper,
-                corrected=est.upper * norm / logc,
-                uncorrected=est.upper * norm,
-                iterations=iterations,
+                k=k, n=est.n, lower=est.lower, upper=est.upper,
+                corrected=corrected, uncorrected=uncorrected, iterations=iterations,
             )
         )
     return rows
 
 
 def sample_support_points(
-    rz: Realization, n_samples: int, seed: int, resolution: float = 1e-12
+    rz: Realization, n_samples: int, seed: int
 ) -> np.ndarray:
     """Seeded i.i.d. sample of the measure, to cylinder resolution.
 
-    Walks the chain vectorized until every cylinder is shorter than
-    `resolution`, then returns the cylinder midpoints.  Raises
+    Walks the chain vectorized until every cylinder is shorter than 1e-12,
+    then returns the cylinder midpoints.  Raises
     SamplingResolutionError if that takes more than 10,000 steps.
 
     Each step sorts the samples stably by vertex, draws one uniform per
@@ -668,11 +657,11 @@ def sample_support_points(
     length = np.ones(n_samples)
     edge = np.empty(n_samples, dtype=np.intp)
     steps = 0
-    while float(length.max()) >= resolution:
+    while float(length.max()) >= _SAMPLE_RESOLUTION:
         if steps == _SAMPLE_STEPS:
             raise SamplingResolutionError(
                 f"cylinders still {float(length.max()):.3g} long after {steps} steps, "
-                f"above the resolution {resolution:g}"
+                f"above the resolution {_SAMPLE_RESOLUTION:g}"
             )
         steps += 1
         order = np.argsort(cur, kind="stable")

@@ -25,6 +25,7 @@ from markovquant import (
     SamplingResolutionError,
     UnsupportedOrderError,
     antichain_codebook,
+    critical_analysis,
     cylinder_interval,
     discrete_cost,
     enumerate_antichain,
@@ -457,7 +458,7 @@ class TestIntegrateError:
 
 
 class TestCellKernel:
-    @pytest.mark.parametrize("r", [F(5, 4), F(3, 2), 3])
+    @pytest.mark.parametrize("r", [F(5, 4), F(3, 2), 3, 2])
     def test_matches_mpmath_root(self, r):
         rf = float(r)
         rng = np.random.default_rng(7)
@@ -512,7 +513,7 @@ class TestCellKernel:
         cell=st.lists(
             st.tuples(st.floats(0.0, 10.0), st.floats(0.01, 1.0)), min_size=2, max_size=40
         ),
-        r=st.sampled_from([F(5, 4), F(3, 2), F(5, 2), F(3)]),
+        r=st.sampled_from([F(5, 4), F(3, 2), F(5, 2), F(3), F(2)]),
     )
     def test_center_brackets_the_root(self, cell, r):
         mids = np.sort(np.array([x for x, _ in cell]))
@@ -530,6 +531,30 @@ class TestCellKernel:
             best = min(mp_cost(mids, masses, r, x) for x in mids)
             slack = abs(r * mp_slope(mids, masses, r, c)) * mpmath.mpf(1e-12)
             assert mp_cost(mids, masses, r, c) <= best * (1 + mpmath.mpf(1e-12)) + slack
+
+    def test_weighted_median_is_a_least_cost_point(self):
+        # cells as in test_matches_mpmath_root; every other grid has equal
+        # dyadic masses, so its cumulative sums are exact and half of an even
+        # cell's mass falls on a point, where two points tie
+        rng = np.random.default_rng(7)
+        for trial in range(40):
+            n = int(rng.integers(2, 300))
+            mids = np.sort(rng.uniform(0.0, 10.0, n))
+            masses = np.full(n, 2.0**-6) if trial % 2 else rng.uniform(0.01, 1.0, n)
+            lo, hi = sorted(rng.choice(n + 1, 2, replace=False).tolist())
+            inner = rng.integers(lo, hi + 1, int(rng.integers(0, 12))).tolist()
+            cuts = np.array(sorted([lo, hi, lo, lo + 1, *inner]))
+            starts, ends = cuts[:-1], cuts[1:]
+            got = _cell_centers(mids, masses, starts, ends, 1.0)
+            for c, s, e in zip(got.tolist(), starts.tolist(), ends.tolist()):
+                if s == e:
+                    assert math.isnan(c)
+                    continue
+                assert c in mids[s:e].tolist()
+                with mpmath.workdps(50):
+                    x = [mpmath.mpf(v) for v in mids[s:e].tolist()]
+                    m = [mpmath.mpf(v) for v in masses[s:e].tolist()]
+                    assert mp_cost(x, m, 1, c) <= min(mp_cost(x, m, 1, t) for t in x)
 
 
 class TestLloyd:
@@ -700,6 +725,36 @@ class TestErrorCurve:
     def test_unrefined_n_is_phi(self, sys_b):
         rows = error_curve(sys_b, F(3, 2), (5, 7), depth_offset=1)
         assert [row.n for row in rows] == [scan(sys_b, F(3, 2), k).phi for k in (5, 7)]
+
+    def test_ratios_in_logs_past_the_float_range(self, sys_b):
+        # n^{r/s_r} is about e^711.8 here, past the float range, while upper
+        # is a normal float
+        cs = critical_analysis(sys_b, 2)
+        (row,) = error_curve(sys_b, 2, [160], depth_offset=2, cs=cs, capacity=10**300)
+        assert 1e-300 < row.upper < 1e-290
+        power = 2 / cs.s_r
+        log_expo = (cs.t_r - 1) * (1 + power)
+        with mpmath.workdps(30):
+            log_u = mpmath.log(row.upper) + power * mpmath.log(row.n)
+            log_c = log_u - log_expo * mpmath.log(mpmath.log(row.n))
+            assert row.uncorrected == pytest.approx(float(mpmath.exp(log_u)), rel=1e-12)
+            assert row.corrected == pytest.approx(float(mpmath.exp(log_c)), rel=1e-12)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_ratios_match_the_direct_normalization(self, sys_b, r):
+        cs = critical_analysis(sys_b, r)
+        power = r / cs.s_r
+        log_expo = (cs.t_r - 1) * (1 + power)
+        for row in error_curve(sys_b, r, range(6, 13), depth_offset=2, cs=cs):
+            norm = row.n**power
+            assert row.uncorrected == pytest.approx(row.upper * norm, rel=1e-13)
+            assert row.corrected == pytest.approx(
+                row.upper * norm / math.log(row.n) ** log_expo, rel=1e-13
+            )
+
+    def test_upper_below_the_float_range_raises(self, sys_b):
+        with pytest.raises(ValueError, match="upper at k=168"):
+            error_curve(sys_b, 2, [168], depth_offset=2, capacity=10**300)
 
 
 class TestMemberSandwich:
