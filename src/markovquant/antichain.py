@@ -81,7 +81,7 @@ class ScanResult:
     phi: int
     depth_min: int
     depth_max: int
-    hist: dict  # (chain, chi, p, c) -> number of member words
+    hist: dict = field(repr=False)  # (chain, chi, p, c) -> number of member words
     exact: bool
     levels: tuple[Level, ...] = field(repr=False)
 
@@ -289,8 +289,8 @@ def _power_sum(table, e: float) -> float:
 
 
 @dataclass(frozen=True)
-class Antichain:
-    """One maximal antichain with its statistics.
+class Antichain(ScanResult):
+    """One maximal antichain: its pass, with the pass's statistics.
 
     sum_energy is Sum p*c^r over members (exact Fraction in exact mode with
     integer r, float otherwise); sum_dim is Sum (p*c^r)^{s/(s+r)} at the
@@ -301,19 +301,11 @@ class Antichain:
     pass's per-depth state tables; `member_words` reads the members off them.
     """
 
-    k: int
-    r: Fraction
     s_dim: float
-    phi: int
-    depth_min: int
-    depth_max: int
     sum_energy: Fraction | float
     sum_dim: float
     class_sums: dict[Chain, float]
-    exact: bool
-    hist: dict = field(repr=False)
     log_weights: tuple[tuple[Chain, float, float], ...] = field(repr=False)
-    levels: tuple[Level, ...] = field(repr=False)
 
 
 def enumerate_antichain(
@@ -358,10 +350,8 @@ def enumerate_antichain(
     else:
         sum_energy = _power_sum(table, 1.0)
     return Antichain(
-        k=k, r=rq, s_dim=s_dim, phi=res.phi,
-        depth_min=res.depth_min, depth_max=res.depth_max,
-        sum_energy=sum_energy, sum_dim=sum_dim, class_sums=class_sums,
-        exact=res.exact, hist=res.hist, log_weights=table, levels=res.levels,
+        **vars(res), s_dim=s_dim, sum_energy=sum_energy, sum_dim=sum_dim,
+        class_sums=class_sums, log_weights=table,
     )
 
 

@@ -12,11 +12,12 @@ Checks are data: each returns pass/fail (or skipped-with-reason) along with
 the band it was tested against and the measured values, so reports are
 reproducible and machine-readable.  `_CHECKS` lists them in report order, each
 entry with the names it reports, the band of its SKIPs and the function that
-yields its results.  The functions share one `_Context`, which builds each
-stage on first use and keeps its value, or its capacity, layout or sampler
-error: later readers get that error again without the work being redone.  The
-loop in `run_verification` turns such an error, or a check's own `_Skip`, into
-a SKIP of each of the entry's names with the error text as the reason.
+yields its results.  The functions share one `_Context`: it holds the spectral
+analysis and the error curve's levels, built with the run, and builds the 1-D
+realization and the smallest level's antichain on first use.  Every other
+result has one reader, which builds it.  The loop in `run_verification` turns
+a capacity, layout or sampler error, or a check's own `_Skip`, into a SKIP of
+each of the entry's names with the error text as the reason.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator
 
@@ -153,69 +155,34 @@ def analysis_report(sys: MarkovSystem, r) -> dict:
     }
 
 
-def _stage(build):
-    """A `_Context` property built on first use.  Its value is kept, and so is
-    a `_SKIP_ERRORS` error, which later reads raise again without rebuilding."""
-    def get(ctx):
-        if build not in ctx.memo:
-            try:
-                ctx.memo[build] = build(ctx)
-            except _SKIP_ERRORS as exc:
-                # without its traceback: the frames would keep the grids alive
-                ctx.memo[build] = exc.with_traceback(None)
-        if isinstance(ctx.memo[build], Exception):
-            raise ctx.memo[build]
-        return ctx.memo[build]
-
-    return property(get)
-
-
 class _Context:
-    """The inputs of one run and the stages its checks share (grids are not stages)."""
+    """The inputs of one run and the results its checks share.
+
+    The spectral analysis and the error curve's levels are built with the
+    run; the realization and the smallest level's antichain, which can raise
+    a SKIP error, on first use.  Grids are not shared.
+    """
 
     def __init__(self, sys, r, ks, depth_offset, capacity, seed, mc_samples):
         self.sys, self.r, self.ks = sys, r, ks
         self.rq, self.rf = as_fraction(r), float(as_fraction(r))
         self.depth_offset, self.capacity = depth_offset, capacity
         self.seed, self.mc_samples = seed, mc_samples
-        self.memo: dict = {}
+        self.cs = spectral.critical_analysis(sys, r)
+        self.full = spectral.full_solution(sys, self.cs)
+        # at most _QUANT_POINTS levels of the error curve, from ks[0] to ks[-1]
+        picks = np.linspace(0, len(ks) - 1, num=_QUANT_POINTS).round().astype(int)
+        self.quant_ks = tuple(sorted({ks[i] for i in picks}))
 
-    @_stage
-    def cs(self):
-        return spectral.critical_analysis(self.sys, self.r)
-
-    @_stage
-    def full(self):
-        return spectral.full_solution(self.sys, self.cs)
-
-    @_stage
+    @cached_property
     def ac0(self):
         return antichain_mod.enumerate_antichain(
-            self.sys, self.r, self.ks[0], critical=self.cs, exact=True,
-            capacity=self.capacity,
+            self.sys, self.r, self.ks[0], critical=self.cs, capacity=self.capacity
         )
 
-    @_stage
-    def rows(self):
-        return antichain_mod.theorem_ratio_series(
-            self.sys, self.r, self.ks, cs=self.cs, capacity=self.capacity
-        )
-
-    @_stage
+    @cached_property
     def rz(self):
         return geometry.realize(self.sys)
-
-    @_stage
-    def quant_ks(self):  # at most _QUANT_POINTS levels, from ks[0] to ks[-1]
-        picks = np.linspace(0, len(self.ks) - 1, num=_QUANT_POINTS).round().astype(int)
-        return tuple(sorted({self.ks[i] for i in picks}))
-
-    @_stage
-    def curve(self):  # error_curve realizes first, so a bad layout raises as such
-        return geometry.error_curve(
-            self.sys, self.r, self.quant_ks, depth_offset=self.depth_offset,
-            cs=self.cs, capacity=self.capacity,
-        )
 
 
 def _spectral_root_consistency(ctx: _Context) -> Iterator[CheckResult]:
@@ -298,7 +265,10 @@ def _antichain_definition(ctx: _Context) -> Iterator[CheckResult]:
 
 
 def _growth_bands(ctx: _Context) -> Iterator[CheckResult]:
-    rows, cs = ctx.rows, ctx.cs
+    cs = ctx.cs
+    rows = antichain_mod.theorem_ratio_series(
+        ctx.sys, ctx.r, ctx.ks, cs=cs, capacity=ctx.capacity
+    )
     logphi = [math.log(row.phi) / row.k for row in rows]
     depth_ratio = max(row.depth_max / row.depth_min for row in rows)
     yield CheckResult(
@@ -399,8 +369,12 @@ def _transient_decay(ctx: _Context) -> Iterator[CheckResult]:
     )
 
 
-def _quantization_bracket(ctx: _Context) -> Iterator[CheckResult]:
-    curve = ctx.curve
+def _error_curve(ctx: _Context) -> Iterator[CheckResult]:
+    # error_curve realizes before it scans, so a bad layout is the reason
+    curve = geometry.error_curve(
+        ctx.sys, ctx.r, ctx.quant_ks, depth_offset=ctx.depth_offset, cs=ctx.cs,
+        capacity=ctx.capacity,
+    )
     yield CheckResult(
         name="quantization_bracket",
         passed=all(row.lower <= row.upper for row in curve),
@@ -410,10 +384,6 @@ def _quantization_bracket(ctx: _Context) -> Iterator[CheckResult]:
             for row in curve
         },
     )
-
-
-def _error_decay(ctx: _Context) -> Iterator[CheckResult]:
-    curve = ctx.curve
     if ctx.cs.t_r == 1:
         xs = [math.log(row.n) for row in curve]
         ys = [math.log(row.upper) for row in curve]
@@ -525,8 +495,7 @@ _CHECKS = (
     (("phi_growth_band", "chain_sum_growth", "log_correction"), "level series", _growth_bands),
     (("eigenvector_sum_band",), "Perron eigenvector bounds", _eigenvector_sum_band),
     (("transient_decay",), "geometric decay of the transient mass", _transient_decay),
-    (("quantization_bracket",), "rigorous sandwich", _quantization_bracket),
-    (("error_decay",), "decay of the quantization error curve", _error_decay),
+    (("quantization_bracket", "error_decay"), "error curve: rigorous sandwich and decay", _error_curve),
     (("codebook_identity",), "closed-form codebook bound", _codebook_identity),
     (("lloyd_monotone", "lloyd_vs_bruteforce"), "Lloyd refinement", _lloyd),
     (("monte_carlo_bracket",), "seeded MC inside widened bracket", _monte_carlo_bracket),
@@ -550,6 +519,8 @@ def run_verification(
     ks = tuple(sorted(set(int(k) for k in k_range)))
     if not ks:
         raise ValueError("empty k range")
+    if len(ks) < 2:
+        raise ValueError(f"k range {ks[0]}..{ks[-1]} has one level; verify needs at least two")
     if depth_offset < 0:
         raise ValueError(f"depth offset must be >= 0, got {depth_offset}")
     if mc_samples < 2:

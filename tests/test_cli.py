@@ -238,6 +238,11 @@ class TestArgErrors:
         assert main(args) == 2
         assert "depth offset must be >= 0, got -2" in capsys.readouterr().err
 
+    def test_verify_rejects_one_level_range(self, capsys):
+        args = ["verify", B, "--k-min", "8", "--k-max", "8", "--depth-offset", "2"]
+        assert main(args) == 2
+        assert "k range 8..8 has one level" in capsys.readouterr().err
+
     def test_verify_report_deterministic(self, tmp_path, capsys):
         args = ["verify", A, "--r", "1", "--k-min", "3", "--k-max", "5",
                 "--depth-offset", "2", "--mc-samples", "5000", "--seed", "7"]

@@ -1,4 +1,4 @@
-"""Verification suite: one list of checks on every path, and shared stages."""
+"""Verification suite: one list of checks on every path, and the results its checks share."""
 
 import json
 import weakref
@@ -116,8 +116,8 @@ def test_capped_curve_skips_bracket_and_decay_from_one_run(sys_a, monkeypatch):
 
 
 def test_capped_curve_does_not_keep_its_grids(sys_a, monkeypatch):
-    # the kept capacity error must not hold the curve's arrays through its
-    # traceback while the later checks build their grids
+    # the curve's capacity error, once reported, must not hold the curve's
+    # arrays through its traceback while the later checks build their grids
     curve_arrays, alive_after = [], []
     real_grid = geometry.level_grid
 
@@ -136,6 +136,27 @@ def test_capped_curve_does_not_keep_its_grids(sys_a, monkeypatch):
     suite = _verify_a(sys_a, capacity=1500)
     assert _by_name(suite)["error_decay"].status == "SKIP"
     assert len(curve_arrays) == 1 and alive_after == [0]
+
+
+def test_cap_below_the_smallest_level_skips_each_check_with_its_own_level(sys_a):
+    # phi_4 of A is 64 words: every reader of a level-4 antichain overruns a
+    # cap of 10, and the Lloyd and Monte Carlo grids overrun it at level 6
+    suite = run_verification(sys_a, 1, range(4, 9), depth_offset=2, capacity=10)
+    at_4 = "antichain at k=4 exceeds capacity cap 10 words"
+    at_6 = "antichain at k=6 exceeds capacity cap 10 words"
+    no_transient = "transient set empty or carries no length-11+ words"
+    expected = {name: ("PASS", "") for name in NAMES}
+    for name in ("antichain_definition", "phi_growth_band", "chain_sum_growth",
+                 "log_correction", "quantization_bracket", "error_decay",
+                 "codebook_identity"):
+        expected[name] = ("SKIP", at_4)
+    for name in ("lloyd_monotone", "lloyd_vs_bruteforce", "monte_carlo_bracket"):
+        expected[name] = ("SKIP", at_6)
+    expected["transient_decay"] = ("SKIP", no_transient)
+    assert [(c.name, c.status, c.reason) for c in suite.checks] == [
+        (name, *expected[name]) for name in NAMES
+    ]
+    assert suite.ok
 
 
 def test_grid_curve_fits_where_its_grids_overran(sys_a):
@@ -245,6 +266,15 @@ def test_integer_definition_keeps_fixture_a_ties(sys_a):
 def test_negative_depth_offset_rejected(sys_a):
     with pytest.raises(ValueError, match="depth offset"):
         run_verification(sys_a, 1, range(4, 6), depth_offset=-2)
+
+
+def test_one_level_range_rejected(sys_a):
+    # the series and curve checks compare levels: one level leaves them nothing to compare
+    with pytest.raises(ValueError, match=r"k range 8\.\.8 has one level"):
+        run_verification(sys_a, 1, range(8, 9), depth_offset=2)
+    suite = run_verification(sys_a, 1, range(4, 6), depth_offset=2, mc_samples=2000)
+    assert [c.name for c in suite.checks] == NAMES
+    assert suite.ok
 
 
 def _count_solves(monkeypatch) -> list:
