@@ -15,7 +15,9 @@ recenters all cells of a codebook in one array pass:
   codebook of its level-8 grid (the last row of `quantize
   fixtures/fixture_b.json --r R --k-min 4 --k-max 8 --refine --depth-offset
   2`), where the centers are weighted medians and means;
-- `optimal_two_point` on the level-8 grid of B at r = 3/2 (26,050 cells).
+- `optimal_two_point` on the level-8 grid of B at r = 3/2 (26,050 cells),
+  where every cut bisects, and at r = 1 (17,460 cells), where every cut
+  reads its medians from one shared cumulative sum.
 
 Each Lloyd case records its grid's cells and the steps Lloyd took.  The
 grids are built once, outside the timed calls.
@@ -55,7 +57,15 @@ def test_lloyd_refine_b(benchmark, r):
     run_lloyd(benchmark, "b", r, 8, 10)
 
 
-def test_optimal_two_point_b(benchmark):
-    grid = level_grid(realize(load_model(FIXTURES / "fixture_b.json")), R, 8)
-    benchmark.pedantic(optimal_two_point, args=(grid,), rounds=5, warmup_rounds=1)
+def run_two_point(benchmark, r, rounds):
+    grid = level_grid(realize(load_model(FIXTURES / "fixture_b.json")), r, 8)
+    benchmark.pedantic(optimal_two_point, args=(grid,), rounds=rounds, warmup_rounds=1)
     benchmark.extra_info["cells"] = grid.size
+
+
+def test_optimal_two_point_b(benchmark):
+    run_two_point(benchmark, R, 5)
+
+
+def test_optimal_two_point_b_r1(benchmark):
+    run_two_point(benchmark, 1, 20)

@@ -426,6 +426,31 @@ class TestIntegrateError:
                 want = per_vertex_walk(rz, n, seed)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize(
+        "n, key", [(1, np.uint8), (32, np.uint8), (33, np.uint16), (8192, np.uint16),
+                   (8193, np.uint32)],
+    )
+    def test_sampler_matches_per_vertex_walk_at_every_key_width(self, sys_b, n, key):
+        # each step sorts (vertex << bits) | sample index in the smallest
+        # unsigned dtype that holds it; on B's 7 vertices these n sit at the
+        # edges of each width
+        assert np.min_scalar_type(((sys_b.n - 1) << (n - 1).bit_length()) | (n - 1)) == key
+        rz = realize(sys_b)
+        for seed in (0, 5, 12345):
+            got = sample_support_points(rz, n, seed)
+            want = per_vertex_walk(rz, n, seed)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_sampler_matches_per_vertex_walk_at_verify_default(self, sys_b):
+        rz = realize(sys_b)
+        got = sample_support_points(rz, 100_000, 12345)
+        assert got.tobytes() == per_vertex_walk(rz, 100_000, 12345).tobytes()
+
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_sampler_needs_one_sample(self, sys_a, n):
+        with pytest.raises(ValueError, match=f"at least 1 sample, got {n}"):
+            sample_support_points(realize(sys_a), n, seed=0)
+
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_monte_carlo_needs_two_samples(self, sys_a, n):
         with pytest.raises(ValueError, match=f"got {n}"):
@@ -672,6 +697,28 @@ class TestLloyd:
         optimal_two_point(grid)
         assert grid.size == 1602
         assert 0 < len(calls) <= 200
+
+    def test_two_point_at_order_one_shares_one_prefix_sum(self, sys_b, monkeypatch):
+        # at r = 1 every cut's two cells span the grid, so one cumulative sum
+        # serves all cuts; each cut's centers must be, bit for bit, those of
+        # recentering that cut alone
+        grid = level_grid(realize(sys_b), 1, 5)
+        calls = []
+        medians = geometry._weighted_medians
+
+        def spy(x, cum, starts, ends):
+            calls.append((cum, starts, ends, medians(x, cum, starts, ends)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(geometry, "_weighted_medians", spy)
+        monkeypatch.setattr(geometry, "_cell_centers", None)  # not called at r = 1
+        optimal_two_point(grid)
+        monkeypatch.undo()
+        assert 0 < len(calls) <= 200
+        assert len({id(cum) for cum, *_ in calls}) == 1
+        for _cum, starts, ends, got in calls:
+            want = _cell_centers(grid.mids, grid.masses, starts, ends, 1.0)
+            assert got.tobytes() == want.tobytes()
 
     def test_two_point_optimum_agreement(self, sys_a):
         # split-enumeration optimum is reproduced by Lloyd from quantile init
