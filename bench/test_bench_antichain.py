@@ -11,9 +11,12 @@ Two cases on fixture B:
 - `enumerate_antichain` and `implicit_exponent` at r = 2, k = 160, where
   phi is about 5.6e61 and the member weights lie far below the float range.
 
-The critical structure is solved once, outside the timed calls.
+The critical structure is solved once, outside the timed calls.  The deep
+case also records, from one untimed call under `tracemalloc`, the memory the
+antichain holds once built (`held_mb`) and the pass's child slots (`slots`).
 """
 
+import tracemalloc
 from pathlib import Path
 
 from markovquant import (
@@ -44,3 +47,12 @@ def test_deep_exponent_b(benchmark):
     ac, t = benchmark.pedantic(deep, rounds=10, warmup_rounds=1)
     benchmark.extra_info["keys"] = len(ac.hist)
     benchmark.extra_info["t_k"] = t
+    del ac
+    tracemalloc.start()
+    try:
+        ac = enumerate_antichain(sys_b, 2, 160, critical=cs, capacity=10**300)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["held_mb"] = held / 1e6
+    benchmark.extra_info["slots"] = sum(len(lvl.edge) for lvl in ac.levels)

@@ -20,17 +20,17 @@ states carrying word multiplicities counts the antichain exactly without
 visiting its words (the transfer-operator view of graph-directed
 constructions, Mauldin-Williams 1988).  Membership is exact: p^b * c^a is
 compared against p_min^{kb} * c_min^{ka} for r = a/b in lowest terms, in
-integers over one common scale per depth.  Members fold into a
+integers over one common scale per depth.  The pass keeps a member table,
+each member's state with its word count per depth, and the tree shape: per
+depth, which state every child of a state goes to.  The table folds into a
 histogram keyed by (chain, chi, p, c), so counts and the sums built from
-them do not depend on traversal order.  The pass also records, per depth,
-which state every child of a state goes to, and the states and their
-multiplicities; member words are read off these tables, and the geometry
-module lays out the members' cylinders under each state once from them.
-`member_keys` folds the members by (last vertex, p, c), and `descend` runs
-the same pass from such keys, one word each, to a deeper threshold.  Each
-histogram key is weighed once, in logs taken from its exact integers, so no
-weight underflows at any depth; every float statistic is a sum of
-exp(log count + e * log w) over those keys.
+them do not depend on traversal order, and by `member_keys` into (last
+vertex, p, c) keys.  Member words are read off the tree shape, and the
+geometry module lays out the members' cylinders under each state once from
+it; `descend` runs the same pass from member keys, one word each, to a
+deeper threshold.  Each histogram key is weighed once, in logs taken from
+its exact integers, so no weight underflows at any depth; every float
+statistic is a sum of exp(log count + e * log w) over those keys.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .graphs import CriticalStructure
 from .model import MarkovSystem, Word, as_fraction, edge_extremes
 
 DEFAULT_CAPACITY = 10**8
+_EXPONENT_TOL = 1e-10  # `implicit_exponent` bisects t down to this width
 
 Chain = tuple[int, ...]
 
@@ -55,7 +56,7 @@ class CapacityError(RuntimeError):
 
 
 class Level(NamedTuple):
-    """The states of one depth: its non-member words, merged by state.
+    """The tree shape of one depth: where its non-member words, merged by state, go.
 
     At the first depth the states are the roots: in `scan`, state v - 1 holds
     vertex v.  The children of state s occupy slots first[s] .. first[s + 1] - 1,
@@ -66,10 +67,6 @@ class Level(NamedTuple):
     first: tuple[int, ...]  # state -> its first slot; one trailing entry ends the last state
     edge: tuple[int, ...]  # slot -> index of the edge into `sys.edges`
     child: tuple[int, ...]  # slot -> state at the next depth, or -1 when the child is a member
-    # state -> (last vertex, chain, index of its root's chi in sorted(set(sys.chi)), P, C),
-    # P and C over this depth's scales
-    states: list
-    counts: list  # state -> number of words merged into it
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,9 @@ class ScanResult:
     depth_max: int
     hist: dict = field(repr=False)  # (chain, chi, p, c) -> number of member words
     exact: bool
-    levels: tuple[Level, ...] = field(repr=False)
+    levels: tuple[Level, ...] = field(repr=False)  # the tree shape
+    # (depth, {state: member words}) per depth with members, states as in `_descend`
+    members: tuple[tuple[int, dict], ...] = field(repr=False)
 
 
 def _critical_map(sys: MarkovSystem, cs: CriticalStructure | None) -> list[int]:
@@ -121,10 +120,11 @@ def _descend(
 ) -> tuple[tuple[Level, ...], int, list]:
     """The pass from `states`, the words of length `depth`, to the level-k antichain.
 
-    A state is (last vertex, chain, chi index, P, C), P and C over the scales
-    of `depth`; counts are its word multiplicities.  Returns the per-depth
-    Levels, phi and, per depth with members, (depth, members keyed by
-    (chain, chi index, P, C)).  Raises CapacityError as soon as the members
+    A state is (last vertex, chain, index of its root's chi in
+    sorted(set(sys.chi)), P, C), P and C over the scales of its depth; counts
+    are its word multiplicities.  Returns the per-depth
+    Levels, phi and the member table: per depth with members, (depth, member
+    words keyed by their state).  Raises CapacityError as soon as the members
     found plus the words still to expand exceed `capacity`: each word left to
     expand has at least two member descendants, so that sum never exceeds the
     final phi.
@@ -139,7 +139,7 @@ def _descend(
     out: list[list[tuple]] = [[] for _ in range(sys.n + 1)]
     for e, (i, j) in enumerate(sys.edges):
         out[i].append((e, j, int(sys.edge_p(i, j) * dp), int(sys.edge_c(i, j) * dc), cmap[j]))
-    found: list[tuple[int, dict]] = []
+    members: list[tuple[int, dict]] = []
     levels: list[Level] = []
     phi = 0
     while states:
@@ -160,12 +160,11 @@ def _descend(
                 # a path cannot re-enter a component it left (condensation is
                 # a DAG), so comparing against the last entry suffices
                 ch2 = chain if cj < 0 or (chain and chain[-1] == cj) else chain + (cj,)
+                st = (j, ch2, chi, p2, c2)
                 if p2**b * c2**a * den < bound:
-                    key = (ch2, chi, p2, c2)
-                    hits[key] = hits.get(key, 0) + n
+                    hits[st] = hits.get(st, 0) + n
                     t = -1
                 else:
-                    st = (j, ch2, chi, p2, c2)
                     t = ids.get(st)
                     if t is None:
                         t = ids[st] = len(nxt)
@@ -176,13 +175,27 @@ def _descend(
                 child.append(t)
             first.append(len(edge))
         if hits:
-            found.append((depth, hits))
+            members.append((depth, hits))
             phi += sum(hits.values())
-        levels.append(Level(tuple(first), tuple(edge), tuple(child), states, counts))
+        levels.append(Level(tuple(first), tuple(edge), tuple(child)))
         if phi + sum(nxt_counts) > capacity:
             raise CapacityError(f"antichain at k={k} exceeds capacity cap {capacity} words")
         states, counts = nxt, nxt_counts
-    return tuple(levels), phi, found
+    return tuple(levels), phi, tuple(members)
+
+
+def _fold(sys: MarkovSystem, members, head):
+    """Rows (head(vertex, chain), chi index, p, c, words) of a member table, summed
+    by key on each depth's integers first: one Fraction pair per key and depth."""
+    dp, dc = _scales(sys)
+    for depth, table in members:
+        folded: dict[tuple, int] = {}
+        for (v, chain, chi, p, c), n in table.items():
+            key = (head(v, chain), chi, p, c)
+            folded[key] = folded.get(key, 0) + n
+        scale_p, scale_c = dp ** (depth - 1), dc ** (depth - 1)
+        for (h, chi, p, c), n in folded.items():
+            yield h, chi, Fraction(p, scale_p), Fraction(c, scale_c), n
 
 
 def scan(
@@ -196,8 +209,8 @@ def scan(
 ) -> ScanResult:
     """Count the level-k antichain in one exact pass over merged word states.
 
-    Membership, phi, the depth range, the histogram and the per-depth state
-    tables are exact whatever `exact` says; `exact` only makes the
+    Membership, phi, the depth range, the member table, its histogram and
+    the tree shape are exact whatever `exact` says; `exact` only makes the
     antichain's sum_energy an exact Fraction for integer r.  Raises
     CapacityError as soon as the members found plus the words still to
     expand exceed `capacity`.
@@ -209,48 +222,28 @@ def scan(
         (v, (cmap[v],) if cmap[v] >= 0 else (), chis.index(sys.chi[v - 1]), 1, 1)
         for v in sys.vertices
     ]
-    levels, phi, found = _descend(sys, rq, k, roots, [1] * sys.n, 1, cmap, capacity)
-    dp, dc = _scales(sys)
+    levels, phi, members = _descend(sys, rq, k, roots, [1] * sys.n, 1, cmap, capacity)
     hist: dict = {}
-    for depth, hits in found:
-        scale_p, scale_c = dp ** (depth - 1), dc ** (depth - 1)
-        for (ch, chi, p, c), n in hits.items():
-            key = (ch, chis[chi], Fraction(p, scale_p), Fraction(c, scale_c))
-            hist[key] = hist.get(key, 0) + n
+    for chain, chi, p, c, n in _fold(sys, members, lambda _v, chain: chain):
+        key = (chain, chis[chi], p, c)
+        hist[key] = hist.get(key, 0) + n
     return ScanResult(
-        k=k, r=rq, phi=phi, depth_min=found[0][0], depth_max=found[-1][0], hist=hist,
-        exact=exact, levels=levels,
+        k=k, r=rq, phi=phi, depth_min=members[0][0], depth_max=members[-1][0], hist=hist,
+        exact=exact, levels=levels, members=members,
     )
 
 
-def member_keys(sys: MarkovSystem, levels: tuple[Level, ...]) -> dict:
+def member_keys(sys: MarkovSystem, res: ScanResult) -> dict:
     """The members of a pass from the vertices, folded by (last vertex, p, c).
 
-    Maps each key to the sum of chi over its member words.  Reads the member
-    slots of each depth's states, not the words: a member slot of a state of
-    multiplicity n stands for n words with the chi of the state's root.
-    Words with one key have the same members below them, up to the affine map
-    of their own cylinder.
+    Maps each key to the sum of chi over its member words, read off the
+    pass's member table.  Words with one key have the same members below
+    them, up to the affine map of their own cylinder.
     """
-    dp, dc = _scales(sys)
     chis = sorted(set(sys.chi))
-    ends = [
-        (j, int(sys.edge_p(i, j) * dp), int(sys.edge_c(i, j) * dc)) for i, j in sys.edges
-    ]
     keys: dict = {}
-    for depth, lvl in enumerate(levels, start=2):  # members of lvl have this length
-        folded: dict[tuple, int] = {}
-        for s, (_v, _chain, chi, p, c) in enumerate(lvl.states):
-            n = lvl.counts[s]
-            for slot in range(lvl.first[s], lvl.first[s + 1]):
-                if lvl.child[slot] < 0:
-                    j, pe, ce = ends[lvl.edge[slot]]
-                    key = (j, chi, p * pe, c * ce)
-                    folded[key] = folded.get(key, 0) + n
-        scale_p, scale_c = dp ** (depth - 1), dc ** (depth - 1)
-        for (j, chi, p, c), n in folded.items():
-            key = (j, Fraction(p, scale_p), Fraction(c, scale_c))
-            keys[key] = keys.get(key, 0) + n * chis[chi]
+    for v, chi, p, c, n in _fold(sys, res.members, lambda v, _chain: v):
+        keys[(v, p, c)] = keys.get((v, p, c), 0) + n * chis[chi]
     return keys
 
 
@@ -298,7 +291,7 @@ class Antichain(ScanResult):
     chain of critical components (all mass under () when no critical
     structure was supplied).  Each float is a sum over log_weights, one
     (chain, log w, log count) row per histogram key, sorted.  levels are the
-    pass's per-depth state tables; `member_words` reads the members off them.
+    pass's tree shape; `member_words` reads the members off it.
     """
 
     s_dim: float
@@ -392,7 +385,7 @@ def measure_partition_sum(ac: Antichain) -> Fraction:
     return total
 
 
-def implicit_exponent(ac: Antichain, tol: float = 1e-10) -> float:
+def implicit_exponent(ac: Antichain) -> float:
     """Solve Sum_{members} w^{t/(t+r)} = 1 for t by bisection.
 
     The left side decreases strictly in t from phi (at t -> 0) toward
@@ -412,7 +405,7 @@ def implicit_exponent(ac: Antichain, tol: float = 1e-10) -> float:
         hi *= 2.0
         if hi > 1e9:
             raise ValueError("no positive root: sum of weights is >= 1 at all orders")
-    while hi - lo > tol:
+    while hi - lo > _EXPONENT_TOL:
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             lo = mid

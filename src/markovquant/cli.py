@@ -18,7 +18,7 @@ import sys as _sys
 from pathlib import Path
 
 from . import antichain as antichain_mod
-from . import geometry, spectral, verify
+from . import geometry, verify
 from .antichain import CapacityError, DEFAULT_CAPACITY
 from .model import ModelFormatError, as_fraction, load_model, validate_system
 
@@ -76,9 +76,14 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _k_range(args) -> range:
+    if args.k_min > args.k_max:
+        raise ValueError("empty k range")
+    return range(args.k_min, args.k_max + 1)
+
+
 def _series_csv(system, r, ks, capacity) -> str:
-    cs = spectral.critical_analysis(system, r)
-    rows = antichain_mod.theorem_ratio_series(system, r, ks, cs=cs, capacity=capacity)
+    rows = antichain_mod.theorem_ratio_series(system, r, ks, capacity=capacity)
     chain_cols: list = sorted(
         {ch for row in rows for ch in row.class_sums if ch}
     )
@@ -108,7 +113,7 @@ def _series_csv(system, r, ks, capacity) -> str:
 
 def cmd_antichain(args) -> int:
     system = load_model(args.model)
-    ks = range(args.k_min, args.k_max + 1)
+    ks = _k_range(args)
     for r in _parse_orders(args.r):
         text = _series_csv(system, r, ks, args.cap)
         _emit(text, args.out, f"antichain_{Path(args.model).stem}_r{_r_tag(r)}.csv")
@@ -117,7 +122,7 @@ def cmd_antichain(args) -> int:
 
 def cmd_quantize(args) -> int:
     system = load_model(args.model)
-    ks = range(args.k_min, args.k_max + 1)
+    ks = _k_range(args)
     for r in _parse_orders(args.r):
         rows = geometry.error_curve(
             system,
@@ -150,7 +155,7 @@ def cmd_quantize(args) -> int:
 
 def cmd_verify(args) -> int:
     system = load_model(args.model)
-    ks = range(args.k_min, args.k_max + 1)
+    ks = _k_range(args)
     all_ok = True
     results = []
     counts = {"PASS": 0, "SKIP": 0, "FAIL": 0}

@@ -333,8 +333,8 @@ def member_sandwich(
     half-width h, contributes its relative mass times (|m - 1/2| + h)^r to
     the upper sum and (max(0, min(|m - 1/2|, 1/2 + s - |m - 1/2|) - h))^r
     to the lower.  Those local sums depend on the member only through its key
-    (last vertex, p, c): the members are folded by key, the keys laid out by
-    one pass from them, each once, and the sandwich is
+    (last vertex, p, c): the member table is folded by key, each key laid out
+    once from the tree shape of one pass from the keys, and the sandwich is
     Sum over keys of (sum of chi) * p * c^r * local sum.  No grid is built.
 
     The local distances are widened by (5 * layout depth + 8) * 2^-53, a
@@ -348,7 +348,7 @@ def member_sandwich(
     rq = as_fraction(r)
     rf = float(rq)
     res = antichain_mod.scan(sys, r, k, capacity=capacity)
-    keys = antichain_mod.member_keys(sys, res.levels)
+    keys = antichain_mod.member_keys(sys, res)
     if depth > k:
         levels = antichain_mod.descend(sys, r, depth, keys, res.depth_max, capacity=capacity)
         (left, length, mass), below = _layout(sys, rz.layout_floats()[1], levels)

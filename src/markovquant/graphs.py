@@ -194,7 +194,6 @@ def critical_structure(
     r,
     per_component_s: Mapping[int, float],
     cond: Condensation | None = None,
-    tol: float = CRITICAL_TOL,
 ) -> CriticalStructure:
     """Assemble the critical structure from per-component pressure roots.
 
@@ -209,7 +208,7 @@ def critical_structure(
     m = cond.n_components
     per = tuple(float(per_component_s[i]) for i in range(m))
     s_global = max(per)
-    critical = tuple(per[i] >= s_global - tol and not cond.acyclic[i] for i in range(m))
+    critical = tuple(per[i] >= s_global - CRITICAL_TOL and not cond.acyclic[i] for i in range(m))
     crit_count = sum(critical)
     # longest weighted path over the DAG, weight 1 on critical components
     succ: list[list[int]] = [[] for _ in range(m)]

@@ -109,14 +109,14 @@ def weight_matrix(sys: MarkovSystem, scope, r, s) -> WeightMatrix:
     return WeightMatrix(vertices=verts, entries=m, r=rf, s=sf)
 
 
-def _perron(a: np.ndarray, x: np.ndarray, tol: float, target: float | None = None):
+def _perron(a: np.ndarray, x: np.ndarray, target: float | None = None):
     """The Perron kernel on one irreducible nonnegative block.
 
     Iterates x <- (a+I)x / ||(a+I)x||_1 from the positive unit-1-norm x and
     returns (lo, hi, estimate, x): the Collatz-Wielandt bracket at the last
     iterate, the estimate sum(a x) inside it, and the vector to start from
-    next.  Stops when the bracket is tol-tight and the vector step is at most
-    tol, or, given a target, as soon as the bracket excludes it.
+    next.  Stops when the bracket is RADIUS_TOL-tight and the vector step is
+    at most RADIUS_TOL, or, given a target, as soon as the bracket excludes it.
     """
     for _ in range(_MAX_POWER_ITER):
         ax = a @ x
@@ -125,7 +125,7 @@ def _perron(a: np.ndarray, x: np.ndarray, tol: float, target: float | None = Non
         if target is not None and (lo >= target or hi < target):
             return lo, hi, est, x
         y = (ax + x) / (est + 1.0)
-        if hi - lo <= tol * hi and float(np.abs(y - x).max()) <= tol:
+        if hi - lo <= RADIUS_TOL * hi and float(np.abs(y - x).max()) <= RADIUS_TOL:
             return lo, hi, est, y
         x = y
     around = "" if target is None else f" around {target!r}"
@@ -148,8 +148,8 @@ def _cyclic_blocks(k: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarra
     ]
 
 
-def spectral_radius(m: WeightMatrix | np.ndarray, tol: float = RADIUS_TOL) -> float:
-    """Spectral radius of a nonnegative matrix, certified to relative tol.
+def spectral_radius(m: WeightMatrix | np.ndarray) -> float:
+    """Spectral radius of a nonnegative matrix, certified to relative RADIUS_TOL.
 
     Reducible matrices are handled block-triangularly: the radius is the
     maximum over SCC diagonal blocks of the nonzero pattern.
@@ -162,7 +162,7 @@ def spectral_radius(m: WeightMatrix | np.ndarray, tol: float = RADIUS_TOL) -> fl
     radius = 0.0
     for comp in _cyclic_blocks(a.shape[0], *np.nonzero(a)):
         start = np.full(len(comp), 1.0 / len(comp))
-        radius = max(radius, _perron(a[np.ix_(comp, comp)], start, tol)[2])
+        radius = max(radius, _perron(a[np.ix_(comp, comp)], start)[2])
     return radius
 
 
@@ -198,7 +198,7 @@ class _Pressure:
         lo = hi = est = 0.0
         for b in self.blocks:
             b.matrix[b.rows, b.cols] = np.exp(b.logw * expo)
-            b_lo, b_hi, b_est, b.x = _perron(b.matrix, b.x, RADIUS_TOL, target)
+            b_lo, b_hi, b_est, b.x = _perron(b.matrix, b.x, target)
             lo, hi, est = max(lo, b_lo), max(hi, b_hi), max(est, b_est)
         return lo, hi, est
 
@@ -268,15 +268,14 @@ def solve_sr(sys: MarkovSystem, scope, r, tol: float = ROOT_TOL) -> SpectralSolu
     )
 
 
-def left_perron_vector(block: np.ndarray, tol: float = RADIUS_TOL) -> np.ndarray:
+def left_perron_vector(block: np.ndarray) -> np.ndarray:
     """Normalized positive left eigenvector of an irreducible nonnegative block.
 
-    The Perron kernel on the transpose, run until its bracket is tol-tight
-    and its vector step at most tol; normalized to sum 1.
+    The Perron kernel on the transpose, run to its stop; normalized to sum 1.
     """
     b = np.asarray(block, dtype=float)
     k = b.shape[0]
-    x = _perron(b.T, np.full(k, 1.0 / k), tol)[3]
+    x = _perron(b.T, np.full(k, 1.0 / k))[3]
     if (x <= 0).any():
         raise ValueError("left eigenvector not strictly positive; block not irreducible?")
     return x

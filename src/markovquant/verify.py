@@ -525,6 +525,8 @@ def run_verification(
         raise ValueError(f"depth offset must be >= 0, got {depth_offset}")
     if mc_samples < 2:
         raise ValueError(f"Monte Carlo needs at least 2 samples, got {mc_samples}")
+    if seed < 0:
+        raise ValueError(f"Monte Carlo seed must be >= 0, got {seed}")
     suite = VerificationSuite(r=float(as_fraction(r)), k_range=ks)
     rep = validate_system(sys)
     suite.checks.append(

@@ -18,7 +18,9 @@ from markovquant import (
     member_words,
     path_weight,
     theorem_ratio_series,
+    visited_chain,
 )
+from markovquant.antichain import member_keys, scan
 from conftest import S1_H1_B, S_R_A, T11_A, oracle_antichain, random_rational_system
 
 F = Fraction
@@ -240,6 +242,42 @@ class TestChainDecomposition:
         assert set(expected) == set(ac.class_sums)
         for ch, val in expected.items():
             assert ac.class_sums[ch] == pytest.approx(val, rel=1e-12)
+
+
+def _fold_words(sys, words, key) -> dict:
+    """key(word, its path weight) gives (table key, value); sum the values by key."""
+    out: dict = {}
+    for w in words:
+        k, val = key(w, path_weight(sys, w))
+        out[k] = out.get(k, 0) + val
+    return out
+
+
+class TestMemberTableFolds:
+    """Both folds of the pass's member table against its words, one by one."""
+
+    CASES = [(name, 4) for name in "abc"] + [(seed, 2) for seed in range(4)]
+
+    @pytest.mark.parametrize("r", [F(1), F(3, 2), F(2)])
+    @pytest.mark.parametrize("model,k", CASES)
+    def test_folds_match_the_words(self, request, model, k, r):
+        if isinstance(model, str):
+            sys = request.getfixturevalue(f"sys_{model}")
+        else:
+            sys = random_rational_system(random.Random(model))
+        cs = critical_analysis(sys, r)
+        res = scan(sys, r, k, cs=cs)
+        words = member_words(sys, res)
+        chi = {v: sys.chi[v - 1] for v in sys.vertices}
+        assert member_keys(sys, res) == _fold_words(
+            sys, words, lambda w, pw: ((w[-1], pw.p_weight, pw.c_weight), chi[w[0]])
+        )
+        assert res.hist == _fold_words(
+            sys, words,
+            lambda w, pw: ((visited_chain(cs, w), chi[w[0]], pw.p_weight, pw.c_weight), 1),
+        )
+        if model == "b":  # the keys' chains are not all ()
+            assert {(0,), (0, 1)} <= {chain for chain, *_ in res.hist}
 
 
 class TestSeries:

@@ -243,6 +243,18 @@ class TestArgErrors:
         assert main(args) == 2
         assert "k range 8..8 has one level" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["antichain", "quantize", "verify"])
+    def test_empty_k_range(self, capsys, command):
+        assert main([command, A, "--k-min", "9", "--k-max", "8"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "empty k range" in err
+
+    def test_verify_rejects_negative_seed(self, capsys):
+        args = ["verify", A, "--k-min", "4", "--k-max", "6", "--depth-offset", "2"]
+        assert main(args + ["--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "seed must be >= 0, got -1" in err
+
     def test_verify_report_deterministic(self, tmp_path, capsys):
         args = ["verify", A, "--r", "1", "--k-min", "3", "--k-max", "5",
                 "--depth-offset", "2", "--mc-samples", "5000", "--seed", "7"]

@@ -863,7 +863,7 @@ class TestMemberSandwich:
 
     def test_keys_partition_the_measure(self, sys_b, sys_c):
         for model in (sys_b, sys_c):
-            keys = member_keys(model, scan(model, F(3, 2), 7).levels)
+            keys = member_keys(model, scan(model, F(3, 2), 7))
             assert sum(w * p for (_v, p, _c), w in keys.items()) == 1
 
     def test_capacity_counts_rows_laid_out(self, sys_a):

@@ -268,6 +268,13 @@ def test_negative_depth_offset_rejected(sys_a):
         run_verification(sys_a, 1, range(4, 6), depth_offset=-2)
 
 
+def test_negative_seed_rejected_before_any_check(sys_a, monkeypatch):
+    # refused up front, not by numpy at the Monte Carlo check: no check may start
+    monkeypatch.setattr(verify, "validate_system", None)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        run_verification(sys_a, 1, range(4, 6), depth_offset=2, seed=-1)
+
+
 def test_one_level_range_rejected(sys_a):
     # the series and curve checks compare levels: one level leaves them nothing to compare
     with pytest.raises(ValueError, match=r"k range 8\.\.8 has one level"):
