@@ -7,20 +7,40 @@ Kept out of the tier-1 `testpaths`; run it from the repository root with
 One case: `run_verification` on fixture B at r = 1 over k 6..12 at depth
 offset 2, the work of `markovquant verify fixtures/fixture_b.json --r 1
 --k-min 6 --k-max 12 --depth-offset 2` without the model load and the report.
-Each check's status is recorded in `extra_info`.
+Each check's status is recorded in `extra_info`, and so are, from one untimed
+run, the `antichain.scan` calls (`scans`) and the `geometry.level_grid`
+builds (`grids`) of one suite.
 """
 
 from pathlib import Path
 
-from markovquant import load_model, run_verification
+from markovquant import antichain, geometry, load_model, run_verification
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def test_verify_b(benchmark):
+def _counted(monkeypatch, module, name) -> list:
+    """Record one entry per call of module.name until monkeypatch is undone."""
+    calls, real = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_verify_b(benchmark, monkeypatch):
     sys_b = load_model(FIXTURES / "fixture_b.json")
+    scans = _counted(monkeypatch, antichain, "scan")
+    grids = _counted(monkeypatch, geometry, "level_grid")
+    run_verification(sys_b, 1, range(6, 13), depth_offset=2)
+    monkeypatch.undo()
     suite = benchmark.pedantic(
         run_verification, args=(sys_b, 1, range(6, 13)), kwargs={"depth_offset": 2},
         rounds=10, warmup_rounds=1,
     )
     benchmark.extra_info["statuses"] = {c.name: c.status for c in suite.checks}
+    benchmark.extra_info["scans"] = len(scans)
+    benchmark.extra_info["grids"] = len(grids)

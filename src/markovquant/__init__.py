@@ -27,7 +27,6 @@ from .geometry import (
     Realization,
     SamplingResolutionError,
     UnsupportedOrderError,
-    antichain_codebook,
     cylinder_interval,
     discrete_cost,
     error_curve,

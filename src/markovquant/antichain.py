@@ -348,7 +348,7 @@ def enumerate_antichain(
     )
 
 
-def member_words(sys: MarkovSystem, ac: Antichain) -> list[Word]:
+def member_words(sys: MarkovSystem, ac: ScanResult) -> list[Word]:
     """The antichain's member words, in lexicographic order.
 
     A depth-first walk of the pass's level tables, the symbolic twin of
@@ -374,7 +374,7 @@ def member_words(sys: MarkovSystem, ac: Antichain) -> list[Word]:
     return words
 
 
-def measure_partition_sum(ac: Antichain) -> Fraction:
+def measure_partition_sum(ac: ScanResult) -> Fraction:
     """Exact Sum of chi_{sigma_1} p_sigma over members.
 
     Equals 1 for every maximal antichain: the cylinders partition the measure.

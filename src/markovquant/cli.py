@@ -54,15 +54,20 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def cmd_validate(args) -> int:
-    system = load_model(args.model)
+def _valid(system) -> bool:
+    """Print each violation of the model invariants; True when there is none."""
     report = validate_system(system)
-    if report.ok:
-        print(f"{args.model}: ok ({system.n} vertices, {len(system.edges)} edges)")
-        return 0
     for v in report.violations:
         print(f"violation: {v}")
-    return 1
+    return report.ok
+
+
+def cmd_validate(args) -> int:
+    system = load_model(args.model)
+    if not _valid(system):
+        return 1
+    print(f"{args.model}: ok ({system.n} vertices, {len(system.edges)} edges)")
+    return 0
 
 
 def cmd_analyze(args) -> int:
@@ -113,6 +118,8 @@ def _series_csv(system, r, ks, capacity) -> str:
 
 def cmd_antichain(args) -> int:
     system = load_model(args.model)
+    if not _valid(system):
+        return 1
     ks = _k_range(args)
     for r in _parse_orders(args.r):
         text = _series_csv(system, r, ks, args.cap)
@@ -122,6 +129,8 @@ def cmd_antichain(args) -> int:
 
 def cmd_quantize(args) -> int:
     system = load_model(args.model)
+    if not _valid(system):
+        return 1
     ks = _k_range(args)
     for r in _parse_orders(args.r):
         rows = geometry.error_curve(
@@ -236,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("verify", help="run the verification suite")
-    common(p, "cap on the words of each antichain, the rows laid out under the error "
-              "curve's member keys, and the cells of each grid of the Lloyd, Monte Carlo "
-              "and codebook-identity checks")
+    common(p, "cap (>= 1) on the words of each antichain, the codebook identity's "
+              "level-k-min words among them, the rows laid out under the error curve's "
+              "member keys, and the cells of each grid of the Lloyd and Monte Carlo checks")
     p.add_argument("--depth-offset", type=int, default=6)
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--mc-samples", type=int, default=100_000)

@@ -64,7 +64,7 @@ import numpy as np
 
 from . import antichain as antichain_mod
 from . import spectral
-from .antichain import DEFAULT_CAPACITY, Antichain
+from .antichain import DEFAULT_CAPACITY
 from .graphs import CriticalStructure
 from .model import MarkovSystem, as_fraction, validate_word
 
@@ -264,15 +264,6 @@ class ErrorEstimate:
     @property
     def width(self) -> float:
         return self.upper - self.lower
-
-
-def antichain_codebook(rz: Realization, ac: Antichain) -> Codebook:
-    """Midpoints of the antichain's cylinders, from its exact member words."""
-    pts = []
-    for w in antichain_mod.member_words(rz.system, ac):
-        left, length = cylinder_interval(rz, w)
-        pts.append(float(left) + float(length) / 2.0)
-    return Codebook(points=pts)
 
 
 def grid_codebook(grid: CylinderGrid) -> Codebook:

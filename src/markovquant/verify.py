@@ -14,10 +14,13 @@ reproducible and machine-readable.  `_CHECKS` lists them in report order, each
 entry with the names it reports, the band of its SKIPs and the function that
 yields its results.  The functions share one `_Context`: it holds the spectral
 analysis and the error curve's levels, built with the run, and builds the 1-D
-realization and the smallest level's antichain on first use.  Every other
-result has one reader, which builds it.  The loop in `run_verification` turns
-a capacity, layout or sampler error, or a check's own `_Skip`, into a SKIP of
-each of the entry's names with the error text as the reason.
+realization and the smallest level's bare antichain pass on first use.  Every
+other result has one reader, which builds it.  Only the Lloyd and Monte Carlo
+checks lay out a grid: the codebook identity sandwiches the smallest level's
+midpoints per member key, as the error curve does.  The loop in
+`run_verification` turns a capacity, layout or sampler error, or a check's
+own `_Skip`, into a SKIP of each of the entry's names with the error text as
+the reason.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ CHAIN_BAND_MAX = 3.0
 RATIO_BAND_MAX = 3.0
 U_GROWTH_MIN = 3.0
 SLOPE_REL_TOL = 0.10
-CODEBOOK_IDENTITY_TOL = 1e-12
+CODEBOOK_IDENTITY_TOL = 1e-12  # relative to 2^-r sum mu c^r
 BRUTE_FORCE_TOL = 1e-9
 _QUANT_POINTS = 3  # levels of the error curve, spread over the k range
 
@@ -159,8 +162,8 @@ class _Context:
     """The inputs of one run and the results its checks share.
 
     The spectral analysis and the error curve's levels are built with the
-    run; the realization and the smallest level's antichain, which can raise
-    a SKIP error, on first use.  Grids are not shared.
+    run; the realization and the smallest level's pass, which can raise a
+    SKIP error, on first use.  Grids are not shared.
     """
 
     def __init__(self, sys, r, ks, depth_offset, capacity, seed, mc_samples):
@@ -176,9 +179,7 @@ class _Context:
 
     @cached_property
     def ac0(self):
-        return antichain_mod.enumerate_antichain(
-            self.sys, self.r, self.ks[0], critical=self.cs, capacity=self.capacity
-        )
+        return antichain_mod.scan(self.sys, self.r, self.ks[0], capacity=self.capacity)
 
     @cached_property
     def rz(self):
@@ -407,26 +408,21 @@ def _error_curve(ctx: _Context) -> Iterator[CheckResult]:
 
 
 def _codebook_identity(ctx: _Context) -> Iterator[CheckResult]:
-    # at the smallest level, with alpha = all midpoints and integration at the
-    # same level, upper must equal 2^-r * sum mu * c^r
+    # the level-k0 midpoints integrated at their own level, sandwiched per
+    # member key: lower must be 0 and upper 2^-r * sum mu * c^r
     rz, ac0, rq = ctx.rz, ctx.ac0, ctx.rq
+    terms = ac0.hist.items()  # ((chain, chi, p, c), member words)
     if rq.denominator == 1:
-        mu_cr = sum(
-            cnt * chi * p * c**rq.numerator for (_ch, chi, p, c), cnt in ac0.hist.items()
-        )
-        expected = float(mu_cr) / 2.0 ** float(rq)
+        mu_cr = float(sum(n * chi * p * c**rq.numerator for (_, chi, p, c), n in terms))
     else:
-        expected = sum(
-            cnt * float(chi) * float(p) * float(c) ** float(rq)
-            for (_ch, chi, p, c), cnt in ac0.hist.items()
-        ) / 2.0 ** float(rq)
-    grid0 = geometry.level_grid(rz, ctx.r, ac0.k, capacity=ctx.capacity)
-    est0 = geometry.integrate_error(grid0, geometry.grid_codebook(grid0))
+        mu_cr = math.fsum(n * float(chi) * float(p) * float(c) ** ctx.rf for (_, chi, p, c), n in terms)
+    expected = mu_cr / 2.0 ** ctx.rf
+    est0 = geometry.member_sandwich(rz, ctx.r, ac0.k, ac0.k, capacity=ctx.capacity)
     dev = abs(est0.upper - expected)
     yield CheckResult(
         name="codebook_identity",
-        passed=est0.lower == 0.0 and dev <= max(CODEBOOK_IDENTITY_TOL, 1e-9 * expected),
-        band=f"lower == 0 and |upper - 2^-r sum mu c^r| <= {CODEBOOK_IDENTITY_TOL} (abs or 1e-9 rel)",
+        passed=est0.lower == 0.0 and dev <= CODEBOOK_IDENTITY_TOL * expected,
+        band=f"lower == 0 and |upper - 2^-r sum mu c^r| <= {CODEBOOK_IDENTITY_TOL} * 2^-r sum mu c^r",
         measured={"upper": est0.upper, "expected": expected, "deviation": dev},
     )
 
@@ -527,6 +523,8 @@ def run_verification(
         raise ValueError(f"Monte Carlo needs at least 2 samples, got {mc_samples}")
     if seed < 0:
         raise ValueError(f"Monte Carlo seed must be >= 0, got {seed}")
+    if capacity < 1:
+        raise ValueError(f"capacity cap must be >= 1, got {capacity}")
     suite = VerificationSuite(r=float(as_fraction(r)), k_range=ks)
     rep = validate_system(sys)
     suite.checks.append(

@@ -48,6 +48,33 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "row 1 sums to 0.9" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["antichain", "quantize"])
+    @pytest.mark.parametrize("model", ["unnormalized", "unit_ratio"])
+    def test_series_commands_refuse_invalid_models(self, tmp_path, capsys, command, model):
+        if model == "unnormalized":
+            cfg = json.loads(Path(A).read_text())
+            cfg["edges"][0]["p"] = "1/4"  # row 1 sums to 3/4
+            expected = ["violation: row 1 sums to 0.75"]
+        else:  # vertex 1 keeps all its mass on a self-loop of ratio 1
+            cfg = {
+                "n": 2,
+                "edges": [
+                    {"from": 1, "to": 1, "p": "1", "c": "1"},
+                    {"from": 2, "to": 1, "p": "1/2", "c": "1/3"},
+                    {"from": 2, "to": 2, "p": "1/2", "c": "1/3"},
+                ],
+                "chi": ["1/2", "1/2"],
+            }
+            expected = [
+                "violation: row 1 has out-degree 1 < 2",
+                "violation: entry (1,1): ratio 1 outside [0, 1)",
+            ]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main([command, str(bad), "--k-min", "2", "--k-max", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == expected and err == ""
+
     def test_missing_file_exit_two(self, capsys):
         assert main(["validate", "/nonexistent/model.json"]) == 2
         assert "error" in capsys.readouterr().err
@@ -248,6 +275,12 @@ class TestArgErrors:
         assert main([command, A, "--k-min", "9", "--k-max", "8"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "empty k range" in err
+
+    def test_verify_rejects_capacity_below_one(self, capsys):
+        args = ["verify", A, "--k-min", "4", "--k-max", "6", "--depth-offset", "1"]
+        assert main(args + ["--cap", "-5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "capacity cap must be >= 1, got -5" in err
 
     def test_verify_rejects_negative_seed(self, capsys):
         args = ["verify", A, "--k-min", "4", "--k-max", "6", "--depth-offset", "2"]

@@ -24,7 +24,6 @@ from markovquant import (
     MarkovSystem,
     SamplingResolutionError,
     UnsupportedOrderError,
-    antichain_codebook,
     critical_analysis,
     cylinder_interval,
     discrete_cost,
@@ -304,14 +303,6 @@ class TestGrids:
         # plus the words left to expand exceed the cap
         with pytest.raises(CapacityError):
             level_grid(realize(sys_b), 1, 40, capacity=10**6)
-
-    def test_codebook_paths_agree(self, sys_a):
-        rz = realize(sys_a)
-        ac = enumerate_antichain(sys_a, 1, 1, exact=True)
-        book_words = antichain_codebook(rz, ac)
-        book_grid = grid_codebook(level_grid(rz, 1, 1))
-        assert book_words.size == 8
-        assert book_words.points == pytest.approx(book_grid.points)
 
     def test_codebook_points_sorted_and_distinct(self, sys_b):
         grid = level_grid(realize(sys_b), 1, 6)

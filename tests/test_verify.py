@@ -1,5 +1,6 @@
 """Verification suite: one list of checks on every path, and the results its checks share."""
 
+import dataclasses
 import json
 import weakref
 from fractions import Fraction
@@ -168,9 +169,8 @@ def test_grid_curve_fits_where_its_grids_overran(sys_a):
     assert _by_name(suite)["error_decay"].status == "PASS"
 
 
-def test_monte_carlo_bracket_builds_one_grid_at_its_codebook_level(sys_a, monkeypatch):
-    # levels 4, 6, 8 on the curve: the codebook comes from level 6, and its
-    # bracket is summed on that grid, not on one at 6 + depth_offset
+def _grids_built(monkeypatch) -> list:
+    """Record (check function, level) of every level_grid built in later runs."""
     built, current = [], []
     real_grid = geometry.level_grid
 
@@ -187,12 +187,49 @@ def test_monte_carlo_bracket_builds_one_grid_at_its_codebook_level(sys_a, monkey
 
     monkeypatch.setattr(geometry, "level_grid", level_grid)
     monkeypatch.setattr(verify, "_CHECKS", tuple((n, b, tagged(f)) for n, b, f in verify._CHECKS))
+    return built
+
+
+def test_monte_carlo_bracket_builds_one_grid_at_its_codebook_level(sys_a, monkeypatch):
+    # levels 4, 6, 8 on the curve: the codebook comes from level 6, and its
+    # bracket is summed on that grid, not on one at 6 + depth_offset
+    built = _grids_built(monkeypatch)
     suite = run_verification(sys_a, 1, range(4, 9), depth_offset=2)
     assert [k for name, k in built if name == "_monte_carlo_bracket"] == [6]
     assert 8 not in [k for _name, k in built]
     check = _by_name(suite)["monte_carlo_bracket"]
     assert check.status == "PASS"
     assert (check.measured["k"], check.measured["integration_depth"]) == (6, 6)
+
+
+def test_only_lloyd_and_monte_carlo_build_grids(sys_b, monkeypatch):
+    # k 6..12 at offset 2: Lloyd at level 8, Monte Carlo at the curve's middle
+    # level 9; the codebook identity at k0 = 6 is sandwiched per member key
+    built = _grids_built(monkeypatch)
+    suite = run_verification(sys_b, 1, range(6, 13), depth_offset=2)
+    assert built == [("_lloyd", 8), ("_monte_carlo_bracket", 9)]
+    assert _by_name(suite)["codebook_identity"].status == "PASS"
+
+
+def test_codebook_identity_band_is_relative(sys_b, monkeypatch):
+    # at k0 = 8 on B at r = 2, 2^-r sum mu c^r is about 2.5e-16: an absolute
+    # band of 1e-12 would pass any upper, so an upper off by 1e-9 must fail
+    real = geometry.member_sandwich
+
+    def scaled(rz, r, k, depth, **kwargs):
+        est = real(rz, r, k, depth, **kwargs)
+        return dataclasses.replace(est, upper=est.upper * (1 + 1e-9)) if depth == k else est
+
+    def identity():
+        suite = run_verification(sys_b, 2, range(8, 10), depth_offset=1, mc_samples=2000)
+        return _by_name(suite)["codebook_identity"]
+
+    check = identity()
+    assert check.status == "PASS"
+    assert check.measured["expected"] == pytest.approx(2.53e-16, rel=1e-2)
+    monkeypatch.setattr(geometry, "member_sandwich", scaled)
+    assert identity().status == "FAIL"
+    assert check.measured["deviation"] <= 1e-14 * check.measured["expected"]
 
 
 def test_antichain_definition_fails_on_a_word_past_the_threshold(sys_a, monkeypatch):
@@ -273,6 +310,14 @@ def test_negative_seed_rejected_before_any_check(sys_a, monkeypatch):
     monkeypatch.setattr(verify, "validate_system", None)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         run_verification(sys_a, 1, range(4, 6), depth_offset=2, seed=-1)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_capacity_below_one_rejected_before_any_check(sys_a, monkeypatch, cap):
+    # a cap below one word used to SKIP every check that reads an antichain
+    monkeypatch.setattr(verify, "validate_system", None)
+    with pytest.raises(ValueError, match=f"capacity cap must be >= 1, got {cap}"):
+        run_verification(sys_a, 1, range(4, 7), depth_offset=1, capacity=cap)
 
 
 def test_one_level_range_rejected(sys_a):
