@@ -4,15 +4,19 @@ Kept out of the tier-1 `testpaths`; run it from the repository root with
 
     PYTHONPATH=src python -m pytest bench/test_bench_antichain.py --benchmark-json BENCH_10.json
 
-Two cases on fixture B:
+Three cases on fixture B:
 
 - `theorem_ratio_series` at r = 1 over k 6..14, the work of
   `antichain fixtures/fixture_b.json --r 1 --k-min 6 --k-max 14`;
+- `theorem_ratio_series` at r = 1 over k 1..40, one pass deep into the
+  levels where phi leaves the word cap far behind;
 - `enumerate_antichain` and `implicit_exponent` at r = 2, k = 160, where
   phi is about 5.6e61 and the member weights lie far below the float range.
 
-The critical structure is solved once, outside the timed calls.  The deep
-case also records, from one untimed call under `tracemalloc`, the memory the
+The critical structure is solved once, outside the timed calls.  Both series
+record, from one untimed call, their antichain passes from the vertices
+(`passes`: calls of `antichain.scan_levels`).  The deep exponent case also
+records, from one untimed call under `tracemalloc`, the memory the
 antichain holds once built (`held_mb`) and the pass's child slots (`slots`).
 """
 
@@ -20,20 +24,38 @@ import tracemalloc
 from pathlib import Path
 
 from markovquant import (
-    critical_analysis, enumerate_antichain, implicit_exponent, load_model, theorem_ratio_series,
+    antichain, critical_analysis, enumerate_antichain, implicit_exponent, load_model,
+    theorem_ratio_series,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def test_series_b(benchmark):
+def _series(benchmark, monkeypatch, ks, **kwargs):
     sys_b = load_model(FIXTURES / "fixture_b.json")
-    cs = critical_analysis(sys_b, 1)
+    kwargs["cs"] = critical_analysis(sys_b, 1)
+    passes, real = [], antichain.scan_levels
+
+    def counted(*args, **kw):
+        passes.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(antichain, "scan_levels", counted)
+    theorem_ratio_series(sys_b, 1, ks, **kwargs)
+    monkeypatch.undo()
     rows = benchmark.pedantic(
-        theorem_ratio_series, args=(sys_b, 1, range(6, 15)), kwargs={"cs": cs},
-        rounds=10, warmup_rounds=1,
+        theorem_ratio_series, args=(sys_b, 1, ks), kwargs=kwargs, rounds=10, warmup_rounds=1,
     )
     benchmark.extra_info["words"] = sum(row.phi for row in rows)
+    benchmark.extra_info["passes"] = len(passes)
+
+
+def test_series_b(benchmark, monkeypatch):
+    _series(benchmark, monkeypatch, range(6, 15))
+
+
+def test_deep_series_b(benchmark, monkeypatch):
+    _series(benchmark, monkeypatch, range(1, 41), capacity=10**300)
 
 
 def test_deep_exponent_b(benchmark):

@@ -8,8 +8,10 @@ One case: `run_verification` on fixture B at r = 1 over k 6..12 at depth
 offset 2, the work of `markovquant verify fixtures/fixture_b.json --r 1
 --k-min 6 --k-max 12 --depth-offset 2` without the model load and the report.
 Each check's status is recorded in `extra_info`, and so are, from one untimed
-run, the `antichain.scan` calls (`scans`) and the `geometry.level_grid`
-builds (`grids`) of one suite.
+run, the antichain passes from the vertices (`passes`: calls of
+`antichain.scan_levels`, of which `antichain.scan` is the one-level case),
+the descents from member keys (`descents`: calls of `antichain.descend`) and
+the `geometry.level_grid` builds (`grids`) of one suite.
 """
 
 from pathlib import Path
@@ -33,7 +35,8 @@ def _counted(monkeypatch, module, name) -> list:
 
 def test_verify_b(benchmark, monkeypatch):
     sys_b = load_model(FIXTURES / "fixture_b.json")
-    scans = _counted(monkeypatch, antichain, "scan")
+    passes = _counted(monkeypatch, antichain, "scan_levels")
+    descents = _counted(monkeypatch, antichain, "descend")
     grids = _counted(monkeypatch, geometry, "level_grid")
     run_verification(sys_b, 1, range(6, 13), depth_offset=2)
     monkeypatch.undo()
@@ -42,5 +45,6 @@ def test_verify_b(benchmark, monkeypatch):
         rounds=10, warmup_rounds=1,
     )
     benchmark.extra_info["statuses"] = {c.name: c.status for c in suite.checks}
-    benchmark.extra_info["scans"] = len(scans)
+    benchmark.extra_info["passes"] = len(passes)
+    benchmark.extra_info["descents"] = len(descents)
     benchmark.extra_info["grids"] = len(grids)

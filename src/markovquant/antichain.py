@@ -18,19 +18,24 @@ weight chi of its root and its exact weights (p_sigma, c_sigma).  Words with
 equal states have identical subtrees, so one level-synchronous pass over
 states carrying word multiplicities counts the antichain exactly without
 visiting its words (the transfer-operator view of graph-directed
-constructions, Mauldin-Williams 1988).  Membership is exact: p^b * c^a is
-compared against p_min^{kb} * c_min^{ka} for r = a/b in lowest terms, in
-integers over one common scale per depth.  The pass keeps a member table,
-each member's state with its word count per depth, and the tree shape: per
-depth, which state every child of a state goes to.  The table folds into a
-histogram keyed by (chain, chi, p, c), so counts and the sums built from
-them do not depend on traversal order, and by `member_keys` into (last
-vertex, p, c) keys.  Member words are read off the tree shape, and the
-geometry module lays out the members' cylinders under each state once from
-it; `descend` runs the same pass from member keys, one word each, to a
-deeper threshold.  Each histogram key is weighed once, in logs taken from
-its exact integers, so no weight underflows at any depth; every float
-statistic is a sum of exp(log count + e * log w) over those keys.
+constructions, Mauldin-Williams 1988).  One pass serves a set of levels: a
+word is inner at level k when w >= eta_lo^k, and as every edge weight is at
+least eta_lo, one compare per child decides whether it is inner at its
+parent's lowest inner level l or only at l + 1, and so a member of level l
+alone.  Membership is exact: p^b * c^a is compared against
+p_min^{lb} * c_min^{la} for r = a/b in lowest terms, in integers over one
+common scale per depth.  The pass keeps a member table per level, each
+member's state with its word count per depth, and the tree shape: per depth,
+which state every child of a state goes to and each state's lowest inner
+level.  A table folds into a histogram keyed by (chain, chi, p, c), so
+counts and the sums built from them do not depend on traversal order, and
+by `member_keys` into (last vertex, p, c) keys.  Member words are read off
+the tree shape, and the geometry module lays out the members' cylinders
+under each state once from it; `descend` runs the same pass from member
+keys, one word each, to a deeper threshold.  Each histogram key is weighed
+once, in logs taken from its exact integers, so no weight underflows at any
+depth; every float statistic is a sum of exp(log count + e * log w) over
+those keys.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from sys import float_info
 from typing import Iterable, NamedTuple
 
@@ -56,22 +62,25 @@ class CapacityError(RuntimeError):
 
 
 class Level(NamedTuple):
-    """The tree shape of one depth: where its non-member words, merged by state, go.
+    """The tree shape of one depth: where its inner words, merged by state, go.
 
-    At the first depth the states are the roots: in `scan`, state v - 1 holds
-    vertex v.  The children of state s occupy slots first[s] .. first[s + 1] - 1,
-    one per outgoing edge of its vertex in `sys.edges` order; the words of a
-    state share its slots.
+    At the first depth the states are the roots: in `scan_levels`, state v - 1
+    holds vertex v.  The children of state s occupy slots first[s] ..
+    first[s + 1] - 1, one per outgoing edge of its vertex in `sys.edges`
+    order; the words of a state share its slots.  Read at a level k of the
+    pass, a walk from the roots ends at a slot to no state or at the first
+    state not inner at k: the level-k members.
     """
 
     first: tuple[int, ...]  # state -> its first slot; one trailing entry ends the last state
     edge: tuple[int, ...]  # slot -> index of the edge into `sys.edges`
-    child: tuple[int, ...]  # slot -> state at the next depth, or -1 when the child is a member
+    child: tuple[int, ...]  # slot -> state at the next depth, or -1 when inner at no level
+    inner: tuple[int, ...]  # state -> the lowest level of the pass's range its words are inner at
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Output of one antichain pass."""
+    """One level of an antichain pass."""
 
     k: int
     r: Fraction
@@ -80,7 +89,7 @@ class ScanResult:
     depth_max: int
     hist: dict = field(repr=False)  # (chain, chi, p, c) -> number of member words
     exact: bool
-    levels: tuple[Level, ...] = field(repr=False)  # the tree shape
+    levels: tuple[Level, ...] = field(repr=False)  # the tree shape of the whole pass
     # (depth, {state: member words}) per depth with members, states as in `_descend`
     members: tuple[tuple[int, dict], ...] = field(repr=False)
 
@@ -115,45 +124,51 @@ def _scales(sys: MarkovSystem) -> tuple[int, int]:
 
 
 def _descend(
-    sys: MarkovSystem, rq: Fraction, k: int, states: list, counts: list, depth: int,
+    sys: MarkovSystem, rq: Fraction, ks: list[int], states: list, counts: list, depth: int,
     cmap: list[int], capacity: int,
-) -> tuple[tuple[Level, ...], int, list]:
-    """The pass from `states`, the words of length `depth`, to the level-k antichain.
+) -> tuple[tuple[Level, ...], dict[int, tuple[int, tuple]]]:
+    """The pass from `states`, the words of length `depth`, to the antichains of
+    the levels `ks`, sorted and distinct.
 
     A state is (last vertex, chain, index of its root's chi in
     sorted(set(sys.chi)), P, C), P and C over the scales of its depth; counts
-    are its word multiplicities.  Returns the per-depth
-    Levels, phi and the member table: per depth with members, (depth, member
-    words keyed by their state).  Raises CapacityError as soon as the members
-    found plus the words still to expand exceed `capacity`: each word left to
-    expand has at least two member descendants, so that sum never exceeds the
-    final phi.
+    are its word multiplicities; each carries its lowest inner level, ks[0]
+    at the start.  Returns the per-depth Levels and, per level, phi and the
+    member table: per depth with members, (depth, member words keyed by their
+    state).  Raises CapacityError at the first level whose members found plus
+    words still to expand exceed `capacity` once every lower level is
+    complete: each word left to expand has at least two member descendants,
+    so that sum never exceeds the final phi, and at one depth it grows with k.
     """
-    if k < 1:
-        raise ValueError(f"level k must be >= 1, got {k}")
+    if ks[0] < 1:
+        raise ValueError(f"level k must be >= 1, got {ks[0]}")
     if rq <= 0:
         raise ValueError(f"order r must be positive, got {rq}")
     a, b = rq.numerator, rq.denominator
-    thr_pow = _threshold_power(sys, rq, k)
+    lo, hi = ks[0], ks[-1]
+    thr = {k: _threshold_power(sys, rq, k) for k in range(lo, hi + 1)}
     dp, dc = _scales(sys)
     out: list[list[tuple]] = [[] for _ in range(sys.n + 1)]
     for e, (i, j) in enumerate(sys.edges):
         out[i].append((e, j, int(sys.edge_p(i, j) * dp), int(sys.edge_c(i, j) * dc), cmap[j]))
-    members: list[tuple[int, dict]] = []
+    tables: dict[int, list] = {k: [] for k in ks}
+    phi = dict.fromkeys(ks, 0)
     levels: list[Level] = []
-    phi = 0
+    inner = [lo] * len(states)
     while states:
         depth += 1
-        scale_p, scale_c = dp ** (depth - 1), dc ** (depth - 1)
-        # p^b c^a < thr_pow  <=>  P^b C^a den < num scale_p^b scale_c^a
-        den, bound = thr_pow.denominator, thr_pow.numerator * scale_p**b * scale_c**a
-        hits: dict[tuple, int] = {}
+        scale = dp ** ((depth - 1) * b) * dc ** ((depth - 1) * a)
+        # inner level l -> (den, bound, members of level l at this depth), where
+        # p^b c^a < eta_lo^(lb)  <=>  P^b C^a den < bound = num scale_p^b scale_c^a
+        cuts = {lvl: (thr[lvl].denominator, thr[lvl].numerator * scale, {}) for lvl in set(inner)}
         ids: dict[tuple, int] = {}
         nxt: list[tuple] = []
         nxt_counts: list[int] = []
+        nxt_inner: list[int] = []
         first, edge, child = [0], [], []
         for s, (v, chain, chi, p, c) in enumerate(states):
-            n = counts[s]
+            n, lvl = counts[s], inner[s]
+            den, bound, hits = cuts[lvl]
             for e, j, pe, ce, cj in out[v]:
                 p2 = p * pe
                 c2 = c * ce
@@ -161,27 +176,39 @@ def _descend(
                 # a DAG), so comparing against the last entry suffices
                 ch2 = chain if cj < 0 or (chain and chain[-1] == cj) else chain + (cj,)
                 st = (j, ch2, chi, p2, c2)
+                lc = lvl
                 if p2**b * c2**a * den < bound:
                     hits[st] = hits.get(st, 0) + n
-                    t = -1
-                else:
+                    lc += 1
+                t = -1
+                if lc <= hi:
                     t = ids.get(st)
                     if t is None:
                         t = ids[st] = len(nxt)
                         nxt.append(st)
                         nxt_counts.append(0)
+                        nxt_inner.append(lc)
                     nxt_counts[t] += n
                 edge.append(e)
                 child.append(t)
             first.append(len(edge))
-        if hits:
-            members.append((depth, hits))
-            phi += sum(hits.values())
-        levels.append(Level(tuple(first), tuple(edge), tuple(child)))
-        if phi + sum(nxt_counts) > capacity:
-            raise CapacityError(f"antichain at k={k} exceeds capacity cap {capacity} words")
-        states, counts = nxt, nxt_counts
-    return tuple(levels), phi, tuple(members)
+        for lvl, (_den, _bound, hits) in cuts.items():
+            if hits and lvl in tables:
+                tables[lvl].append((depth, hits))
+                phi[lvl] += sum(hits.values())
+        levels.append(Level(tuple(first), tuple(edge), tuple(child), tuple(inner)))
+        if phi[hi] + sum(nxt_counts) > capacity:  # the top level's words bound every level's
+            ahead = [0] * (hi - lo + 1)  # words still to expand, by lowest inner level
+            for lvl, n in zip(nxt_inner, nxt_counts):
+                ahead[lvl - lo] += n
+            front = list(accumulate(ahead))  # ... inner at level lo + i or below
+            for k in ks:  # the complete levels and the first with words left
+                if phi[k] + front[k - lo] > capacity:
+                    raise CapacityError(f"antichain at k={k} exceeds capacity cap {capacity} words")
+                if front[k - lo]:
+                    break
+        states, counts, inner = nxt, nxt_counts, nxt_inner
+    return tuple(levels), {k: (phi[k], tuple(tables[k])) for k in ks}
 
 
 def _fold(sys: MarkovSystem, members, head):
@@ -198,23 +225,25 @@ def _fold(sys: MarkovSystem, members, head):
             yield h, chi, Fraction(p, scale_p), Fraction(c, scale_c), n
 
 
-def scan(
+def scan_levels(
     sys: MarkovSystem,
     r,
-    k: int,
+    ks: Iterable[int],
     *,
     cs: CriticalStructure | None = None,
     exact: bool = False,
     capacity: int = DEFAULT_CAPACITY,
-) -> ScanResult:
-    """Count the level-k antichain in one exact pass over merged word states.
+) -> dict[int, ScanResult]:
+    """The antichains of the levels `ks`, one `ScanResult` each, from one exact
+    pass over merged word states, whose tree shape they share.
 
-    Membership, phi, the depth range, the member table, its histogram and
-    the tree shape are exact whatever `exact` says; `exact` only makes the
-    antichain's sum_energy an exact Fraction for integer r.  Raises
-    CapacityError as soon as the members found plus the words still to
-    expand exceed `capacity`.
+    Each is exact whatever `exact` says; `exact` only makes the antichain's
+    sum_energy an exact Fraction for integer r.  Raises CapacityError as
+    `_descend` does, at the level a pass per level would name.
     """
+    ks = sorted(set(ks))
+    if not ks:
+        return {}
     rq = as_fraction(r)
     cmap = _critical_map(sys, cs)
     chis = sorted(set(sys.chi))
@@ -222,15 +251,23 @@ def scan(
         (v, (cmap[v],) if cmap[v] >= 0 else (), chis.index(sys.chi[v - 1]), 1, 1)
         for v in sys.vertices
     ]
-    levels, phi, members = _descend(sys, rq, k, roots, [1] * sys.n, 1, cmap, capacity)
-    hist: dict = {}
-    for chain, chi, p, c, n in _fold(sys, members, lambda _v, chain: chain):
-        key = (chain, chis[chi], p, c)
-        hist[key] = hist.get(key, 0) + n
-    return ScanResult(
-        k=k, r=rq, phi=phi, depth_min=members[0][0], depth_max=members[-1][0], hist=hist,
-        exact=exact, levels=levels, members=members,
-    )
+    levels, tables = _descend(sys, rq, ks, roots, [1] * sys.n, 1, cmap, capacity)
+    passes = {}
+    for k, (phi, members) in tables.items():
+        hist: dict = {}
+        for chain, chi, p, c, n in _fold(sys, members, lambda _v, chain: chain):
+            key = (chain, chis[chi], p, c)
+            hist[key] = hist.get(key, 0) + n
+        passes[k] = ScanResult(
+            k=k, r=rq, phi=phi, depth_min=members[0][0], depth_max=members[-1][0], hist=hist,
+            exact=exact, levels=levels, members=members,
+        )
+    return passes
+
+
+def scan(sys: MarkovSystem, r, k: int, **options) -> ScanResult:
+    """The level-k antichain: `scan_levels` of the one level k, with its options."""
+    return scan_levels(sys, r, [k], **options)[k]
 
 
 def member_keys(sys: MarkovSystem, res: ScanResult) -> dict:
@@ -268,7 +305,7 @@ def descend(
             raise ValueError(f"root weights are not over the integer scales of depth {depth}")
         states.append((v, (), 0, p.numerator, c.numerator))
     cmap = [-1] * (sys.n + 1)
-    return _descend(sys, rq, k, states, [1] * len(states), depth, cmap, capacity)[0]
+    return _descend(sys, rq, [k], states, [1] * len(states), depth, cmap, capacity)[0]
 
 
 def _log(q: Fraction) -> float:
@@ -320,7 +357,11 @@ def enumerate_antichain(
         s_dim = critical.s_r
     else:
         s_dim = spectral.solve_sr(sys, "full", r).root
-    res = scan(sys, r, k, cs=critical, exact=exact, capacity=capacity)
+    return _statistics(scan(sys, r, k, cs=critical, exact=exact, capacity=capacity), s_dim)
+
+
+def _statistics(res: ScanResult, s_dim: float) -> Antichain:
+    """The pass `res` with its statistics at the dimension exponent s_dim."""
     rq = res.r
     rf = float(rq)
     # log w = log p + r log c, from the exact integers of each key
@@ -352,10 +393,10 @@ def member_words(sys: MarkovSystem, ac: ScanResult) -> list[Word]:
     """The antichain's member words, in lexicographic order.
 
     A depth-first walk of the pass's level tables, the symbolic twin of
-    `geometry.level_grid`'s layout walk: a slot to a state continues the word
-    into that state's slots one depth down, a member slot ends it.  Slots
-    follow `sys.edges`, so words come out sorted.  Words can be thousands of
-    levels deep, so the walk keeps its own stack.
+    `geometry.level_grid`'s layout walk: a state inner at level `ac.k`
+    continues the word into its slots one depth down, a member ends it.
+    Slots follow `sys.edges`, so words come out sorted.
+    Words can be thousands of levels deep, so the walk keeps its own stack.
     """
     heads = [j for _i, j in sys.edges]
     words: list[Word] = []
@@ -363,7 +404,7 @@ def member_words(sys: MarkovSystem, ac: ScanResult) -> list[Word]:
     stack = [(0, v - 1, (v,)) for v in reversed(sys.vertices)]
     while stack:
         d, s, w = stack.pop()
-        if s < 0:
+        if s < 0 or ac.levels[d].inner[s] > ac.k:
             words.append(w)
             continue
         lvl = ac.levels[d]
@@ -457,16 +498,19 @@ def theorem_ratio_series(
     exact: bool = False,
     capacity: int = DEFAULT_CAPACITY,
 ) -> list[SeriesRow]:
-    """Normalized antichain sums over a range of levels.
+    """Normalized antichain sums over a range of levels, all from one pass.
 
-    The ratio columns are `theorem_ratios` of sum_energy at phi: a
-    sum_energy below the normal float range raises ValueError.
+    Rows follow `k_range`.  The ratio columns are `theorem_ratios` of
+    sum_energy at phi: a sum_energy below the normal float range raises
+    ValueError.
     """
     if cs is None:
         cs = spectral.critical_analysis(sys, r)
+    ks = list(k_range)
+    passes = scan_levels(sys, r, ks, cs=cs, exact=exact, capacity=capacity)
     rows: list[SeriesRow] = []
-    for k in k_range:
-        ac = enumerate_antichain(sys, r, k, critical=cs, exact=exact, capacity=capacity)
+    for k in ks:
+        ac = _statistics(passes[k], cs.s_r)
         energy = float(ac.sum_energy)
         corrected, uncorrected = theorem_ratios(energy, ac.phi, r, cs, f"sum_energy at k={k}")
         rows.append(

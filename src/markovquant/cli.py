@@ -87,33 +87,27 @@ def _k_range(args) -> range:
     return range(args.k_min, args.k_max + 1)
 
 
-def _series_csv(system, r, ks, capacity) -> str:
-    rows = antichain_mod.theorem_ratio_series(system, r, ks, capacity=capacity)
-    chain_cols: list = sorted(
-        {ch for row in rows for ch in row.class_sums if ch}
-    )
+def _csv(header: list, rows) -> str:
+    """CSV text of a header and rows, every cell of a row written as its repr."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["k", "phi", "l1", "l2", "sum_energy", "sum_dim", "t_k", "R_k", "U_k"]
-        + [f"lambda_{verify.chain_label(ch)}" for ch in chain_cols]
-    )
-    for row in rows:
-        writer.writerow(
-            [
-                row.k,
-                row.phi,
-                row.depth_min,
-                row.depth_max,
-                repr(row.sum_energy),
-                repr(row.sum_dim),
-                repr(row.t_k),
-                repr(row.corrected),
-                repr(row.uncorrected),
-            ]
-            + [repr(row.class_sums.get(ch, 0.0)) for ch in chain_cols]
-        )
+    writer.writerow(header)
+    writer.writerows(map(repr, row) for row in rows)
     return buf.getvalue()
+
+
+def _series_csv(system, r, ks, capacity) -> str:
+    rows = antichain_mod.theorem_ratio_series(system, r, ks, capacity=capacity)
+    chain_cols = sorted({ch for row in rows for ch in row.class_sums if ch})
+    return _csv(
+        ["k", "phi", "l1", "l2", "sum_energy", "sum_dim", "t_k", "R_k", "U_k"]
+        + [f"lambda_{verify.chain_label(ch)}" for ch in chain_cols],
+        (
+            [row.k, row.phi, row.depth_min, row.depth_max, row.sum_energy, row.sum_dim, row.t_k,
+             row.corrected, row.uncorrected, *(row.class_sums.get(ch, 0.0) for ch in chain_cols)]
+            for row in rows
+        ),
+    )
 
 
 def cmd_antichain(args) -> int:
@@ -141,24 +135,12 @@ def cmd_quantize(args) -> int:
             depth_offset=args.depth_offset,
             capacity=args.cap,
         )
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["k", "n", "lower", "upper", "corrected_ratio", "uncorrected_ratio", "iterations"]
+        text = _csv(
+            ["k", "n", "lower", "upper", "corrected_ratio", "uncorrected_ratio", "iterations"],
+            ([row.k, row.n, row.lower, row.upper, row.corrected, row.uncorrected, row.iterations]
+             for row in rows),
         )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.k,
-                    row.n,
-                    repr(row.lower),
-                    repr(row.upper),
-                    repr(row.corrected),
-                    repr(row.uncorrected),
-                    row.iterations,
-                ]
-            )
-        _emit(buf.getvalue(), args.out, f"quantize_{Path(args.model).stem}_r{_r_tag(r)}.csv")
+        _emit(text, args.out, f"quantize_{Path(args.model).stem}_r{_r_tag(r)}.csv")
     return 0
 
 
@@ -245,9 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("verify", help="run the verification suite")
-    common(p, "cap (>= 1) on the words of each antichain, the codebook identity's "
-              "level-k-min words among them, the rows laid out under the error curve's "
-              "member keys, and the cells of each grid of the Lloyd and Monte Carlo checks")
+    common(p, "cap (>= 1) on the words of each antichain, the level-k-min one whose words "
+              "the codebook identity reads among them, the rows laid out under the error "
+              "curve's member keys, and the cells of each grid of the Lloyd and Monte Carlo "
+              "checks")
     p.add_argument("--depth-offset", type=int, default=6)
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--mc-samples", type=int, default=100_000)
@@ -260,9 +243,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
     except (ModelFormatError, OSError, CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2

@@ -64,7 +64,7 @@ import numpy as np
 
 from . import antichain as antichain_mod
 from . import spectral
-from .antichain import DEFAULT_CAPACITY
+from .antichain import DEFAULT_CAPACITY, ScanResult
 from .graphs import CriticalStructure
 from .model import MarkovSystem, as_fraction, validate_word
 
@@ -176,15 +176,16 @@ class CylinderGrid:
         return int(self.mids.size)
 
 
-def _layout(sys: MarkovSystem, place: dict, levels) -> tuple[np.ndarray, list[int]]:
-    """Rows (left, length, mass) of the members under each first-depth state.
+def _layout(sys: MarkovSystem, place: dict, levels, k: int) -> tuple[np.ndarray, list[int]]:
+    """Rows (left, length, mass) of the level-k members under each first-depth state.
 
     Words in one state of the antichain pass have the same members below
     them, up to the affine map of their own cylinder.  So the members under
     each state are laid out once, relative to its cylinder, from the deepest
-    depth up: rows of one array per depth, a slice per state.  A member slot
-    writes its edge's (offset, ratio, p); a slot to a state writes that
-    state's slice scaled by (ratio, ratio, p) and shifted by the offset.
+    depth up: rows of one array per depth, a slice per state.  A member slot,
+    one to no state or to a state not inner at level k, writes its edge's
+    (offset, ratio, p); a slot to a state writes that state's slice scaled by
+    (ratio, ratio, p) and shifted by the offset.
     Returns the first depth's array and the bounds of each state's slice in
     it.  Slots follow `sys.edges`, the order in which `realize` places
     children left to right, so every slice comes out sorted by position.
@@ -193,20 +194,21 @@ def _layout(sys: MarkovSystem, place: dict, levels) -> tuple[np.ndarray, list[in
     scale, off = unit[[1, 1, 2]], unit[0].tolist()
     below = [0]  # state -> start of its slice, then the total
     nxt = None  # layout of the depth below; only two depths are alive at once
+    inner: tuple = ()  # lowest inner level of each state of the depth below
     for lvl in reversed(levels):
         edge, child = np.array(lvl.edge), np.array(lvl.child)
-        # rows a slot writes: index -1, a member, reads the appended 1
-        count = np.append(np.diff(below), 1)[child]
+        # slot -1, to no state, reads the appended k + 1; a member writes one row
+        member = np.append(inner, k + 1)[child] > k
+        count = np.append(np.diff(below), 1)[np.where(member, -1, child)]
         start = np.concatenate(([0], np.cumsum(count)))
         cur = np.empty((3, start[-1]))
-        member = child < 0
         cur[:, start[:-1][member]] = unit[:, edge[member]]
         for pos, e, t in zip(*(a[~member].tolist() for a in (start[:-1], edge, child))):
             lo, hi = below[t], below[t + 1]
             np.multiply(nxt[:, lo:hi], scale[:, e : e + 1], out=cur[:, pos : pos + hi - lo])
             cur[0, pos : pos + hi - lo] += off[e]
         below = start[np.array(lvl.first)].tolist()
-        nxt = cur
+        nxt, inner = cur, lvl.inner
     return nxt, below
 
 
@@ -222,7 +224,7 @@ def level_grid(
     sys = rz.system
     res = antichain_mod.scan(sys, r, k, capacity=capacity)
     roots, place = rz.layout_floats()
-    (mids, halves, masses), below = _layout(sys, place, res.levels)
+    (mids, halves, masses), below = _layout(sys, place, res.levels, k)
     for v, chi, lo, hi in zip(sys.vertices, sys.chi_float(), below, below[1:]):
         mids[lo:hi] += roots[v]
         masses[lo:hi] *= chi
@@ -311,9 +313,10 @@ def integrate_error(grid: CylinderGrid, codebook: Codebook) -> ErrorEstimate:
 
 
 def member_sandwich(
-    rz: Realization, r, k: int, depth: int, *, capacity: int = DEFAULT_CAPACITY
+    rz: Realization, res: ScanResult, depth: int, *, capacity: int = DEFAULT_CAPACITY
 ) -> ErrorEstimate:
-    """Sandwich of the level-k grid codebook (every member's midpoint) at `depth`.
+    """Sandwich of the grid codebook of `res`, a level-k pass from the vertices
+    of `rz`'s system (every member's midpoint), at `depth`.
 
     With s = min(sep_t, 1), every other level-k midpoint lies at least
     s * |J_sigma| outside a member's cylinder J_sigma.  So at local position
@@ -333,16 +336,15 @@ def member_sandwich(
     relative rounding bound, so [lower, upper] holds the exact sandwich.
     n is the exact phi_k.
     """
-    if depth < k:
-        raise ValueError(f"integration depth {depth} is below the codebook level {k}")
+    if depth < res.k:
+        raise ValueError(f"integration depth {depth} is below the codebook level {res.k}")
     sys = rz.system
-    rq = as_fraction(r)
+    rq = res.r
     rf = float(rq)
-    res = antichain_mod.scan(sys, r, k, capacity=capacity)
     keys = antichain_mod.member_keys(sys, res)
-    if depth > k:
-        levels = antichain_mod.descend(sys, r, depth, keys, res.depth_max, capacity=capacity)
-        (left, length, mass), below = _layout(sys, rz.layout_floats()[1], levels)
+    if depth > res.k:
+        levels = antichain_mod.descend(sys, rq, depth, keys, res.depth_max, capacity=capacity)
+        (left, length, mass), below = _layout(sys, rz.layout_floats()[1], levels, depth)
     else:  # a level-k member is its own only level-k cylinder
         levels = ()
         left, length, mass = np.zeros(len(keys)), np.ones(len(keys)), np.ones(len(keys))
@@ -595,21 +597,23 @@ def error_curve(
     """Two-sided error bounds at the antichain codebook sizes n = phi_k.
 
     Codebooks are the level-k cylinder midpoints; integration runs at depth
-    k + depth_offset.  Unrefined codebooks are sandwiched per member key by
-    `member_sandwich`, with no grid; refined ones start from the level-k grid's
-    midpoints and are Lloyd-refined on the level-(k + depth_offset) grid,
-    the one grid that sets their order and integration depth, for at most
-    50 steps.  The normalized columns are `antichain.theorem_ratios` of
-    upper at n, taken in logs: an upper below the normal float range raises
-    ValueError naming k.
+    k + depth_offset.  Unrefined codebooks, all levels of one antichain pass,
+    are sandwiched per member key by `member_sandwich`, with no grid; refined
+    ones start from the level-k grid's midpoints and are Lloyd-refined on the
+    level-(k + depth_offset) grid, the one grid that sets their order and
+    integration depth, for at most 50 steps.  The normalized columns are
+    `antichain.theorem_ratios` of upper at n, taken in logs: an upper below
+    the normal float range raises ValueError naming k.
     """
     if depth_offset < 0:
         raise ValueError(f"depth offset must be >= 0, got {depth_offset}")
     if cs is None:
         cs = spectral.critical_analysis(sys, r)
     rz = realize(sys)
+    ks = tuple(k_range)
+    passes = {} if refine else antichain_mod.scan_levels(sys, r, ks, capacity=capacity)
     rows: list[CurveRow] = []
-    for k in k_range:
+    for k in ks:
         depth = k + depth_offset
         iterations = 0
         if refine:
@@ -619,7 +623,7 @@ def error_curve(
             est = trace[-1]
             iterations = len(trace) - 1
         else:
-            est = member_sandwich(rz, r, k, depth, capacity=capacity)
+            est = member_sandwich(rz, passes[k], depth, capacity=capacity)
         corrected, uncorrected = antichain_mod.theorem_ratios(
             est.upper, est.n, r, cs, f"upper at k={k}"
         )

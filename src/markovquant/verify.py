@@ -417,7 +417,7 @@ def _codebook_identity(ctx: _Context) -> Iterator[CheckResult]:
     else:
         mu_cr = math.fsum(n * float(chi) * float(p) * float(c) ** ctx.rf for (_, chi, p, c), n in terms)
     expected = mu_cr / 2.0 ** ctx.rf
-    est0 = geometry.member_sandwich(rz, ctx.r, ac0.k, ac0.k, capacity=ctx.capacity)
+    est0 = geometry.member_sandwich(rz, ac0, ac0.k, capacity=ctx.capacity)
     dev = abs(est0.upper - expected)
     yield CheckResult(
         name="codebook_identity",

@@ -6,12 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from markovquant import (
     CapacityError,
     MarkovSystem,
     critical_analysis,
     enumerate_antichain,
+    error_curve,
     eta_bounds,
     implicit_exponent,
     measure_partition_sum,
@@ -20,7 +23,7 @@ from markovquant import (
     theorem_ratio_series,
     visited_chain,
 )
-from markovquant.antichain import member_keys, scan
+from markovquant.antichain import member_keys, scan, scan_levels
 from conftest import S1_H1_B, S_R_A, T11_A, oracle_antichain, random_rational_system
 
 F = Fraction
@@ -340,6 +343,98 @@ class TestCapacity:
     def test_cap_propagates_through_series(self, sys_b):
         with pytest.raises(CapacityError):
             theorem_ratio_series(sys_b, 1, range(6, 9), capacity=1000)
+
+
+def _one_level_loop(sys, r, ks, cs=None, capacity=10**8):
+    """{k: scan of k alone} over the distinct levels of ks in increasing order,
+    or the message of the loop's first CapacityError."""
+    try:
+        return {k: scan(sys, r, k, cs=cs, capacity=capacity) for k in sorted(set(ks))}
+    except CapacityError as exc:
+        return str(exc)
+
+
+def _assert_levels_match(sys, passes, alone):
+    """Each level of one range pass equals its one-level pass, and no word is
+    a member of two levels."""
+    assert sorted(passes) == sorted(alone)
+    seen: set = set()
+    for k, one in alone.items():
+        res = passes[k]
+        assert (res.k, res.r, res.phi) == (one.k, one.r, one.phi)
+        assert (res.depth_min, res.depth_max) == (one.depth_min, one.depth_max)
+        assert res.hist == one.hist and res.members == one.members
+        assert member_keys(sys, res) == member_keys(sys, one)
+        words = member_words(sys, res)
+        assert words == member_words(sys, one)
+        assert seen.isdisjoint(words)
+        seen.update(words)
+
+
+class TestRangePass:
+    """One pass over a set of levels against one pass per level."""
+
+    CAP = 4000  # words; a random model past it must raise as the loop does
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10**6),
+        r=st.sampled_from([F(1), F(3, 2), F(2)]),
+        ks=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    )
+    @example(seed=1, r=F(1), ks=[1, 3])
+    @example(seed=3, r=F(3, 2), ks=[3, 1, 2])
+    @example(seed=2, r=F(2), ks=[2])
+    @example(seed=0, r=F(1), ks=[2, 2, 1])
+    def test_levels_match_one_level_passes(self, seed, r, ks):
+        sys = random_rational_system(random.Random(seed), n_max=4)
+        cs = critical_analysis(sys, r)
+        alone = _one_level_loop(sys, r, ks, cs=cs, capacity=self.CAP)
+        if isinstance(alone, str):
+            with pytest.raises(CapacityError) as info:
+                scan_levels(sys, r, ks, cs=cs, capacity=self.CAP)
+            assert str(info.value) == alone
+            return
+        passes = scan_levels(sys, r, ks, cs=cs, capacity=self.CAP)
+        _assert_levels_match(sys, passes, alone)
+        if r.denominator == 1:
+            for k, res in passes.items():
+                assert member_words(sys, res) == oracle_antichain(sys, r.numerator, k)
+        rows = theorem_ratio_series(sys, r, ks, cs=cs, capacity=self.CAP)
+        assert rows == [theorem_ratio_series(sys, r, [k], cs=cs)[0] for k in ks]
+
+    @pytest.mark.parametrize("r", [1, F(3, 2)])
+    def test_ties_stay_internal_at_every_level(self, sys_a, r):
+        # on A every length-(k+1) word weighs exactly eta_lo^k
+        ks = [2, 4, 5, 6, 9]
+        passes = scan_levels(sys_a, r, ks)
+        _assert_levels_match(sys_a, passes, _one_level_loop(sys_a, r, ks))
+        assert [passes[k].depth_min for k in ks] == [k + 2 for k in ks]
+
+    @pytest.mark.parametrize("name, r, ks", [
+        ("a", 1, [1, 3, 5]), ("a", 2, [1, 2, 4]), ("b", 1, [1, 2, 3, 4, 5]), ("c", 2, [2, 4]),
+    ])
+    def test_words_match_oracle(self, request, name, r, ks):
+        sys = request.getfixturevalue(f"sys_{name}")
+        passes = scan_levels(sys, r, ks)
+        for k in ks:
+            assert member_words(sys, passes[k]) == oracle_antichain(sys, r, k)
+
+    @pytest.mark.parametrize("name, ks", [("a", range(4, 9)), ("b", range(6, 10))])
+    def test_cap_names_the_level_of_the_one_level_loop(self, request, name, ks):
+        # caps between consecutive phi_k: phi_k - 1 is first overrun at k, phi_k
+        # at k + 1; phi_{k_max} - 1 is overrun by the top level only
+        sys = request.getfixturevalue(f"sys_{name}")
+        phis = [scan(sys, 1, k).phi for k in ks]
+        for cap in sorted({phi + d for phi in phis[:-1] for d in (-1, 0)} | {phis[-1] - 1}):
+            message = _one_level_loop(sys, 1, ks, capacity=cap)
+            assert isinstance(message, str)
+            with pytest.raises(CapacityError) as series:
+                theorem_ratio_series(sys, 1, ks, capacity=cap)
+            with pytest.raises(CapacityError) as curve:
+                error_curve(sys, 1, ks, depth_offset=2, capacity=cap)
+            assert str(series.value) == str(curve.value) == message
+        assert message == f"antichain at k={ks[-1]} exceeds capacity cap {cap} words"
 
 
 class TestValidationOfArguments:

@@ -44,8 +44,8 @@ from markovquant import (
     validate_system,
 )
 from markovquant import geometry
-from markovquant.antichain import descend, member_keys, scan
-from markovquant.geometry import _cell_centers
+from markovquant.antichain import descend, member_keys, scan, scan_levels
+from markovquant.geometry import _cell_centers, _layout
 from conftest import S_R_A, all_words, exact_member_sandwich, random_rational_system
 
 F = Fraction
@@ -280,6 +280,17 @@ class TestGrids:
             got = np.column_stack((grid.mids, grid.halves, grid.masses))
             assert got.shape == exact.shape
             assert np.allclose(got, exact, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_c"])
+    @pytest.mark.parametrize("r", [1, F(3, 2)])
+    def test_range_pass_lays_out_each_level(self, request, name, r):
+        # a member of a lower level is an inner state of the pass: one row
+        sys_ = request.getfixturevalue(name)
+        place = realize(sys_).layout_floats()[1]
+        for k, res in scan_levels(sys_, r, [3, 5, 6]).items():
+            rows, below = _layout(sys_, place, res.levels, k)
+            one_rows, one_below = _layout(sys_, place, scan(sys_, r, k).levels, k)
+            assert below == one_below and np.array_equal(rows, one_rows)
 
     @pytest.mark.parametrize(
         "name, r, k",
@@ -801,7 +812,7 @@ class TestMemberSandwich:
     @pytest.mark.parametrize("k, depth", [(3, 5), (5, 8)])
     def test_contains_exact_sandwich(self, request, name, r, k, depth):
         model = request.getfixturevalue(f"sys_{name}")
-        est = member_sandwich(realize(model), r, k, depth)
+        est = member_sandwich(realize(model), scan(model, r, k), depth)
         lower, upper = exact_member_sandwich(model, r, k, depth)
         assert est.lower <= lower and upper <= est.upper
         assert float(lower) == pytest.approx(est.lower, rel=1e-12)
@@ -809,7 +820,7 @@ class TestMemberSandwich:
 
     def test_contains_exact_sandwich_at_depth(self, sys_b):
         # the grid route read both bounds 8e-8 low here
-        est = member_sandwich(realize(sys_b), 1, 12, 14)
+        est = member_sandwich(realize(sys_b), scan(sys_b, 1, 12), 14)
         lower, upper = exact_member_sandwich(sys_b, 1, 12, 14)
         assert est.lower <= lower and upper <= est.upper
         assert float(lower) == 9.329153872254421e-12
@@ -825,7 +836,7 @@ class TestMemberSandwich:
         rz = realize(request.getfixturevalue(f"sys_{name}"))
         book = grid_codebook(level_grid(rz, r, k))
         grid_est = integrate_error(level_grid(rz, r, depth), book)
-        est = member_sandwich(rz, r, k, depth)
+        est = member_sandwich(rz, scan(rz.system, r, k), depth)
         assert est.lower == pytest.approx(grid_est.lower, rel=1e-11)
         assert est.upper == pytest.approx(grid_est.upper, rel=1e-11)
         assert est.n == book.size
@@ -839,14 +850,14 @@ class TestMemberSandwich:
         rz = realize(random_rational_system(random.Random(seed)))
         assert rz.sep_t < F(1, 2)
         grid_est = integrate_error(level_grid(rz, r, 5), grid_codebook(level_grid(rz, r, 3)))
-        est = member_sandwich(rz, r, 3, 5)
+        est = member_sandwich(rz, scan(rz.system, r, 3), 5)
         assert est.lower <= grid_est.lower * (1 + 1e-12)
         assert grid_est.upper * (1 - 1e-12) <= est.upper
 
     def test_own_level_is_the_codebook_identity(self, sys_b):
         rz = realize(sys_b)
         grid = level_grid(rz, 2, 6)
-        est = member_sandwich(rz, 2, 6, 6)
+        est = member_sandwich(rz, scan(sys_b, 2, 6), 6)
         assert est.lower == 0.0 and est.rows == est.keys
         assert est.upper == pytest.approx(
             integrate_error(grid, grid_codebook(grid)).upper, rel=1e-13
@@ -859,11 +870,11 @@ class TestMemberSandwich:
 
     def test_capacity_counts_rows_laid_out(self, sys_a):
         rz = realize(sys_a)
-        est = member_sandwich(rz, 1, 4, 10)
+        est = member_sandwich(rz, scan(sys_a, 1, 4), 10)
         assert scan(sys_a, 1, 4).phi < est.rows - 1
-        assert member_sandwich(rz, 1, 4, 10, capacity=est.rows).rows == est.rows
+        assert member_sandwich(rz, scan(sys_a, 1, 4), 10, capacity=est.rows).rows == est.rows
         with pytest.raises(CapacityError, match="k=10"):
-            member_sandwich(rz, 1, 4, 10, capacity=est.rows - 1)
+            member_sandwich(rz, scan(sys_a, 1, 4), 10, capacity=est.rows - 1)
 
     def test_descend_rejects_roots_off_the_depth_scale(self, sys_a):
         with pytest.raises(ValueError, match="integer scales of depth 2"):
@@ -871,5 +882,5 @@ class TestMemberSandwich:
 
     def test_depth_below_level_rejected(self, sys_a):
         with pytest.raises(ValueError, match="below the codebook level"):
-            member_sandwich(realize(sys_a), 1, 5, 4)
+            member_sandwich(realize(sys_a), scan(sys_a, 1, 5), 4)
 

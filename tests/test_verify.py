@@ -211,14 +211,38 @@ def test_only_lloyd_and_monte_carlo_build_grids(sys_b, monkeypatch):
     assert _by_name(suite)["codebook_identity"].status == "PASS"
 
 
+def _counted(monkeypatch, module, name) -> list:
+    """Record the arguments of every later call of module.name."""
+    calls, real = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_one_pass_per_reader(sys_b, monkeypatch):
+    # verify-b's configuration: the smallest level, the level series, the error
+    # curve and the Lloyd and Monte Carlo grids each start one pass from the
+    # vertices (`scan` is the one-level `scan_levels`); the curve descends
+    # from the member keys of its 3 levels
+    passes = _counted(monkeypatch, antichain, "scan_levels")
+    descents = _counted(monkeypatch, antichain, "descend")
+    suite = run_verification(sys_b, 1, range(6, 13), depth_offset=2)
+    assert suite.ok
+    assert (len(passes), len(descents)) == (5, 3)
+
+
 def test_codebook_identity_band_is_relative(sys_b, monkeypatch):
     # at k0 = 8 on B at r = 2, 2^-r sum mu c^r is about 2.5e-16: an absolute
     # band of 1e-12 would pass any upper, so an upper off by 1e-9 must fail
     real = geometry.member_sandwich
 
-    def scaled(rz, r, k, depth, **kwargs):
-        est = real(rz, r, k, depth, **kwargs)
-        return dataclasses.replace(est, upper=est.upper * (1 + 1e-9)) if depth == k else est
+    def scaled(rz, res, depth, **kwargs):
+        est = real(rz, res, depth, **kwargs)
+        return dataclasses.replace(est, upper=est.upper * (1 + 1e-9)) if depth == res.k else est
 
     def identity():
         suite = run_verification(sys_b, 2, range(8, 10), depth_offset=1, mc_samples=2000)
