@@ -31,15 +31,20 @@ import pytest
 from markovquant import (
     grid_codebook, level_grid, lloyd_refine, load_model, optimal_two_point, realize,
 )
+from markovquant.antichain import scan
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 R = Fraction(3, 2)
 
 
+def grid_at(rz, r, k):
+    return level_grid(rz, scan(rz.system, r, k))
+
+
 def run_lloyd(benchmark, name, r, k, depth):
     rz = realize(load_model(FIXTURES / f"fixture_{name}.json"))
-    start = grid_codebook(level_grid(rz, r, k))
-    grid = level_grid(rz, r, depth)
+    start = grid_codebook(grid_at(rz, r, k))
+    grid = grid_at(rz, r, depth)
     _book, trace = benchmark.pedantic(
         lloyd_refine, args=(grid, start), kwargs={"max_iter": 50},
         rounds=10, warmup_rounds=1,
@@ -58,7 +63,7 @@ def test_lloyd_refine_b(benchmark, r):
 
 
 def run_two_point(benchmark, r, rounds):
-    grid = level_grid(realize(load_model(FIXTURES / "fixture_b.json")), r, 8)
+    grid = grid_at(realize(load_model(FIXTURES / "fixture_b.json")), r, 8)
     benchmark.pedantic(optimal_two_point, args=(grid,), rounds=rounds, warmup_rounds=1)
     benchmark.extra_info["cells"] = grid.size
 

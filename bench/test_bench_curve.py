@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from markovquant import error_curve, load_model, member_sandwich, realize
+from markovquant.antichain import scan
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -36,5 +37,5 @@ def test_error_curve(benchmark, ks, offset):
     )
     rz = realize(model)
     for k in ks:
-        est = member_sandwich(rz, 1, k, k + offset)
+        est = member_sandwich(rz, scan(model, 1, k), k + offset)
         benchmark.extra_info[f"k{k}"] = {"n": est.n, "keys": est.keys, "rows": est.rows}

@@ -9,9 +9,11 @@ offset 2, the work of `markovquant verify fixtures/fixture_b.json --r 1
 --k-min 6 --k-max 12 --depth-offset 2` without the model load and the report.
 Each check's status is recorded in `extra_info`, and so are, from one untimed
 run, the antichain passes from the vertices (`passes`: calls of
-`antichain.scan_levels`, of which `antichain.scan` is the one-level case),
-the descents from member keys (`descents`: calls of `antichain.descend`) and
-the `geometry.level_grid` builds (`grids`) of one suite.
+`antichain.scan_levels`, of which `antichain.scan` is the one-level case; 1,
+the pass `verify` plans over every level its checks read), the descents from
+member keys (`descents`: calls of `antichain.descend`; 3, one per level of
+the error curve) and the `geometry.level_grid` builds (`grids`: 2, the Lloyd
+and Monte Carlo grids) of one suite.
 """
 
 from pathlib import Path

@@ -58,7 +58,11 @@ Chain = tuple[int, ...]
 
 
 class CapacityError(RuntimeError):
-    """Raised when an enumeration would exceed the configured word cap."""
+    """Raised when an enumeration would exceed the word cap at level `k`."""
+
+    def __init__(self, k: int, capacity: int):
+        super().__init__(f"antichain at k={k} exceeds capacity cap {capacity} words")
+        self.k = k
 
 
 class Level(NamedTuple):
@@ -204,7 +208,7 @@ def _descend(
             front = list(accumulate(ahead))  # ... inner at level lo + i or below
             for k in ks:  # the complete levels and the first with words left
                 if phi[k] + front[k - lo] > capacity:
-                    raise CapacityError(f"antichain at k={k} exceeds capacity cap {capacity} words")
+                    raise CapacityError(k, capacity)
                 if front[k - lo]:
                     break
         states, counts, inner = nxt, nxt_counts, nxt_inner
@@ -489,6 +493,21 @@ def theorem_ratios(
     return math.exp(log_u - log_expo * math.log(math.log(n))), math.exp(log_u)
 
 
+def series_row(res: ScanResult, cs: CriticalStructure) -> SeriesRow:
+    """The `theorem_ratio_series` row of the pass `res`: its ratio columns are
+    `theorem_ratios` of sum_energy at phi, and raise below the float range."""
+    ac = _statistics(res, cs.s_r)
+    energy = float(ac.sum_energy)
+    corrected, uncorrected = theorem_ratios(energy, ac.phi, res.r, cs, f"sum_energy at k={res.k}")
+    return SeriesRow(
+        k=res.k, phi=ac.phi, depth_min=ac.depth_min, depth_max=ac.depth_max,
+        sum_energy=energy, sum_dim=ac.sum_dim,
+        t_k=implicit_exponent(ac),
+        corrected=corrected, uncorrected=uncorrected,
+        class_sums=dict(ac.class_sums),
+    )
+
+
 def theorem_ratio_series(
     sys: MarkovSystem,
     r,
@@ -498,28 +517,10 @@ def theorem_ratio_series(
     exact: bool = False,
     capacity: int = DEFAULT_CAPACITY,
 ) -> list[SeriesRow]:
-    """Normalized antichain sums over a range of levels, all from one pass.
-
-    Rows follow `k_range`.  The ratio columns are `theorem_ratios` of
-    sum_energy at phi: a sum_energy below the normal float range raises
-    ValueError.
-    """
+    """Normalized antichain sums over a range of levels, all from one pass:
+    one `series_row` per level, in the order of `k_range`."""
     if cs is None:
         cs = spectral.critical_analysis(sys, r)
     ks = list(k_range)
     passes = scan_levels(sys, r, ks, cs=cs, exact=exact, capacity=capacity)
-    rows: list[SeriesRow] = []
-    for k in ks:
-        ac = _statistics(passes[k], cs.s_r)
-        energy = float(ac.sum_energy)
-        corrected, uncorrected = theorem_ratios(energy, ac.phi, r, cs, f"sum_energy at k={k}")
-        rows.append(
-            SeriesRow(
-                k=k, phi=ac.phi, depth_min=ac.depth_min, depth_max=ac.depth_max,
-                sum_energy=energy, sum_dim=ac.sum_dim,
-                t_k=implicit_exponent(ac),
-                corrected=corrected, uncorrected=uncorrected,
-                class_sums=dict(ac.class_sums),
-            )
-        )
-    return rows
+    return [series_row(passes[k], cs) for k in ks]

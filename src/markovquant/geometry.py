@@ -17,11 +17,10 @@ and mass, giving rigorous two-sided bounds for any codebook alpha:
     lower = sum m * max(0, d(mid, alpha) - half)^r
     upper = sum m * (d(mid, alpha) + half)^r.
 
-A grid lays out the members under each state of the antichain pass once,
+A grid lays out the members under each state of an antichain pass once,
 children left to right, so grids come out sorted by midpoint by
-construction.  It records its order r and level k; the grid kernels
-(sandwich, Lloyd, 2-point optimum, discrete cost) read both from it and
-build no grid of their own.
+construction.  It records the pass's order r and level k; the grid kernels
+(sandwich, Lloyd, 2-point optimum, discrete cost) read both from it.
 
 The grid codebook of level k, every member's midpoint, needs no grid at the
 integration depth K: its sandwich splits into one term per member, which
@@ -212,25 +211,23 @@ def _layout(sys: MarkovSystem, place: dict, levels, k: int) -> tuple[np.ndarray,
     return nxt, below
 
 
-def level_grid(
-    rz: Realization, r, k: int, capacity: int = DEFAULT_CAPACITY
-) -> CylinderGrid:
-    """(midpoint, half-width, mass) of every cylinder of the level-k antichain.
+def level_grid(rz: Realization, res: ScanResult) -> CylinderGrid:
+    """(midpoint, half-width, mass) of every cylinder of the antichain of
+    `res`, a pass from the vertices of `rz`'s system, at its order and level.
 
-    The pass from the vertices is laid out by `_layout`; the roots' slices,
-    shifted by their templates and scaled by chi, are the grid, sorted by
-    midpoint, so Lloyd cells are contiguous slices.
+    The pass is laid out by `_layout`; the roots' slices, shifted by their
+    templates and scaled by chi, are the grid, sorted by midpoint, so Lloyd
+    cells are contiguous slices.
     """
     sys = rz.system
-    res = antichain_mod.scan(sys, r, k, capacity=capacity)
     roots, place = rz.layout_floats()
-    (mids, halves, masses), below = _layout(sys, place, res.levels, k)
+    (mids, halves, masses), below = _layout(sys, place, res.levels, res.k)
     for v, chi, lo, hi in zip(sys.vertices, sys.chi_float(), below, below[1:]):
         mids[lo:hi] += roots[v]
         masses[lo:hi] *= chi
     halves *= 0.5
     mids += halves
-    return CylinderGrid(k=k, r=float(as_fraction(r)), mids=mids, halves=halves, masses=masses)
+    return CylinderGrid(k=res.k, r=float(res.r), mids=mids, halves=halves, masses=masses)
 
 
 @dataclass(frozen=True, eq=False)
@@ -584,6 +581,18 @@ class CurveRow:
     iterations: int
 
 
+def _curve_row(k: int, est: ErrorEstimate, r, cs: CriticalStructure, iterations: int) -> CurveRow:
+    ratios = antichain_mod.theorem_ratios(est.upper, est.n, r, cs, f"upper at k={k}")
+    return CurveRow(k, est.n, est.lower, est.upper, *ratios, iterations)
+
+
+def curve_row(rz: Realization, res: ScanResult, depth: int, cs: CriticalStructure, *,
+              capacity: int = DEFAULT_CAPACITY) -> CurveRow:
+    """The unrefined `error_curve` row of the pass `res` from the vertices of
+    `rz`'s system: its grid codebook sandwiched per member key at `depth`."""
+    return _curve_row(res.k, member_sandwich(rz, res, depth, capacity=capacity), res.r, cs, 0)
+
+
 def error_curve(
     sys: MarkovSystem,
     r,
@@ -597,13 +606,13 @@ def error_curve(
     """Two-sided error bounds at the antichain codebook sizes n = phi_k.
 
     Codebooks are the level-k cylinder midpoints; integration runs at depth
-    k + depth_offset.  Unrefined codebooks, all levels of one antichain pass,
-    are sandwiched per member key by `member_sandwich`, with no grid; refined
-    ones start from the level-k grid's midpoints and are Lloyd-refined on the
-    level-(k + depth_offset) grid, the one grid that sets their order and
-    integration depth, for at most 50 steps.  The normalized columns are
-    `antichain.theorem_ratios` of upper at n, taken in logs: an upper below
-    the normal float range raises ValueError naming k.
+    k + depth_offset, all levels from one antichain pass.  Unrefined rows are
+    `curve_row`s, with no grid; refined codebooks start from the level-k
+    grid's midpoints and are Lloyd-refined on the level-(k + depth_offset)
+    grid for at most 50 steps, each grid laid out once and dropped after its
+    last row.  The normalized columns are `antichain.theorem_ratios` of upper
+    at n, taken in logs: an upper below the normal float range raises
+    ValueError naming k.
     """
     if depth_offset < 0:
         raise ValueError(f"depth offset must be >= 0, got {depth_offset}")
@@ -611,28 +620,20 @@ def error_curve(
         cs = spectral.critical_analysis(sys, r)
     rz = realize(sys)
     ks = tuple(k_range)
-    passes = {} if refine else antichain_mod.scan_levels(sys, r, ks, capacity=capacity)
+    depths = [k + depth_offset for k in ks] if refine else []
+    passes = antichain_mod.scan_levels(sys, r, {*ks, *depths}, capacity=capacity)
+    if not refine:
+        return [curve_row(rz, passes[k], k + depth_offset, cs, capacity=capacity) for k in ks]
+    grids: dict[int, CylinderGrid] = {}
     rows: list[CurveRow] = []
-    for k in ks:
-        depth = k + depth_offset
-        iterations = 0
-        if refine:
-            code_grid = level_grid(rz, r, k, capacity=capacity)
-            grid = level_grid(rz, r, depth, capacity=capacity) if depth_offset > 0 else code_grid
-            trace = lloyd_refine(grid, grid_codebook(code_grid), max_iter=_CURVE_LLOYD_ITERS)[1]
-            est = trace[-1]
-            iterations = len(trace) - 1
-        else:
-            est = member_sandwich(rz, passes[k], depth, capacity=capacity)
-        corrected, uncorrected = antichain_mod.theorem_ratios(
-            est.upper, est.n, r, cs, f"upper at k={k}"
-        )
-        rows.append(
-            CurveRow(
-                k=k, n=est.n, lower=est.lower, upper=est.upper,
-                corrected=corrected, uncorrected=uncorrected, iterations=iterations,
-            )
-        )
+    for i, k in enumerate(ks):
+        for lvl in (k, k + depth_offset):
+            grids[lvl] = grids.get(lvl) or level_grid(rz, passes.pop(lvl))
+        book = grid_codebook(grids[k])
+        trace = lloyd_refine(grids[k + depth_offset], book, max_iter=_CURVE_LLOYD_ITERS)[1]
+        rows.append(_curve_row(k, trace[-1], r, cs, len(trace) - 1))
+        later = ks[i + 1 :]
+        grids = {lvl: g for lvl, g in grids.items() if lvl in later or lvl - depth_offset in later}
     return rows
 
 

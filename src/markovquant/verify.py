@@ -13,14 +13,14 @@ the band it was tested against and the measured values, so reports are
 reproducible and machine-readable.  `_CHECKS` lists them in report order, each
 entry with the names it reports, the band of its SKIPs and the function that
 yields its results.  The functions share one `_Context`: it holds the spectral
-analysis and the error curve's levels, built with the run, and builds the 1-D
-realization and the smallest level's bare antichain pass on first use.  Every
-other result has one reader, which builds it.  Only the Lloyd and Monte Carlo
-checks lay out a grid: the codebook identity sandwiches the smallest level's
-midpoints per member key, as the error curve does.  The loop in
-`run_verification` turns a capacity, layout or sampler error, or a check's
-own `_Skip`, into a SKIP of each of the entry's names with the error text as
-the reason.
+analysis and one antichain pass over every level a check reads, built with
+the run, and builds the 1-D realization on first use.  A check asks it for
+all its levels, ascending, before any work.  Every other result has one
+reader, which builds it.  Only the Lloyd and Monte Carlo checks lay out a
+grid: the codebook identity sandwiches the smallest level's midpoints per
+member key, as the error curve does.  The loop in `run_verification` turns
+a capacity, layout or sampler error, or a check's own `_Skip`, into a SKIP
+of each of the entry's names with the error text as the reason.
 """
 
 from __future__ import annotations
@@ -161,9 +161,9 @@ def analysis_report(sys: MarkovSystem, r) -> dict:
 class _Context:
     """The inputs of one run and the results its checks share.
 
-    The spectral analysis and the error curve's levels are built with the
-    run; the realization and the smallest level's pass, which can raise a
-    SKIP error, on first use.  Grids are not shared.
+    The spectral analysis and the pass over the k range and the Lloyd depth
+    are built with the run; the realization, which can raise a SKIP error,
+    on first use.  Grids are not shared.
     """
 
     def __init__(self, sys, r, ks, depth_offset, capacity, seed, mc_samples):
@@ -176,14 +176,30 @@ class _Context:
         # at most _QUANT_POINTS levels of the error curve, from ks[0] to ks[-1]
         picks = np.linspace(0, len(ks) - 1, num=_QUANT_POINTS).round().astype(int)
         self.quant_ks = tuple(sorted({ks[i] for i in picks}))
+        self.depth_l = min(10, ks[0] + depth_offset)
+        self.passes = _planned_passes(sys, r, sorted({*ks, self.depth_l}), self.cs, capacity)
 
-    @cached_property
-    def ac0(self):
-        return antichain_mod.scan(self.sys, self.r, self.ks[0], capacity=self.capacity)
+    def levels(self, *ks):
+        """The passes of the levels ks, ascending; CapacityError at the first one missing."""
+        for k in ks:
+            if k not in self.passes:
+                raise CapacityError(k, self.capacity)
+        return [self.passes[k] for k in ks]
 
     @cached_property
     def rz(self):
         return geometry.realize(self.sys)
+
+
+def _planned_passes(sys, r, plan, cs, capacity) -> dict:
+    """One pass over `plan`.  Past an overrun at level k, the levels below k are
+    complete within the cap, so a second pass, run once the handler has freed
+    the first pass's tables, returns them."""
+    try:
+        return antichain_mod.scan_levels(sys, r, plan, cs=cs, capacity=capacity)
+    except CapacityError as exc:
+        below = [k for k in plan if k < exc.k]
+    return antichain_mod.scan_levels(sys, r, below, cs=cs, capacity=capacity) if below else {}
 
 
 def _spectral_root_consistency(ctx: _Context) -> Iterator[CheckResult]:
@@ -244,7 +260,7 @@ def _definition_holds(sys: MarkovSystem, rq: Fraction, k: int, words) -> list[bo
 
 
 def _antichain_definition(ctx: _Context) -> Iterator[CheckResult]:
-    ac0 = ctx.ac0
+    (ac0,) = ctx.levels(ctx.ks[0])
     words = antichain_mod.member_words(ctx.sys, ac0)
     def_ok = all(_definition_holds(ctx.sys, ctx.rq, ac0.k, words))
     partition = antichain_mod.measure_partition_sum(ac0)
@@ -267,9 +283,7 @@ def _antichain_definition(ctx: _Context) -> Iterator[CheckResult]:
 
 def _growth_bands(ctx: _Context) -> Iterator[CheckResult]:
     cs = ctx.cs
-    rows = antichain_mod.theorem_ratio_series(
-        ctx.sys, ctx.r, ctx.ks, cs=cs, capacity=ctx.capacity
-    )
+    rows = [antichain_mod.series_row(res, cs) for res in ctx.levels(*ctx.ks)]
     logphi = [math.log(row.phi) / row.k for row in rows]
     depth_ratio = max(row.depth_max / row.depth_min for row in rows)
     yield CheckResult(
@@ -371,11 +385,11 @@ def _transient_decay(ctx: _Context) -> Iterator[CheckResult]:
 
 
 def _error_curve(ctx: _Context) -> Iterator[CheckResult]:
-    # error_curve realizes before it scans, so a bad layout is the reason
-    curve = geometry.error_curve(
-        ctx.sys, ctx.r, ctx.quant_ks, depth_offset=ctx.depth_offset, cs=ctx.cs,
-        capacity=ctx.capacity,
-    )
+    rz = ctx.rz  # a bad layout is the reason before a missing level
+    curve = [
+        geometry.curve_row(rz, res, res.k + ctx.depth_offset, ctx.cs, capacity=ctx.capacity)
+        for res in ctx.levels(*ctx.quant_ks)
+    ]
     yield CheckResult(
         name="quantization_bracket",
         passed=all(row.lower <= row.upper for row in curve),
@@ -410,12 +424,16 @@ def _error_curve(ctx: _Context) -> Iterator[CheckResult]:
 def _codebook_identity(ctx: _Context) -> Iterator[CheckResult]:
     # the level-k0 midpoints integrated at their own level, sandwiched per
     # member key: lower must be 0 and upper 2^-r * sum mu * c^r
-    rz, ac0, rq = ctx.rz, ctx.ac0, ctx.rq
-    terms = ac0.hist.items()  # ((chain, chi, p, c), member words)
+    rz, rq = ctx.rz, ctx.rq
+    (ac0,) = ctx.levels(ctx.ks[0])
+    words: dict = {}  # by (chi, p, c): a key split by chain would round its terms apart
+    for (_chain, *key), n in ac0.hist.items():
+        words[tuple(key)] = words.get(tuple(key), 0) + n
+    terms = words.items()
     if rq.denominator == 1:
-        mu_cr = float(sum(n * chi * p * c**rq.numerator for (_, chi, p, c), n in terms))
+        mu_cr = float(sum(n * chi * p * c**rq.numerator for (chi, p, c), n in terms))
     else:
-        mu_cr = math.fsum(n * float(chi) * float(p) * float(c) ** ctx.rf for (_, chi, p, c), n in terms)
+        mu_cr = math.fsum(n * float(chi) * float(p) * float(c) ** ctx.rf for (chi, p, c), n in terms)
     expected = mu_cr / 2.0 ** ctx.rf
     est0 = geometry.member_sandwich(rz, ac0, ac0.k, capacity=ctx.capacity)
     dev = abs(est0.upper - expected)
@@ -432,8 +450,7 @@ def _lloyd(ctx: _Context) -> Iterator[CheckResult]:
     rz = ctx.rz  # an infeasible layout is the reason even below r = 1
     if ctx.rf < 1.0:
         raise _Skip("r < 1")
-    depth_l = min(10, ctx.ks[0] + ctx.depth_offset)
-    grid_l = geometry.level_grid(rz, ctx.r, depth_l, capacity=ctx.capacity)
+    grid_l = geometry.level_grid(rz, *ctx.levels(ctx.depth_l))
     start = geometry.quantile_codebook(grid_l, 2, ctx.rf)
     refined, trace = geometry.lloyd_refine(grid_l, start)
     monotone = all(b.upper <= a.upper + 1e-15 for a, b in zip(trace, trace[1:]))
@@ -462,9 +479,10 @@ def _monte_carlo_bracket(ctx: _Context) -> Iterator[CheckResult]:
     quantile codebook, summed on the level-mid_k grid the codebook comes from."""
     rz, rf = ctx.rz, ctx.rf
     mid_k = ctx.quant_ks[len(ctx.quant_ks) // 2]
-    grid_mc = geometry.level_grid(rz, ctx.r, mid_k, capacity=ctx.capacity)
+    grid_mc = geometry.level_grid(rz, *ctx.levels(mid_k))
     book_mc = geometry.quantile_codebook(grid_mc, min(4, grid_mc.size), rf if rf >= 1 else 2.0)
     est_mc = geometry.integrate_error(grid_mc, book_mc)
+    del grid_mc  # the sample walk, the peak of the run, needs only the codebook
     mc_mean, mc_err = geometry.monte_carlo_error(rz, book_mc, ctx.r, ctx.mc_samples, ctx.seed)
     yield CheckResult(
         name="monte_carlo_bracket",

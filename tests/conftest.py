@@ -22,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from markovquant import MarkovSystem, load_model, path_weight
+from markovquant import MarkovSystem, level_grid, load_model, path_weight
+from markovquant.antichain import scan
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -32,6 +33,11 @@ S1_H1_B = 0.36718377023594174  # root of golden_ratio * (1/6)^{s/(s+1)} = 1
 S1_K_B = 0.31546487678572872  # x/(1-x), x = ln2/ln18
 DECAY_LIMIT_B = 0.9202422538857508  # 2*(1/18)^{s/(s+1)} at s = S1_H1_B
 T11_A = 1.3825362618551106  # y/(1-y), y = ln8/ln36
+
+
+def grid_at(rz, r, k, **options):
+    """The level-k grid of `rz` at order r, laid out from a one-level pass."""
+    return level_grid(rz, scan(rz.system, r, k, **options))
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,6 @@ from markovquant import (
     error_curve,
     grid_codebook,
     integrate_error,
-    level_grid,
     lloyd_refine,
     member_words,
     path_weight,
@@ -31,7 +30,7 @@ from markovquant import (
     theorem_ratio_series,
     transient_sum,
 )
-from conftest import DECAY_LIMIT_B, S1_H1_B, S1_K_B, S_R_A, T11_A
+from conftest import DECAY_LIMIT_B, S1_H1_B, S1_K_B, S_R_A, T11_A, grid_at
 
 _MODULE_T0 = time.time()
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -236,7 +235,7 @@ def test_criterion_09_numeric_quantization(sys_a, sys_b, structures):
         # self-codebook identity at integration depth = level
         worst_dev = 0.0
         for k in range(4, 10):
-            grid = level_grid(rz_a, r, k)
+            grid = grid_at(rz_a, r, k)
             est = integrate_error(grid, grid_codebook(grid))
             ac = enumerate_antichain(sys_a, r, k, exact=True)
             expected = float(
@@ -294,7 +293,7 @@ def test_criterion_10_lloyd_equals_bruteforce(sys_a):
         if cost < best:
             best = cost
 
-    grid = level_grid(rz, 2, 10)
+    grid = grid_at(rz, 2, 10)
     start = quantile_codebook(grid, 2, 2)
     refined, _trace = lloyd_refine(grid, start)
     lloyd_cost = discrete_cost(grid, refined)

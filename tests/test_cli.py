@@ -196,9 +196,9 @@ class TestVerifyCommand:
     def test_summary_counts_checks(self, capsys, monkeypatch):
         # verify-b-cap's configuration, with an error curve that overruns the cap
         def overrun(*args, **kwargs):
-            raise CapacityError("antichain at k=14 exceeds capacity cap 1000000 words")
+            raise CapacityError(14, 1000000)
 
-        monkeypatch.setattr(geometry, "error_curve", overrun)
+        monkeypatch.setattr(geometry, "curve_row", overrun)
         code = main(["verify", B, "--r", "1", "--k-min", "6", "--k-max", "12",
                      "--depth-offset", "2", "--cap", "1000000"])
         out = capsys.readouterr().out

@@ -31,7 +31,6 @@ from markovquant import (
     error_curve,
     grid_codebook,
     integrate_error,
-    level_grid,
     lloyd_refine,
     member_sandwich,
     member_words,
@@ -46,7 +45,7 @@ from markovquant import (
 from markovquant import geometry
 from markovquant.antichain import descend, member_keys, scan, scan_levels
 from markovquant.geometry import _cell_centers, _layout
-from conftest import S_R_A, all_words, exact_member_sandwich, random_rational_system
+from conftest import S_R_A, all_words, exact_member_sandwich, grid_at, random_rational_system
 
 F = Fraction
 
@@ -251,13 +250,13 @@ class TestCylinderInterval:
 class TestGrids:
     def test_grid_size_matches_antichain(self, sys_b):
         rz = realize(sys_b)
-        grid = level_grid(rz, 1, 4)
+        grid = grid_at(rz, 1, 4)
         ac = enumerate_antichain(sys_b, 1, 4)
         assert grid.size == ac.phi
 
     def test_masses_partition(self, sys_a, sys_b, sys_c):
         for sys in (sys_a, sys_b, sys_c):
-            grid = level_grid(realize(sys), 1, 5)
+            grid = grid_at(realize(sys), 1, 5)
             assert grid.masses.sum() == pytest.approx(1.0, abs=1e-12)
             assert (grid.masses > 0).all()
 
@@ -269,7 +268,7 @@ class TestGrids:
         cases += [(sys, r, 2) for sys in realizable_random_models(3) for r in (1, F(3, 2))]
         for sys, r, k in cases:
             rz = realize(sys)
-            grid = level_grid(rz, r, k)
+            grid = grid_at(rz, r, k)
             ac = enumerate_antichain(sys, r, k, exact=True)
             exact = []
             for w in member_words(sys, ac):
@@ -303,7 +302,7 @@ class TestGrids:
         rz = realize(request.getfixturevalue(name))
         tracemalloc.start()
         try:
-            grid = level_grid(rz, r, k)
+            grid = grid_at(rz, r, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -313,10 +312,10 @@ class TestGrids:
         # phi at k = 40 is about 7.1e15; the pass stops once the words found
         # plus the words left to expand exceed the cap
         with pytest.raises(CapacityError):
-            level_grid(realize(sys_b), 1, 40, capacity=10**6)
+            grid_at(realize(sys_b), 1, 40, capacity=10**6)
 
     def test_codebook_points_sorted_and_distinct(self, sys_b):
-        grid = level_grid(realize(sys_b), 1, 6)
+        grid = grid_at(realize(sys_b), 1, 6)
         book = grid_codebook(grid)
         assert book.points.tolist() == sorted(set(grid.mids.tolist()))
         assert Codebook(points=(2.5, 0.5, 2.5, 1.0)).points.tolist() == [0.5, 1.0, 2.5]
@@ -331,7 +330,7 @@ class TestIntegrateError:
         rz = realize(sys_a)
         for r in (1, 2):
             k = 4
-            grid = level_grid(rz, r, k)
+            grid = grid_at(rz, r, k)
             est = integrate_error(grid, grid_codebook(grid))
             ac = enumerate_antichain(sys_a, r, k, exact=True)
             expected = float(
@@ -345,7 +344,7 @@ class TestIntegrateError:
         # the grid is summed a chunk at a time; reference: one pass over it,
         # reduced by numpy's loop as the sandwich is (not by a BLAS dot)
         rz = realize(sys_b)
-        grid = level_grid(rz, r, 7)
+        grid = grid_at(rz, r, 7)
         book = quantile_codebook(grid, 5, float(r))
         pts, rf = book.points, float(r)
         d = np.array([np.abs(pts - x).min() for x in grid.mids])
@@ -389,7 +388,7 @@ class TestIntegrateError:
         widths = []
         bounds = []
         for depth in (4, 6, 8, 10):
-            grid = level_grid(rz, 1, depth)
+            grid = grid_at(rz, 1, depth)
             est = integrate_error(grid, book)
             assert (est.r, est.integration_depth) == (grid.r, grid.k) == (1.0, depth)
             widths.append(est.width)
@@ -403,7 +402,7 @@ class TestIntegrateError:
         rz = realize(sys_a)
         for pts in ((0.5, 2.5), (0.2, 0.8, 2.5), (1.7,)):
             book = Codebook(points=pts)
-            est = integrate_error(level_grid(rz, 1, 10), book)
+            est = integrate_error(grid_at(rz, 1, 10), book)
             mc, se = monte_carlo_error(rz, book, 1, 200_000, seed=99)
             assert est.lower - 3 * se <= mc <= est.upper + 3 * se
 
@@ -463,7 +462,7 @@ class TestIntegrateError:
         rz = realize(sys_a)
         book = Codebook(points=(0.5, 2.5))
         for r in (1, 2):
-            est = integrate_error(level_grid(rz, r, 8), book)
+            est = integrate_error(grid_at(rz, r, 8), book)
             assert est.upper <= 2.0**-r
 
     def test_sampler_raises_at_step_cap(self):
@@ -481,7 +480,7 @@ class TestIntegrateError:
     def test_positive_order_required(self, sys_a):
         rz = realize(sys_a)
         with pytest.raises(ValueError):
-            integrate_error(level_grid(rz, 0, 3), Codebook(points=(0.5,)))
+            integrate_error(grid_at(rz, 0, 3), Codebook(points=(0.5,)))
 
 
 class TestCellKernel:
@@ -587,7 +586,7 @@ class TestCellKernel:
 class TestLloyd:
     def test_fixed_point_returned_unchanged(self, sys_a):
         rz = realize(sys_a)
-        grid = level_grid(rz, 2, 8)
+        grid = grid_at(rz, 2, 8)
         book, _cost = optimal_two_point(grid)
         refined, trace = lloyd_refine(grid, book)
         assert refined.points == pytest.approx(book.points, abs=1e-12)
@@ -595,7 +594,7 @@ class TestLloyd:
 
     def test_trace_monotone_and_improves(self, sys_a):
         rz = realize(sys_a)
-        grid = level_grid(rz, 2, 8)
+        grid = grid_at(rz, 2, 8)
         start = Codebook(points=(0.1, 0.2, 0.3))
         refined, trace = lloyd_refine(grid, start)
         uppers = [e.upper for e in trace]
@@ -605,7 +604,7 @@ class TestLloyd:
 
     def test_empty_cell_respawn(self, sys_a):
         rz = realize(sys_a)
-        grid = level_grid(rz, 2, 6)
+        grid = grid_at(rz, 2, 6)
         start = Codebook(points=(-5.0, 0.5, 2.5))  # leftmost cell is empty
         refined, trace = lloyd_refine(grid, start)
         assert refined.size == 3
@@ -614,7 +613,7 @@ class TestLloyd:
 
     def test_weighted_median_for_order_one(self, sys_a):
         rz = realize(sys_a)
-        grid = level_grid(rz, 1, 8)
+        grid = grid_at(rz, 1, 8)
         refined, trace = lloyd_refine(grid, quantile_codebook(grid, 2, 1))
         # a weighted median never leaves the support
         for p in refined.points:
@@ -623,7 +622,7 @@ class TestLloyd:
 
     def test_general_order_ternary_search(self, sys_a):
         rz = realize(sys_a)
-        grid = level_grid(rz, 1.5, 6)
+        grid = grid_at(rz, 1.5, 6)
         refined, trace = lloyd_refine(grid, quantile_codebook(grid, 2, 1.5))
         assert all((e.r, e.integration_depth) == (grid.r, grid.k) == (1.5, 6) for e in trace)
         assert trace[-1].upper <= trace[0].upper
@@ -632,13 +631,13 @@ class TestLloyd:
     def test_rejects_small_order(self, sys_a):
         rz = realize(sys_a)
         with pytest.raises(UnsupportedOrderError):
-            lloyd_refine(level_grid(rz, 0.5, 4), Codebook(points=(0.5,)))
+            lloyd_refine(grid_at(rz, 0.5, 4), Codebook(points=(0.5,)))
 
     @pytest.mark.parametrize("r", [F(1, 2), F(99, 100)], ids=str)
     def test_recentering_rejects_small_order(self, sys_c, r):
         # below r = 1 a cell's cost is not convex: no quantile warm start or
         # 2-point optimum is computed, not even with one-point cells
-        grid = level_grid(realize(sys_c), r, 4)
+        grid = grid_at(realize(sys_c), r, 4)
         for n in (2, grid.size):
             with pytest.raises(UnsupportedOrderError):
                 quantile_codebook(grid, n, float(r))
@@ -653,7 +652,7 @@ class TestLloyd:
     )
     def test_two_point_matches_split_enumeration(self, request, name, k, r):
         # fixture A's masses tie exactly, so equal-cost splits occur
-        grid = level_grid(realize(request.getfixturevalue(f"sys_{name}")), r, k)
+        grid = grid_at(realize(request.getfixturevalue(f"sys_{name}")), r, k)
         book, cost = optimal_two_point(grid)
         tol = two_point_tolerance(r)
         assert cost == pytest.approx(split_enumeration(grid, r), **tol)
@@ -690,7 +689,7 @@ class TestLloyd:
 
     def test_two_point_evaluates_few_cuts(self, sys_b, monkeypatch):
         # B at level 5 has 1,602 cells at r = 3/2: enumeration recenters 1,601 cuts
-        grid = level_grid(realize(sys_b), F(3, 2), 5)
+        grid = grid_at(realize(sys_b), F(3, 2), 5)
         calls = []
         kernel = geometry._cell_centers
         monkeypatch.setattr(
@@ -704,7 +703,7 @@ class TestLloyd:
         # at r = 1 every cut's two cells span the grid, so one cumulative sum
         # serves all cuts; each cut's centers must be, bit for bit, those of
         # recentering that cut alone
-        grid = level_grid(realize(sys_b), 1, 5)
+        grid = grid_at(realize(sys_b), 1, 5)
         calls = []
         medians = geometry._weighted_medians
 
@@ -725,7 +724,7 @@ class TestLloyd:
     def test_two_point_optimum_agreement(self, sys_a):
         # split-enumeration optimum is reproduced by Lloyd from quantile init
         rz = realize(sys_a)
-        grid = level_grid(rz, 2, 8)
+        grid = grid_at(rz, 2, 8)
         bf_book, bf_cost = optimal_two_point(grid)
         refined, _ = lloyd_refine(grid, quantile_codebook(grid, 2, 2))
         assert discrete_cost(grid, refined) == pytest.approx(bf_cost, abs=1e-12)
@@ -834,8 +833,8 @@ class TestMemberSandwich:
     def test_matches_grid_route(self, request, name, r, k, depth):
         # sep_t = 1 on A-C: the codebook point nearest a cell is its member's
         rz = realize(request.getfixturevalue(f"sys_{name}"))
-        book = grid_codebook(level_grid(rz, r, k))
-        grid_est = integrate_error(level_grid(rz, r, depth), book)
+        book = grid_codebook(grid_at(rz, r, k))
+        grid_est = integrate_error(grid_at(rz, r, depth), book)
         est = member_sandwich(rz, scan(rz.system, r, k), depth)
         assert est.lower == pytest.approx(grid_est.lower, rel=1e-11)
         assert est.upper == pytest.approx(grid_est.upper, rel=1e-11)
@@ -849,14 +848,14 @@ class TestMemberSandwich:
         # own rounding gets a 1e-12 relative allowance
         rz = realize(random_rational_system(random.Random(seed)))
         assert rz.sep_t < F(1, 2)
-        grid_est = integrate_error(level_grid(rz, r, 5), grid_codebook(level_grid(rz, r, 3)))
+        grid_est = integrate_error(grid_at(rz, r, 5), grid_codebook(grid_at(rz, r, 3)))
         est = member_sandwich(rz, scan(rz.system, r, 3), 5)
         assert est.lower <= grid_est.lower * (1 + 1e-12)
         assert grid_est.upper * (1 - 1e-12) <= est.upper
 
     def test_own_level_is_the_codebook_identity(self, sys_b):
         rz = realize(sys_b)
-        grid = level_grid(rz, 2, 6)
+        grid = grid_at(rz, 2, 6)
         est = member_sandwich(rz, scan(sys_b, 2, 6), 6)
         assert est.lower == 0.0 and est.rows == est.keys
         assert est.upper == pytest.approx(

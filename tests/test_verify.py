@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import weakref
 from fractions import Fraction
 
@@ -94,7 +95,7 @@ def test_invalid_model_reports_model_valid_only(sys_a):
 
 def _overrun(*args, **kwargs):
     # a stand-in: the grid codebook's curve builds no grid that overruns this cap
-    raise CapacityError("antichain at k=10 exceeds capacity cap 1500 words")
+    raise CapacityError(10, 1500)
 
 
 def test_capped_curve_skips_bracket_and_decay_from_one_run(sys_a, monkeypatch):
@@ -104,7 +105,7 @@ def test_capped_curve_skips_bracket_and_decay_from_one_run(sys_a, monkeypatch):
         calls.append(args)
         return _overrun(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "error_curve", counted)
+    monkeypatch.setattr(geometry, "curve_row", counted)
     suite = _verify_a(sys_a, capacity=1500)
     assert len(calls) == 1
     capacity_skips = [
@@ -132,7 +133,7 @@ def test_capped_curve_does_not_keep_its_grids(sys_a, monkeypatch):
             alive_after.append(sum(ref() is not None for ref in curve_arrays))
         return real_grid(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "error_curve", curve)
+    monkeypatch.setattr(geometry, "curve_row", curve)
     monkeypatch.setattr(geometry, "level_grid", level_grid)
     suite = _verify_a(sys_a, capacity=1500)
     assert _by_name(suite)["error_decay"].status == "SKIP"
@@ -160,6 +161,41 @@ def test_cap_below_the_smallest_level_skips_each_check_with_its_own_level(sys_a)
     assert suite.ok
 
 
+@pytest.mark.parametrize(
+    "name, ks, curve, lloyd",
+    [("a", range(4, 9), (4, 6, 8), 6), ("b", range(6, 13), (6, 9, 12), 8)],
+    ids=["a", "b"],
+)
+def test_each_check_skips_at_its_own_level(request, name, ks, curve, lloyd):
+    # caps of phi_k - 1, phi_k and phi_k + 1 for every planned level k: each
+    # check's SKIP names the smallest of its own levels that a one-level pass
+    # refuses, and a check none of whose levels is refused runs
+    sys_ = request.getfixturevalue(f"sys_{name}")
+    ks = list(ks)
+    own = {
+        "antichain_definition": ks[:1], "codebook_identity": ks[:1],
+        **dict.fromkeys(("phi_growth_band", "chain_sum_growth", "log_correction"), ks),
+        **dict.fromkeys(("quantization_bracket", "error_decay"), curve),
+        **dict.fromkeys(("lloyd_monotone", "lloyd_vs_bruteforce"), [lloyd]),
+        "monte_carlo_bracket": [curve[1]],
+    }
+    phis = [antichain.scan(sys_, 1, k).phi for k in sorted({*ks, lloyd})]
+    for cap in sorted({phi + d for phi in phis for d in (-1, 0, 1)}):
+        refused = {}
+        for k in {*ks, lloyd}:
+            try:
+                antichain.scan(sys_, 1, k, capacity=cap)
+            except CapacityError as exc:
+                refused[k] = str(exc)
+        suite = run_verification(sys_, 1, ks, depth_offset=2, capacity=cap, mc_samples=2000)
+        for check in suite.checks:
+            reasons = [refused[k] for k in own.get(check.name, ()) if k in refused]
+            if reasons:
+                assert (check.status, check.reason) == ("SKIP", reasons[0]), (cap, check.name)
+            else:
+                assert "capacity" not in check.reason, (cap, check.name)
+
+
 def test_grid_curve_fits_where_its_grids_overran(sys_a):
     # 1,500 words cannot hold a depth-10 integration grid (4,096 cells), but
     # the curve lays out its member keys instead, in far fewer rows
@@ -174,9 +210,9 @@ def _grids_built(monkeypatch) -> list:
     built, current = [], []
     real_grid = geometry.level_grid
 
-    def level_grid(rz, r, k, **kwargs):
-        built.append((current[-1], k))
-        return real_grid(rz, r, k, **kwargs)
+    def level_grid(rz, res):
+        built.append((current[-1], res.k))
+        return real_grid(rz, res)
 
     def tagged(check):
         def run(ctx):
@@ -224,15 +260,34 @@ def _counted(monkeypatch, module, name) -> list:
 
 
 def test_one_pass_per_reader(sys_b, monkeypatch):
-    # verify-b's configuration: the smallest level, the level series, the error
-    # curve and the Lloyd and Monte Carlo grids each start one pass from the
-    # vertices (`scan` is the one-level `scan_levels`); the curve descends
-    # from the member keys of its 3 levels
+    # verify-b's configuration: one planned pass from the vertices serves the
+    # smallest level, the level series, the error curve and the Lloyd and
+    # Monte Carlo grids (`scan` is the one-level `scan_levels`); the curve
+    # descends from the member keys of its 3 levels
     passes = _counted(monkeypatch, antichain, "scan_levels")
     descents = _counted(monkeypatch, antichain, "descend")
     suite = run_verification(sys_b, 1, range(6, 13), depth_offset=2)
     assert suite.ok
-    assert (len(passes), len(descents)) == (5, 3)
+    assert (len(passes), len(descents)) == (1, 3)
+
+
+def test_overrun_at_the_smallest_level_starts_one_pass(sys_a, monkeypatch):
+    # phi_4 of A is 64 words: the planned pass overruns a cap of 10 at its
+    # smallest level, so no level is left to pass again
+    passes = _counted(monkeypatch, antichain, "scan_levels")
+    suite = run_verification(sys_a, 1, range(4, 9), depth_offset=2, capacity=10)
+    assert suite.ok
+    assert len(passes) == 1
+
+
+def test_refined_curve_lays_out_each_level_once(sys_c, monkeypatch):
+    # lloyd-c's configuration: rows 4..9 read the grids of levels 4..13, and
+    # levels 8 and 9 are both a codebook level and an integration depth
+    passes = _counted(monkeypatch, antichain, "scan_levels")
+    grids = _counted(monkeypatch, geometry, "level_grid")
+    geometry.error_curve(sys_c, Fraction(3, 2), range(4, 10), refine=True, depth_offset=4)
+    assert len(passes) == 1
+    assert sorted(res.k for _rz, res in grids) == list(range(4, 14))
 
 
 def test_codebook_identity_band_is_relative(sys_b, monkeypatch):
@@ -254,6 +309,21 @@ def test_codebook_identity_band_is_relative(sys_b, monkeypatch):
     monkeypatch.setattr(geometry, "member_sandwich", scaled)
     assert identity().status == "FAIL"
     assert check.measured["deviation"] <= 1e-14 * check.measured["expected"]
+
+
+@pytest.mark.parametrize("r, k0", [(Fraction(3, 2), 4), (Fraction(7, 3), 8), (Fraction(1, 2), 5)])
+def test_codebook_identity_folds_the_chains_out(sys_b, r, k0):
+    # the planned pass splits B's keys by critical chain; summed per split
+    # key, the closed form would round off the sum over the bare pass's keys
+    ctx = verify._Context(sys_b, r, (k0, k0 + 1), 2, 10**8, 1, 2)
+    bare = antichain.scan(sys_b, r, k0)
+    assert len(ctx.levels(k0)[0].hist) > len(bare.hist)
+    rf = float(r)
+    expected = math.fsum(
+        n * float(chi) * float(p) * float(c) ** rf for (_ch, chi, p, c), n in bare.hist.items()
+    ) / 2.0**rf
+    (check,) = verify._codebook_identity(ctx)
+    assert check.measured["expected"] == expected
 
 
 def test_antichain_definition_fails_on_a_word_past_the_threshold(sys_a, monkeypatch):
