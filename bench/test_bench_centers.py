@@ -10,14 +10,15 @@ recenters all cells of a codebook in one array pass:
 - `lloyd_refine` on the level-13 grid of C at r = 3/2, from the codebook of
   its level-9 grid (the last row of `quantize fixtures/fixture_c.json --r
   3/2 --k-min 4 --k-max 9 --refine --depth-offset 4`), where every center
-  comes from the derivative bisection;
+  is the root of its cell's derivative, found by the bracketed secant;
 - `lloyd_refine` on the level-10 grid of B at r = 1 and at r = 2, from the
   codebook of its level-8 grid (the last row of `quantize
   fixtures/fixture_b.json --r R --k-min 4 --k-max 8 --refine --depth-offset
   2`), where the centers are weighted medians and means;
 - `optimal_two_point` on the level-8 grid of B at r = 3/2 (26,050 cells),
-  where every cut bisects, and at r = 1 (17,460 cells), where every cut
-  reads its medians from one shared cumulative sum.
+  where every cut solves its two centers by the bracketed secant, inside
+  the centers of the nearest cuts already evaluated, and at r = 1 (17,460
+  cells), where every cut reads its medians from one shared cumulative sum.
 
 Each Lloyd case records its grid's cells and the steps Lloyd took.  The
 grids are built once, outside the timed calls.

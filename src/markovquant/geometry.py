@@ -34,16 +34,18 @@ every cell is a contiguous slice of the grid.  The cells of a codebook are
 solved together, with no loop over cells: the best point of a cell is its
 mean for r=2 (two `np.add.reduceat`), its weighted median for r=1 (one
 `np.cumsum`, one `np.searchsorted`) and for any other order r > 1 the root
-of the cost's derivative, found by bisecting every cell's bracket at once on
-the derivative's sign, one `np.add.reduceat` per step, down to width 1e-12.
+of the cost's derivative, found for every cell at once by a safeguarded
+Illinois regula falsi on the derivative, which keeps a sign bracket of the
+root, one `np.add.reduceat` per probe, down to width 1e-12.
 Orders below 1 are refused: their cell cost is not convex.  Lloyd
 refinement alternates assignment with these center updates; a step is
 accepted only if the sandwich upper bound does not increase, so the reported
 bound is non-increasing by construction.  The exact 2-point optimum is a
 branch and bound over the cuts of the grid, one path for every order; at
-r = 1 all its cuts read their medians from one cumulative sum.  Dot
-products over the grid use numpy's own loop, not BLAS, so no sum depends on
-the thread count.  A seeded Monte Carlo sampler is a validation sidecar only.
+r = 1 all its cuts read their medians from one cumulative sum, and at other
+orders a cut's centers are bracketed by those of its evaluated neighbours.
+Dot products over the grid use numpy's own loop, not BLAS, so no sum depends
+on the thread count.  A seeded Monte Carlo sampler is a validation sidecar only.
 It walks all samples at once: each step orders them by vertex with one sort
 of packed (vertex, sample index) keys and picks every edge by comparing the
 draws with its vertex's cdf values.  It draws the same stream as one
@@ -77,6 +79,8 @@ _SAMPLE_STEPS = 10_000
 _PRUNE_SLACK = 1e-13
 # unit roundoff of float64 arithmetic
 _UNIT_ROUNDOFF = 2.0**-53
+# probes a cell center may take past the count bisection needs
+_SPARE_PROBES = 3
 _LLOYD_REL_TOL = 1e-9  # Lloyd stops at a smaller relative gain in the upper bound
 _CURVE_LLOYD_ITERS = 50  # Lloyd steps per codebook of a refined error curve
 _SAMPLE_RESOLUTION = 1e-12  # sampled cylinders shorter than this are points
@@ -193,8 +197,11 @@ def _layout(sys: MarkovSystem, place: dict, levels, k: int) -> tuple[np.ndarray,
     scale, off = unit[[1, 1, 2]], unit[0].tolist()
     below = [0]  # state -> start of its slice, then the total
     nxt = None  # layout of the depth below; only two depths are alive at once
-    inner: tuple = ()  # lowest inner level of each state of the depth below
-    for lvl in reversed(levels):
+    # the states of a depth inner only above level k are level-k members or
+    # lie below them, so the layout starts above the first such depth
+    cut = next((i for i, lvl in enumerate(levels) if min(lvl.inner) > k), len(levels))
+    inner = levels[cut].inner if cut < len(levels) else ()  # of the states of the depth below
+    for lvl in reversed(levels[:cut]):
         edge, child = np.array(lvl.edge), np.array(lvl.child)
         # slot -1, to no state, reads the appended k + 1; a member writes one row
         member = np.append(inner, k + 1)[child] > k
@@ -382,19 +389,31 @@ def _weighted_medians(x, cum, starts, ends) -> np.ndarray:
     return x[np.maximum(np.searchsorted(cum, half), starts)]
 
 
-def _cell_centers(mids, masses, starts, ends, r: float) -> np.ndarray:
+def _cell_centers(mids, masses, starts, ends, r: float, bracket=None) -> np.ndarray:
     """Best single point of each cell mids[starts[i]:ends[i]] of the sorted grid.
 
     An empty cell gets NaN and a one-point cell its point; the other cells
     must be adjacent, each ending where the next one starts, and are solved
     together over the slice they span.  At r = 2 a center is the mean, kept
     in its cell against rounding; at r = 1 the first point whose cumulative
-    mass reaches half its cell's, by one cumsum and one searchsorted.  Any
-    other order r > 1 bisects each cell's bracket, from its first to its last
-    midpoint, on the sign of the derivative sum m * sign(t - x) * |t - x|^(r-1)
-    of its strictly convex cost, one reduceat per step, down to width 1e-12
-    or, past 8192 where one ulp is wider, two adjacent floats, and returns
-    the bracket's midpoint.  Orders below 1 raise `UnsupportedOrderError`.
+    mass reaches half its cell's, by one cumsum and one searchsorted.  At any
+    other order r > 1 a center is the root of the derivative
+    sum m * sign(t - x) * |t - x|^(r-1) of the cell's strictly convex cost.
+    Each cell's bracket runs from its first to its last midpoint, or, where
+    `bracket` gives (lows, highs) per cell, over their overlap with it; its
+    slope is taken at both ends and then at one probe per step, one reduceat
+    over the span each.  A probe is the Illinois regula falsi point (Dowell
+    and Jarratt, BIT 11, 1971): the secant of the two ends' slopes, the slope
+    of an end kept twice in a row halved.  It is kept 5e-13 inside each end
+    and within ITP's projection radius of the midpoint (Oliveira and
+    Takahashi, ACM TOMS 47, 2020), which lets no cell take more than
+    _SPARE_PROBES probes beyond bisection's count, and is the midpoint where
+    it would not land strictly inside.  The probe replaces the end whose
+    slope has its sign, both at a zero slope.  A cell stops at width 1e-12
+    or, past 8192 where one ulp is wider, at two adjacent floats, and
+    returns the bracket's midpoint.  If rounding leaves a root outside a
+    given bracket (an end's slope of the wrong sign), the cells are solved
+    from their own ends.  Orders below 1 raise `UnsupportedOrderError`.
     """
     if r < 1.0:
         raise UnsupportedOrderError(f"recentering a cell needs r >= 1, got {r}")
@@ -413,25 +432,64 @@ def _cell_centers(mids, masses, starts, ends, r: float) -> np.ndarray:
     if r == 1.0:
         out[full] = _weighted_medians(x, np.cumsum(m), offsets, offsets + counts)
         return out
-    buf = np.empty(x.size)
+    neg = np.empty(x.size, dtype=bool)
 
     def slopes(t: np.ndarray) -> np.ndarray:
-        # each cell's cost derivative over r at its point t
+        # each cell's cost derivative over r at its point t; the signs go to a
+        # bool array, so one float array of the span is alive
         d = t.repeat(counts)
         np.subtract(d, x, out=d)
-        np.abs(d, out=buf)
-        np.power(buf, r - 1.0, out=buf)
-        np.copysign(buf, d, out=buf)
-        np.multiply(buf, m, out=buf)
-        return np.add.reduceat(buf, offsets)
+        np.less(d, 0.0, out=neg)
+        np.abs(d, out=d)
+        np.power(d, r - 1.0, out=d)
+        np.multiply(d, m, out=d)
+        np.negative(d, out=d, where=neg)
+        return np.add.reduceat(d, offsets)
 
-    t = 0.5 * (a + b)
-    while (live := (b - a > 1e-12) & (a < t) & (t < b)).any():
-        right = slopes(t) < 0.0  # the root lies right of t
-        np.copyto(a, t, where=live & right)
-        np.copyto(b, t, where=live & ~right)
-        t = 0.5 * (a + b)
-    out[full] = t
+    if bracket is not None:
+        np.maximum(a, bracket[0][full], out=a)
+        np.minimum(b, bracket[1][full], out=b)
+    fa, fb = slopes(a), slopes(b)
+    if bracket is not None and ((fa > 0.0) | (fb < 0.0) | (a > b)).any():
+        # rounding left a root outside the caller's bracket; the cells' own
+        # ends hold it
+        out[full] = _cell_centers(mids, masses, starts, ends, r)
+        return out
+    t, low, high, mid = np.empty(a.size), np.empty(a.size), np.empty(a.size), 0.5 * (a + b)
+    kept = np.zeros(a.size, dtype=np.int8)  # end the last probe kept: -1 a, 1 b
+    # ITP's projection: a probe within reach - (b - a) / 2 of the midpoint
+    # leaves a bracket at most `reach` wide.  Reach halves with each probe and
+    # is 0.8e-12, under the stop width with room for rounding, after
+    # _SPARE_PROBES probes more than bisection takes
+    reach = np.ldexp(0.4e-12 * 2.0**_SPARE_PROBES, np.frexp((b - a) / 1e-12)[1])
+    while (live := (b - a > 1e-12) & (a < mid) & (mid < b)).any():
+        # regula falsi a - fa (b - a) / (fb - fa), kept half a stop width
+        # inside each end and within reach, or the midpoint where that is not
+        # strictly inside the bracket
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.subtract(b, a, out=t)
+            t *= fa
+            t /= np.subtract(fb, fa, out=low)
+            np.subtract(a, t, out=t)
+        np.maximum(np.add(a, 0.5e-12, out=low), b - reach, out=low)
+        np.minimum(np.subtract(b, 0.5e-12, out=high), a + reach, out=high)
+        np.clip(t, low, high, out=t)
+        np.copyto(t, mid, where=~((a < t) & (t < b)))
+        reach *= 0.5
+        ft = slopes(t)
+        up, down = live & (ft <= 0.0), live & (ft >= 0.0)  # t replaces a, b; both at a root
+        # Illinois: an end kept twice in a row has its slope halved
+        fb[up & (kept == 1)] *= 0.5
+        fa[down & (kept == -1)] *= 0.5
+        np.copyto(a, t, where=up)
+        np.copyto(fa, ft, where=up)
+        np.copyto(b, t, where=down)
+        np.copyto(fb, ft, where=down)
+        np.copyto(kept, np.int8(1), where=up)
+        np.copyto(kept, np.int8(-1), where=down)
+        np.add(a, b, out=mid)
+        mid *= 0.5
+    out[full] = mid
     return out
 
 
@@ -529,9 +587,12 @@ def optimal_two_point(grid: CylinderGrid) -> tuple[Codebook, float]:
     that of the suffix f_R(c) never rises, so no cut in [lo, hi] costs less
     than f_L(lo) + f_R(hi).  Ranges of cuts are halved lowest bound first,
     each cut evaluated once, and a range is dropped once its bound is within
-    _PRUNE_SLACK (relative) of the best cut found.  The points and the cost
-    returned are those of recentering the chosen cut directly, at the grid's
-    order `r`.
+    _PRUNE_SLACK (relative) of the best cut found.  Both centers, the
+    prefix's and the suffix's, move right as the cut does, so at r != 1 the
+    nearest cuts evaluated on either side bracket a new cut's two centers,
+    which `_cell_centers` then searches only between them.  The points and
+    the cost returned are those of recentering the chosen cut directly, at
+    the grid's order `r`.
     """
     rf = grid.r
     mids, masses = grid.mids, grid.masses
@@ -546,7 +607,15 @@ def optimal_two_point(grid: CylinderGrid) -> tuple[Codebook, float]:
         if cut not in sides:
             starts, ends = np.array([0, cut]), np.array([cut, n])
             if cum is None:
-                a, b = _cell_centers(mids, masses, starts, ends, rf)
+                # both centers move right with the cut, so the centers of the
+                # nearest cuts evaluated on either side bracket them
+                below = max((c for c in sides if c < cut), default=None)
+                above = min((c for c in sides if c > cut), default=None)
+                bracket = (
+                    np.array(sides[below][2:] if below else (-np.inf, -np.inf)),
+                    np.array(sides[above][2:] if above else (np.inf, np.inf)),
+                )
+                a, b = _cell_centers(mids, masses, starts, ends, rf, bracket)
             else:
                 a, b = _weighted_medians(mids, cum, starts, ends)
             f_l = _dot(masses[:cut], np.abs(mids[:cut] - a) ** rf)

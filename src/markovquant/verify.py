@@ -161,9 +161,9 @@ def analysis_report(sys: MarkovSystem, r) -> dict:
 class _Context:
     """The inputs of one run and the results its checks share.
 
-    The spectral analysis and the pass over the k range and the Lloyd depth
-    are built with the run; the realization, which can raise a SKIP error,
-    on first use.  Grids are not shared.
+    The spectral analysis and the pass over the k range and, from r = 1 on,
+    the Lloyd depth are built with the run; the realization, which can raise
+    a SKIP error, on first use.  Grids are not shared.
     """
 
     def __init__(self, sys, r, ks, depth_offset, capacity, seed, mc_samples):
@@ -177,7 +177,9 @@ class _Context:
         picks = np.linspace(0, len(ks) - 1, num=_QUANT_POINTS).round().astype(int)
         self.quant_ks = tuple(sorted({ks[i] for i in picks}))
         self.depth_l = min(10, ks[0] + depth_offset)
-        self.passes = _planned_passes(sys, r, sorted({*ks, self.depth_l}), self.cs, capacity)
+        # the Lloyd check SKIPs below r = 1 without reading its depth
+        plan = {*ks, self.depth_l} if self.rf >= 1.0 else {*ks}
+        self.passes = _planned_passes(sys, r, sorted(plan), self.cs, capacity)
 
     def levels(self, *ks):
         """The passes of the levels ks, ascending; CapacityError at the first one missing."""

@@ -31,6 +31,7 @@ from markovquant import (
     error_curve,
     grid_codebook,
     integrate_error,
+    level_grid,
     lloyd_refine,
     member_sandwich,
     member_words,
@@ -290,6 +291,15 @@ class TestGrids:
             rows, below = _layout(sys_, place, res.levels, k)
             one_rows, one_below = _layout(sys_, place, scan(sys_, r, k).levels, k)
             assert below == one_below and np.array_equal(rows, one_rows)
+
+    def test_deep_range_pass_lays_out_each_level(self, sys_c):
+        # lloyd-c's pass over levels 4..13: each level's grid, laid out only
+        # down to the level's own members, is its one-level grid bit for bit
+        rz = realize(sys_c)
+        for k, res in scan_levels(sys_c, F(3, 2), range(4, 14)).items():
+            grid, one = level_grid(rz, res), grid_at(rz, F(3, 2), k)
+            for name in ("mids", "halves", "masses"):
+                assert np.array_equal(getattr(grid, name), getattr(one, name))
 
     @pytest.mark.parametrize(
         "name, r, k",
@@ -581,6 +591,112 @@ class TestCellKernel:
                     x = [mpmath.mpf(v) for v in mids[s:e].tolist()]
                     m = [mpmath.mpf(v) for v in masses[s:e].tolist()]
                     assert mp_cost(x, m, 1, c) <= min(mp_cost(x, m, 1, t) for t in x)
+
+
+ADVERSARIAL_ORDERS = [F(101, 100), F(5, 4), F(3, 2), F(3), F(8)]
+
+
+def cluster_cell(base, size, far, exps):
+    """`size` points 1e-10 apart from `base` and one point `far` away, with
+    masses 10^exps."""
+    x = np.sort(np.append(base + 1e-10 * np.arange(size), base + far))
+    return x, 10.0 ** np.array(exps[: size + 1])
+
+
+def adversarial_batch(rng, count):
+    """`count` cells of each adversarial kind, drawn as `adversarial_cells` draws them."""
+    cells = []
+    for _ in range(count):
+        n = int(rng.integers(2, 41))
+        cells.append((np.sort(rng.uniform(0.0, 10.0, n)), 10.0 ** rng.uniform(-9.0, 0.0, n)))
+        far = rng.uniform(0.5, 10.0) * rng.choice([-1.0, 1.0])
+        exps = rng.uniform(-9.0, 0.0, 31).tolist()
+        cells.append(cluster_cell(rng.uniform(0.0, 5.0), int(rng.integers(1, 31)), far, exps))
+    return cells
+
+
+def assert_brackets_root(x, m, r, c, slack=True):
+    """The 50-digit conditions of `test_center_brackets_the_root` on center c."""
+    with mpmath.workdps(50):
+        x = [mpmath.mpf(v) for v in x.tolist()]
+        m = [mpmath.mpf(v) for v in m.tolist()]
+        assert mp_slope(x, m, r, c - 1e-12) <= 0
+        assert mp_slope(x, m, r, c + 1e-12) >= 0
+        if slack:
+            best = min(mp_cost(x, m, r, t) for t in x)
+            excess = abs(r * mp_slope(x, m, r, c)) * mpmath.mpf(1e-12)
+            assert mp_cost(x, m, r, c) <= best * (1 + mpmath.mpf(1e-12)) + excess
+
+
+# the cells where regula falsi stalls: masses spanning 1e-9..1 in one cell,
+# and a cluster of points 1e-10 apart beside a far point
+adversarial_cells = st.one_of(
+    st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(-9.0, 0.0)), min_size=2, max_size=40).map(
+        lambda cell: (np.sort([x for x, _ in cell]), 10.0 ** np.array([e for _, e in cell]))
+    ),
+    st.builds(
+        cluster_cell,
+        base=st.floats(0.0, 5.0),
+        size=st.integers(1, 30),
+        far=st.floats(0.5, 10.0) | st.floats(-10.0, -0.5),
+        exps=st.lists(st.floats(-9.0, 0.0), min_size=31, max_size=31),
+    ),
+)
+
+
+class TestCellKernelAdversarial:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(cell=adversarial_cells, r=st.sampled_from(ADVERSARIAL_ORDERS))
+    def test_center_brackets_the_root(self, cell, r):
+        x, m = cell
+        c = float(_cell_centers(x, m, np.array([0]), np.array([x.size]), float(r))[0])
+        assert_brackets_root(x, m, r, c)
+
+    def test_batch_stops(self):
+        # every order's cells in one call, side by side, 30 apart; in a
+        # subprocess, as a stalled loop would hang rather than fail
+        cells = adversarial_batch(np.random.default_rng(5), 20)
+        x = np.concatenate([cx + 30.0 * i for i, (cx, _m) in enumerate(cells)])
+        m = np.concatenate([cm for _x, cm in cells])
+        ends = np.cumsum([cx.size for cx, _m in cells])
+        script = (
+            "import sys, numpy as np\n"
+            "from markovquant.geometry import _cell_centers\n"
+            "x, m, ends = (np.array([float.fromhex(v) for v in line.split()])\n"
+            "              for line in sys.stdin)\n"
+            "ends = ends.astype(int)\n"
+            "starts = np.concatenate(([0], ends[:-1]))\n"
+            f"for r in {[float(r) for r in ADVERSARIAL_ORDERS]}:\n"
+            "    print(*(v.hex() for v in _cell_centers(x, m, starts, ends, r)))\n"
+        )
+        feed = "\n".join(" ".join(float(v).hex() for v in a) for a in (x, m, ends)) + "\n"
+        env = dict(os.environ)
+        src = str(Path(geometry.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        run = subprocess.run(
+            [sys.executable, "-c", script], input=feed, env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        lines = run.stdout.splitlines()
+        assert len(lines) == len(ADVERSARIAL_ORDERS)
+        for r, line in zip(ADVERSARIAL_ORDERS, lines):
+            centers = [float.fromhex(v) for v in line.split()]
+            for s, e, c in zip([0, *ends[:-1]], ends, centers):
+                assert_brackets_root(x[s:e], m[s:e], r, c, slack=False)
+
+    def test_lloyd_cells_match_mpmath_root(self, sys_c):
+        # lloyd-c's last row: the level-9 midpoints assign the level-13 grid
+        # to 16-point cells; 50 of them, solved in one call with all the others
+        rz = realize(sys_c)
+        grid = grid_at(rz, F(3, 2), 13)
+        book = grid_at(rz, F(3, 2), 9).mids
+        bounds = 0.5 * (book[1:] + book[:-1])
+        starts = np.concatenate(([0], np.searchsorted(grid.mids, bounds, "right")))
+        ends = np.append(starts[1:], grid.size)
+        got = _cell_centers(grid.mids, grid.masses, starts, ends, 1.5)
+        for i in np.random.default_rng(13).choice(starts.size, 50, replace=False).tolist():
+            x, m = grid.mids[starts[i] : ends[i]], grid.masses[starts[i] : ends[i]]
+            assert abs(got[i] - mpmath_root(x, m, F(3, 2))) <= 1e-12
 
 
 class TestLloyd:

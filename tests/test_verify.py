@@ -271,6 +271,15 @@ def test_one_pass_per_reader(sys_b, monkeypatch):
     assert (len(passes), len(descents)) == (1, 3)
 
 
+def test_pass_leaves_out_the_lloyd_depth_below_order_one(sys_b, monkeypatch):
+    # below r = 1 the Lloyd check SKIPs before it reads its depth, here level
+    # 9 above the k range, so the pass stops at the range
+    passes = _counted(monkeypatch, antichain, "scan_levels")
+    suite = run_verification(sys_b, Fraction(1, 2), range(3, 5), depth_offset=6)
+    assert [set(ks) for _sys, _r, ks in passes] == [{3, 4}]
+    assert {c.name: c.status for c in suite.checks}["lloyd_monotone"] == "SKIP"
+
+
 def test_overrun_at_the_smallest_level_starts_one_pass(sys_a, monkeypatch):
     # phi_4 of A is 64 words: the planned pass overruns a cap of 10 at its
     # smallest level, so no level is left to pass again
