@@ -72,6 +72,8 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     system = load_model(args.model)
+    if not _valid(system):
+        return 1
     report = {
         "schema_version": SCHEMA_VERSION,
         "model": str(args.model),

@@ -244,9 +244,11 @@ class Codebook:
     points: np.ndarray  # float64, read-only
 
     def __post_init__(self):
-        pts = np.unique(np.asarray(self.points, dtype=np.float64))
+        # np.unique would import numpy.ma on its first call
+        pts = np.sort(np.asarray(self.points, dtype=np.float64), axis=None)
         if not pts.size:
             raise ValueError("codebook must contain at least one point")
+        pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 

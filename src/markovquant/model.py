@@ -21,6 +21,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -62,6 +63,12 @@ def as_fraction(value) -> Fraction:
     raise ModelFormatError(f"cannot parse number {value!r}")
 
 
+def _check_shape(n: int, p: tuple, c: tuple) -> None:
+    for name, mat in (("p", p), ("c", c)):
+        if len(mat) != n or any(len(row) != n for row in mat):
+            raise ModelFormatError(f"{name} is not an {n}x{n} matrix")
+
+
 class MarkovSystem:
     """A Markov-type measure model (P, C, chi) on vertices 1..N.
 
@@ -77,42 +84,52 @@ class MarkovSystem:
     the measure-theoretic invariants (row sums, out-degrees, support match).
     """
 
-    __slots__ = ("n", "p", "c", "chi", "_succ", "_edges", "_chi_float")
+    __slots__ = ("n", "p", "c", "chi", "_succ", "_edges", "_entries", "_chi_float", "_edge_table")
 
     def __init__(self, p: Sequence[Sequence], c: Sequence[Sequence], chi: Sequence):
         chi_t = tuple(as_fraction(x) for x in chi)
-        n = len(chi_t)
-        if n < 1:
+        if not chi_t:
             raise ModelFormatError("empty chi vector")
         p_t = tuple(tuple(as_fraction(x) for x in row) for row in p)
         c_t = tuple(tuple(as_fraction(x) for x in row) for row in c)
-        for name, mat in (("p", p_t), ("c", c_t)):
-            if len(mat) != n or any(len(row) != n for row in mat):
-                raise ModelFormatError(f"{name} is not an {n}x{n} matrix")
-        self.n = n
-        self.p = p_t
-        self.c = c_t
-        self.chi = chi_t
-        # one sign test per entry; the numerator's is cheaper than Fraction.__gt__
-        self._edges = tuple(
+        _check_shape(len(chi_t), p_t, c_t)
+        # one sign test per entry; the numerator's is cheaper than Fraction.__ne__
+        entries = tuple(
             (i + 1, j + 1)
-            for i, row in enumerate(p_t)
-            for j, x in enumerate(row)
-            if x.numerator > 0
+            for i, (p_row, c_row) in enumerate(zip(p_t, c_t))
+            for j, (x, y) in enumerate(zip(p_row, c_row))
+            if x.numerator or y.numerator
         )
-        succ: list[list[int]] = [[] for _ in range(n)]
+        self._setup(p_t, c_t, chi_t, entries)
+
+    def _setup(self, p: tuple, c: tuple, chi: tuple, entries: tuple) -> None:
+        """Store the model; `entries` lists every position where p or c is
+        nonzero, in lexicographic order: all that validation reads of P and C."""
+        self.n = len(chi)
+        self.p = p
+        self.c = c
+        self.chi = chi
+        self._entries = entries
+        self._edges = tuple((i, j) for i, j in entries if p[i - 1][j - 1].numerator > 0)
+        succ: list[list[int]] = [[] for _ in range(self.n)]
         for i, j in self._edges:
             succ[i - 1].append(j)
         self._succ = tuple(map(tuple, succ))
         self._chi_float: np.ndarray | None = None
+        self._edge_table: tuple[np.ndarray, ...] | None = None
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple], chi: Sequence) -> "MarkovSystem":
-        """Build from an edge list of (from, to, p, c) with 1-based vertices."""
+        """Build from an edge list of (from, to, p, c) with 1-based vertices.
+
+        Only the listed entries are converted and scanned, so the cost beyond
+        the two zero matrices is linear in the edges.
+        """
         p = [[Fraction(0)] * n for _ in range(n)]
         c = [[Fraction(0)] * n for _ in range(n)]
+        listed = set()
         for i, j, pij, cij in edges:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ModelFormatError(f"edge ({i},{j}) out of range 1..{n}")
@@ -120,7 +137,18 @@ class MarkovSystem:
                 raise ModelFormatError(f"duplicate edge ({i},{j})")
             p[i - 1][j - 1] = as_fraction(pij)
             c[i - 1][j - 1] = as_fraction(cij)
-        return cls(p, c, chi)
+            listed.add((i, j))
+        chi_t = tuple(as_fraction(x) for x in chi)
+        if not chi_t:
+            raise ModelFormatError("empty chi vector")
+        p_t, c_t = tuple(map(tuple, p)), tuple(map(tuple, c))
+        _check_shape(len(chi_t), p_t, c_t)
+        entries = tuple(
+            (i, j) for i, j in sorted(listed) if p_t[i - 1][j - 1].numerator or c_t[i - 1][j - 1].numerator
+        )
+        system = cls.__new__(cls)
+        system._setup(p_t, c_t, chi_t, entries)
+        return system
 
     @classmethod
     def from_config(cls, cfg: dict) -> "MarkovSystem":
@@ -181,6 +209,19 @@ class MarkovSystem:
             self._chi_float.setflags(write=False)
         return self._chi_float
 
+    def edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, log p, log c) of the edges, in `edges` order, as
+        read-only arrays with 0-based rows and cols; built on first use."""
+        if self._edge_table is None:
+            rows = np.array([i - 1 for i, _ in self._edges], dtype=np.intp)
+            cols = np.array([j - 1 for _, j in self._edges], dtype=np.intp)
+            p = np.array([float(self.p[i - 1][j - 1]) for i, j in self._edges])
+            c = np.array([float(self.c[i - 1][j - 1]) for i, j in self._edges])
+            self._edge_table = (rows, cols, np.log(p), np.log(c))
+            for a in self._edge_table:
+                a.setflags(write=False)
+        return self._edge_table
+
     def __repr__(self) -> str:
         return f"MarkovSystem(n={self.n}, edges={len(self._edges)})"
 
@@ -199,34 +240,50 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
+def _sum_off_one(values) -> float | None:
+    """The exact sum of Fractions, as a float, when it is further than
+    NORMALIZATION_TOL from 1; summed as one integer over the lcm of the
+    denominators."""
+    den = math.lcm(*(x.denominator for x in values))
+    num = sum(x.numerator * (den // x.denominator) for x in values)
+    tol = NORMALIZATION_TOL
+    return num / den if abs(num - den) * tol.denominator > tol.numerator * den else None
+
+
 def validate_system(sys: MarkovSystem) -> ValidationReport:
     """Check all model invariants; violations are reported, not raised.
 
     Checks per row i: sum_j p_ij = 1 (within 1e-12), out-degree >= 2,
     c_ij > 0 iff p_ij > 0, c_ij < 1; and chi > 0 with sum 1 (within 1e-12).
+    Only the entries where p or c is nonzero are read, so the cost is linear
+    in the edges.
     """
     bad: list[str] = []
-    n = sys.n
-    for i in range(1, n + 1):
-        row = sys.p[i - 1]
-        s = sum(row)
-        if any(x < 0 or x > 1 for x in row):
+    row_cols: list[list[int]] = [[] for _ in range(sys.n)]
+    for i, j in sys._entries:
+        row_cols[i - 1].append(j)
+    for i, cols in enumerate(row_cols, start=1):
+        p_row, c_row = sys.p[i - 1], sys.c[i - 1]
+        ps = [p_row[j - 1] for j in cols]
+        if any(x.numerator < 0 or x.numerator > x.denominator for x in ps):
             bad.append(f"row {i} has a probability outside [0, 1]")
-        if abs(s - 1) > NORMALIZATION_TOL:
-            bad.append(f"row {i} sums to {float(s):.12g}")
+        total = _sum_off_one(ps)
+        if total is not None:
+            bad.append(f"row {i} sums to {total:.12g}")
         deg = len(sys.successors(i))
         if deg < 2:
             bad.append(f"row {i} has out-degree {deg} < 2")
-        for j in range(1, n + 1):
-            pij, cij = sys.p[i - 1][j - 1], sys.c[i - 1][j - 1]
-            if (pij > 0) != (cij > 0):
+        for j in cols:
+            pij, cij = p_row[j - 1], c_row[j - 1]
+            if (pij.numerator > 0) != (cij.numerator > 0):
                 bad.append(f"entry ({i},{j}): c and p support mismatch")
-            if cij >= 1 or cij < 0:
+            if cij.numerator >= cij.denominator or cij.numerator < 0:
                 bad.append(f"entry ({i},{j}): ratio {float(cij):.12g} outside [0, 1)")
-    if any(x <= 0 for x in sys.chi):
+    if any(x.numerator <= 0 for x in sys.chi):
         bad.append("chi has a non-positive entry")
-    if abs(sum(sys.chi) - 1) > NORMALIZATION_TOL:
-        bad.append(f"chi sums to {float(sum(sys.chi)):.12g}")
+    total = _sum_off_one(sys.chi)
+    if total is not None:
+        bad.append(f"chi sums to {total:.12g}")
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
 

@@ -7,7 +7,9 @@ For order r and exponent parameter s, the weight matrix has entries
 Each entry is strictly decreasing in s (the base lies in (0,1)), so the
 spectral radius Psi(s) decreases strictly on any scope containing a cycle,
 from Psi(0) >= 1 (adjacency radius) to a value < 1 as s -> infinity (row sums
-then fall below 1).  The unique root of Psi(s) = 1 is found by bisection.
+then fall below 1).  The unique root of Psi(s) = 1 is the float a bisection
+returns; a secant finds certified ends around it first, so that the
+bisection only evaluates Psi at the few midpoints between them.
 
 Scopes without a solvable root (Psi(s) < 1 for every s > 0, e.g. a lone
 self-loop) are flagged subcritical with root 0; such components can never be
@@ -15,26 +17,33 @@ critical.
 
 Every radius comes from one Perron kernel.  The radius of a reducible matrix
 is the maximum over the SCC diagonal blocks of its pattern.  On an
-irreducible block B the kernel runs power iteration on B + I, which is
-primitive, so periodic patterns converge too.  At each positive iterate x it
-has the Collatz-Wielandt bracket
+irreducible block B, at each positive iterate x, the kernel has the
+Collatz-Wielandt bracket
 
     min_i (Bx)_i / x_i  <=  rho(B)  <=  max_i (Bx)_i / x_i
 
 and it stops once the bracket is RADIUS_TOL-tight (relative) and the vector
-step is at most RADIUS_TOL.  Asked only whether rho >= 1, it stops as soon as
-the bracket excludes 1, which certifies the answer; a tight bracket that
-still contains 1 is decided by the estimate sum(Bx) (x of unit 1-norm).
-Reaching _MAX_POWER_ITER steps otherwise raises PowerIterationCapError.
+step is at most RADIUS_TOL.  Asked only whether rho >= 1, it steps by power
+iteration on B + I, which is primitive, so periodic patterns converge too,
+and it stops as soon as the bracket excludes 1, which certifies the answer;
+a tight bracket that still contains 1 is decided by the estimate sum(Bx)
+(x of unit 1-norm).  Asked for the radius itself, it takes Noda's inverse
+iteration steps (T. Noda, Numer. Math. 17, 1971), shifted by the bracket's
+upper end, which converge quadratically (L. Elsner, Linear Algebra Appl. 15,
+1976), and falls back to the B + I step where a solve fails, is not
+positive, or no longer narrows the bracket.  Reaching _MAX_POWER_ITER steps
+otherwise raises PowerIterationCapError.
 
 solve_sr compiles its scope once: the edges as index arrays with log(p c^r)
-per edge, and the SCC blocks of the pattern, each with a matrix allocated
-once and its own Perron vector.  Each Psi(s) is one vectorized exp per
-block, and the kernel starts from the vectors of the previous evaluation.
+per edge, sliced from the model's float edge table, and the SCC blocks of
+the pattern, each with a matrix allocated once and its own Perron vector.
+Each Psi(s) is one vectorized exp per block, and the kernel starts from the
+vectors of the previous evaluation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -47,6 +56,7 @@ RADIUS_TOL = 1e-12
 ROOT_TOL = 1e-10
 _SUBCRITICAL_PROBE = 1e-9
 _MAX_POWER_ITER = 20_000
+_MAX_SECANT_STEPS = 64
 
 
 class NoCycleError(ValueError):
@@ -84,13 +94,12 @@ def _scope_edges(sys: MarkovSystem, verts: tuple[int, ...], rf: float):
     """(rows, cols, log(p c^r)) of the edges inside a scope, indexed into verts."""
     if rf <= 0:
         raise ValueError(f"order r must be positive, got {rf}")
-    idx = {v: i for i, v in enumerate(verts)}
-    inside = [(i, j) for i, j in sys.edges if i in idx and j in idx]
-    rows = np.array([idx[i] for i, _ in inside], dtype=np.intp)
-    cols = np.array([idx[j] for _, j in inside], dtype=np.intp)
-    p = np.array([float(sys.edge_p(i, j)) for i, j in inside])
-    c = np.array([float(sys.edge_c(i, j)) for i, j in inside])
-    return rows, cols, np.log(p) + rf * np.log(c)  # no underflow of p c^r
+    rows, cols, log_p, log_c = sys.edge_table()
+    local = np.full(sys.n, -1, dtype=np.intp)
+    local[np.array(verts, dtype=np.intp) - 1] = np.arange(len(verts))
+    rows, cols = local[rows], local[cols]
+    inside = (rows >= 0) & (cols >= 0)
+    return rows[inside], cols[inside], log_p[inside] + rf * log_c[inside]  # no underflow of p c^r
 
 
 def weight_matrix(sys: MarkovSystem, scope, r, s) -> WeightMatrix:
@@ -109,23 +118,53 @@ def weight_matrix(sys: MarkovSystem, scope, r, s) -> WeightMatrix:
     return WeightMatrix(vertices=verts, entries=m, r=rf, s=sf)
 
 
+def _noda_step(a: np.ndarray, x: np.ndarray, shift: float) -> np.ndarray | None:
+    """Noda's step: (shift I - a)^-1 x at unit 1-norm, or None when the solve
+    fails or its result is not strictly positive."""
+    m = -a
+    m.flat[:: a.shape[0] + 1] += shift
+    try:
+        y = np.linalg.solve(m, x)
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(all="ignore"):
+        y /= y.sum()
+    return y if (y > 0).all() else None
+
+
 def _perron(a: np.ndarray, x: np.ndarray, target: float | None = None):
     """The Perron kernel on one irreducible nonnegative block.
 
-    Iterates x <- (a+I)x / ||(a+I)x||_1 from the positive unit-1-norm x and
-    returns (lo, hi, estimate, x): the Collatz-Wielandt bracket at the last
-    iterate, the estimate sum(a x) inside it, and the vector to start from
-    next.  Stops when the bracket is RADIUS_TOL-tight and the vector step is
-    at most RADIUS_TOL, or, given a target, as soon as the bracket excludes it.
+    From the positive unit-1-norm x, each step computes the Collatz-Wielandt
+    bracket [lo, hi] at x and moves x to a positive unit-1-norm y.  Given a
+    target, y = (a+I)x / ||(a+I)x||_1.  Without one, y is Noda's step
+    (hi I - a)^-1 x normalized, or the (a+I) step where that solve fails or
+    is not strictly positive, and where the bracket is already tight (that
+    step then checks the stop).  In exact arithmetic no step widens the
+    bracket and Noda's steps narrow it, so once an iterate's bracket is no
+    narrower than an earlier one's, rounding limits the solves and the call
+    keeps to (a+I) steps.
+    Returns (lo, hi, estimate, x): the bracket at the last iterate, the
+    estimate sum(a x) inside it, and the vector to start from next.  Stops
+    when the bracket is RADIUS_TOL-tight and the vector step is at most
+    RADIUS_TOL, or, given a target, as soon as the bracket excludes it.
     """
+    noda = target is None
+    narrowest = math.inf
     for _ in range(_MAX_POWER_ITER):
         ax = a @ x
         ratios = ax / x
         lo, hi, est = float(ratios.min()), float(ratios.max()), float(ax.sum())
         if target is not None and (lo >= target or hi < target):
             return lo, hi, est, x
-        y = (ax + x) / (est + 1.0)
-        if hi - lo <= RADIUS_TOL * hi and float(np.abs(y - x).max()) <= RADIUS_TOL:
+        tight = hi - lo <= RADIUS_TOL * hi
+        if hi - lo >= narrowest:
+            noda = False
+        narrowest = min(narrowest, hi - lo)
+        y = _noda_step(a, x, hi) if noda and not tight else None
+        if y is None:
+            y = (ax + x) / (est + 1.0)
+        if tight and float(np.abs(y - x).max()) <= RADIUS_TOL:
             return lo, hi, est, y
         x = y
     around = "" if target is None else f" around {target!r}"
@@ -207,8 +246,9 @@ class _Pressure:
 class SpectralSolution:
     """Root of Psi(s) = 1 on a scope, with the evaluations made on the way.
 
-    Each evaluation is (s, estimate of Psi(s)).  Before the last one, the
-    estimate is only as precise as deciding Psi(s) against 1 required.
+    Each evaluation is (s, estimate of Psi(s)).  The secant's evaluations and
+    the last one, at the root, are RADIUS_TOL-tight; the others are only as
+    precise as deciding Psi(s) against 1 required.
     """
 
     vertices: tuple[int, ...]
@@ -230,6 +270,13 @@ def solve_sr(sys: MarkovSystem, scope, r, tol: float = ROOT_TOL) -> SpectralSolu
     s = 1e-9, the scope is subcritical and the root is reported as 0.  Each
     comparison of Psi with 1 stops as soon as the radius bracket excludes 1;
     the evaluation at the root runs until the bracket is RADIUS_TOL-tight.
+
+    The bisection is replayed inside certified ends a <= root < b found
+    beforehand (see _certified_ends): a midpoint at or below a is taken as
+    Psi >= 1 and one at or above b as Psi < 1 without evaluating Psi, which
+    is sound since Psi decreases strictly.  So the root is the float plain
+    bisection returns wherever its comparisons are certified, and only
+    midpoints inside (a, b) are evaluated.
     """
     rf = float(as_fraction(r))
     verts = _scope_vertices(sys, scope)
@@ -239,9 +286,13 @@ def solve_sr(sys: MarkovSystem, scope, r, tol: float = ROOT_TOL) -> SpectralSolu
     pressure = _Pressure(rows, cols, logw, len(verts), rf)
     evals: list[tuple[float, float]] = []
 
-    def at_least_one(s: float) -> bool:
-        lo, hi, est = pressure(s, target=1.0)
+    def psi(s: float, target: float | None = None) -> tuple[float, float, float]:
+        lo, hi, est = pressure(s, target)
         evals.append((s, est))
+        return lo, hi, est
+
+    def at_least_one(s: float) -> bool:
+        lo, hi, est = psi(s, 1.0)
         return lo >= 1.0 or (hi >= 1.0 and est >= 1.0)
 
     if not at_least_one(_SUBCRITICAL_PROBE):
@@ -255,23 +306,65 @@ def solve_sr(sys: MarkovSystem, scope, r, tol: float = ROOT_TOL) -> SpectralSolu
         hi *= 2.0
         if hi > 2.0**60:
             raise AssertionError("Psi(s) failed to drop below 1; model weights invalid")
+    a, b = _certified_ends(psi, rf, *evals[-2:], tol)  # evaluations at lo and hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if at_least_one(mid):
+        if mid <= a or (mid < b and at_least_one(mid)):
             lo = mid
         else:
             hi = mid
     root = 0.5 * (lo + hi)
-    evals.append((root, pressure(root)[2]))
+    psi(root)
     return SpectralSolution(
         vertices=verts, r=rf, root=root, subcritical=False, evaluations=tuple(evals)
     )
 
 
+def _certified_ends(psi, rf: float, start: tuple[float, float], stop: tuple[float, float], tol: float):
+    """Ends a <= root < b with Psi(a) >= 1 and Psi(b) < 1 certified.
+
+    start and stop are the doubling's last two points (s, estimate of Psi),
+    lo and hi; psi(s, target) evaluates and records Psi(s).  A secant on log
+    Psi in u = s/(s+r), where log Psi is convex (Kingman), starts from them
+    and evaluates Psi tightly at each step, kept inside (a, b); an
+    evaluation whose bracket clears 1 moves an end.  Once a step would move
+    less than tol/16, the root estimate s minus and plus tol/4 are compared
+    with 1, each moving its end only if its bracket clears 1.  An end never
+    moved stays at lo or hi, which no midpoint of the bisection reaches.
+    """
+    (a, e0), (b, e1) = start, stop
+    u0, f0 = a / (a + rf), math.log(e0)
+    u1, f1 = b / (b + rf), math.log(e1)
+    s1 = b
+    for _ in range(_MAX_SECANT_STEPS):
+        if f1 == f0:
+            break
+        u = u1 - f1 * (u1 - u0) / (f1 - f0)
+        s = rf * u / (1.0 - u)
+        if abs(s - s1) < tol / 16:
+            s1 = s
+            break
+        if not a < s < b:
+            s = 0.5 * (a + b)
+        p_lo, p_hi, est = psi(s)
+        if p_lo >= 1.0:
+            a = s
+        elif p_hi < 1.0:
+            b = s
+        u0, f0, u1, f1, s1 = u1, f1, s / (s + rf), math.log(est), s
+    below, above = s1 - tol / 4, s1 + tol / 4
+    if a < below < b and psi(below, 1.0)[0] >= 1.0:
+        a = below
+    if a < above < b and psi(above, 1.0)[1] < 1.0:
+        b = above
+    return a, b
+
+
 def left_perron_vector(block: np.ndarray) -> np.ndarray:
     """Normalized positive left eigenvector of an irreducible nonnegative block.
 
-    The Perron kernel on the transpose, run to its stop; normalized to sum 1.
+    The Perron kernel on the transpose from the uniform vector, run to its
+    stop (Noda's steps, so a few solves); normalized to sum 1.
     """
     b = np.asarray(block, dtype=float)
     k = b.shape[0]
@@ -319,8 +412,9 @@ def row_sum_bounds(
     c1 = float(xi.min() / xi.max())
     c2 = float(xi.max() / xi.min())
     sums = np.empty((h_max, len(verts)))
-    power = np.eye(len(verts))
-    for h in range(h_max):
+    power = a
+    sums[0] = a.sum(axis=0)
+    for h in range(1, h_max):
         power = power @ a
         sums[h] = power.sum(axis=0)
     return RowSumBounds(

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from markovquant.antichain import CapacityError
 from markovquant.cli import main
 from conftest import FIXTURE_DIR, S1_H1_B, S_R_A
 
+ROOT = Path(__file__).resolve().parent.parent
 A = str(FIXTURE_DIR / "fixture_a.json")
 B = str(FIXTURE_DIR / "fixture_b.json")
 C = str(FIXTURE_DIR / "fixture_c.json")
@@ -35,6 +39,31 @@ def write_wide(tmp_path) -> str:
     return str(model)
 
 
+def write_invalid(tmp_path, model: str) -> tuple[str, list[str]]:
+    """An invalid model file and the violation lines `validate` prints for it."""
+    if model == "unnormalized":
+        cfg = json.loads(Path(A).read_text())
+        cfg["edges"][0]["p"] = "1/4"  # row 1 sums to 3/4
+        expected = ["violation: row 1 sums to 0.75"]
+    else:  # vertex 1 keeps all its mass on a self-loop of ratio 1
+        cfg = {
+            "n": 2,
+            "edges": [
+                {"from": 1, "to": 1, "p": "1", "c": "1"},
+                {"from": 2, "to": 1, "p": "1/2", "c": "1/3"},
+                {"from": 2, "to": 2, "p": "1/2", "c": "1/3"},
+            ],
+            "chi": ["1/2", "1/2"],
+        }
+        expected = [
+            "violation: row 1 has out-degree 1 < 2",
+            "violation: entry (1,1): ratio 1 outside [0, 1)",
+        ]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    return str(bad), expected
+
+
 class TestValidate:
     def test_ok_exit_zero(self, capsys):
         assert main(["validate", A]) == 0
@@ -51,27 +80,17 @@ class TestValidate:
     @pytest.mark.parametrize("command", ["antichain", "quantize"])
     @pytest.mark.parametrize("model", ["unnormalized", "unit_ratio"])
     def test_series_commands_refuse_invalid_models(self, tmp_path, capsys, command, model):
-        if model == "unnormalized":
-            cfg = json.loads(Path(A).read_text())
-            cfg["edges"][0]["p"] = "1/4"  # row 1 sums to 3/4
-            expected = ["violation: row 1 sums to 0.75"]
-        else:  # vertex 1 keeps all its mass on a self-loop of ratio 1
-            cfg = {
-                "n": 2,
-                "edges": [
-                    {"from": 1, "to": 1, "p": "1", "c": "1"},
-                    {"from": 2, "to": 1, "p": "1/2", "c": "1/3"},
-                    {"from": 2, "to": 2, "p": "1/2", "c": "1/3"},
-                ],
-                "chi": ["1/2", "1/2"],
-            }
-            expected = [
-                "violation: row 1 has out-degree 1 < 2",
-                "violation: entry (1,1): ratio 1 outside [0, 1)",
-            ]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(cfg))
-        assert main([command, str(bad), "--k-min", "2", "--k-max", "3"]) == 1
+        bad, expected = write_invalid(tmp_path, model)
+        assert main([command, bad, "--k-min", "2", "--k-max", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == expected and err == ""
+
+    @pytest.mark.parametrize("model", ["unnormalized", "unit_ratio"])
+    def test_analyze_refuses_invalid_models(self, tmp_path, capsys, model):
+        # the unit-ratio model has no pressure root: unvalidated, its solve
+        # raised from the doubling of the bracket
+        bad, expected = write_invalid(tmp_path, model)
+        assert main(["analyze", bad, "--r", "1"]) == 1
         out, err = capsys.readouterr()
         assert out.splitlines() == expected and err == ""
 
@@ -297,3 +316,29 @@ class TestArgErrors:
         fx = (tmp_path / "x" / "verify_fixture_a.json").read_bytes()
         fy = (tmp_path / "y" / "verify_fixture_a.json").read_bytes()
         assert fx == fy
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quantize", C, "--r", "3/2", "--k-min", "4", "--k-max", "6", "--refine"],
+        ["verify", B, "--r", "1", "--k-min", "6", "--k-max", "12", "--depth-offset", "2"],
+    ],
+    ids=["quantize-refine", "verify"],
+)
+def test_runs_never_import_numpy_ma(argv):
+    # numpy imports numpy.ma lazily (np.unique does); its import in the
+    # middle of a run leaves cyclic garbage alive until a full collection
+    code = (
+        "import contextlib, io, sys\n"
+        "from markovquant.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main({argv!r})\n"
+        "print(rc, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.stdout.split() == ["0", "False"], done.stdout + done.stderr

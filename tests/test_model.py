@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovquant import (
     InvalidWordError,
@@ -15,9 +17,54 @@ from markovquant import (
     path_weight,
     validate_system,
 )
+from markovquant.model import NORMALIZATION_TOL
+from conftest import random_rational_system
 
 F = Fraction
 HALF, THIRD = F(1, 2), F(1, 3)
+
+
+def oracle_violations(sys: MarkovSystem) -> tuple[str, ...]:
+    """The validator as it read every one of the n^2 entries, comparing Fractions."""
+    bad: list[str] = []
+    n = sys.n
+    for i in range(1, n + 1):
+        row = sys.p[i - 1]
+        s = sum(row)
+        if any(x < 0 or x > 1 for x in row):
+            bad.append(f"row {i} has a probability outside [0, 1]")
+        if abs(s - 1) > NORMALIZATION_TOL:
+            bad.append(f"row {i} sums to {float(s):.12g}")
+        deg = len(sys.successors(i))
+        if deg < 2:
+            bad.append(f"row {i} has out-degree {deg} < 2")
+        for j in range(1, n + 1):
+            pij, cij = sys.p[i - 1][j - 1], sys.c[i - 1][j - 1]
+            if (pij > 0) != (cij > 0):
+                bad.append(f"entry ({i},{j}): c and p support mismatch")
+            if cij >= 1 or cij < 0:
+                bad.append(f"entry ({i},{j}): ratio {float(cij):.12g} outside [0, 1)")
+    if any(x <= 0 for x in sys.chi):
+        bad.append("chi has a non-positive entry")
+    if abs(sum(sys.chi) - 1) > NORMALIZATION_TOL:
+        bad.append(f"chi sums to {float(sum(sys.chi)):.12g}")
+    return tuple(bad)
+
+
+# zeros are frequent, so rows have few entries; the rest straddle every bound
+ENTRIES = st.sampled_from(
+    [F(0)] * 6
+    + [F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(1), F(5, 4), F(-1, 4), F(1, 10**13),
+       F(1, 2) + F(1, 10**13), F(1, 2) - F(1, 10**11), F(7, 9)]
+)
+
+
+@st.composite
+def matrix_models(draw):
+    n = draw(st.integers(1, 4))
+    square = st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)
+    chi = draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    return MarkovSystem(draw(square), draw(square), chi)
 
 
 class TestValidation:
@@ -76,6 +123,30 @@ class TestValidation:
     def test_fixtures_b_c_ok(self, sys_b, sys_c):
         assert validate_system(sys_b).ok
         assert validate_system(sys_c).ok
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(sys=matrix_models())
+    def test_matches_dense_oracle(self, sys):
+        assert validate_system(sys).violations == oracle_violations(sys)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sys=matrix_models())
+    def test_edge_list_gives_the_same_model(self, sys):
+        # every nonzero entry listed once, p = 0 with c > 0 included
+        listed = [
+            (i + 1, j + 1, sys.p[i][j], sys.c[i][j])
+            for i in range(sys.n) for j in range(sys.n)
+            if sys.p[i][j] != 0 or sys.c[i][j] != 0
+        ]
+        built = MarkovSystem.from_edges(sys.n, listed, sys.chi)
+        assert (built.p, built.c, built.chi, built.edges) == (sys.p, sys.c, sys.chi, sys.edges)
+        assert validate_system(built).violations == oracle_violations(sys)
+
+    def test_random_models_match_oracle(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            sys = random_rational_system(rng, 2, 8)
+            assert validate_system(sys).violations == oracle_violations(sys) == ()
 
 
 class TestSuccessors:

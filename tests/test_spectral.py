@@ -147,8 +147,10 @@ class TestSolveRoot:
             assert abs(psi - 1.0) <= 1e-8
 
     def test_evaluations_recorded(self, sys_a):
+        # plain bisection to ROOT_TOL takes 37 evaluations here; log Psi is
+        # linear in s/(s+1) on A, so the secant lands on the root at once
         sol = solve_sr(sys_a, "full", 1)
-        assert len(sol.evaluations) > 10
+        assert len(sol.evaluations) <= 8
         assert sol.psi() == pytest.approx(1.0, abs=1e-8)
 
     def test_random_systems_properties(self):
@@ -259,6 +261,64 @@ def cold_root(sys: MarkovSystem, verts, r) -> tuple[float, bool]:
     return 0.5 * (lo + hi), False
 
 
+def reference_power(a: np.ndarray, x: np.ndarray, target: float | None = None):
+    """The Perron kernel as it was before Noda's steps: power iteration on
+    a + I with the same bracket, stop rule and return value."""
+    for _ in range(spectral._MAX_POWER_ITER):
+        ax = a @ x
+        ratios = ax / x
+        lo, hi, est = float(ratios.min()), float(ratios.max()), float(ax.sum())
+        if target is not None and (lo >= target or hi < target):
+            return lo, hi, est, x
+        y = (ax + x) / (est + 1.0)
+        if hi - lo <= spectral.RADIUS_TOL * hi and float(np.abs(y - x).max()) <= spectral.RADIUS_TOL:
+            return lo, hi, est, y
+        x = y
+    raise PowerIterationCapError("reference kernel reached its cap")
+
+
+def reference_root(sys: MarkovSystem, verts, r, tol: float = ROOT_TOL) -> float:
+    """solve_sr's root as it was computed before the secant: every midpoint
+    of the bisection compared with 1 by the power kernel, from the previous
+    comparison's vectors, on a scope compiled edge by edge from the Fractions."""
+    rf = float(r)
+    idx = {v: i for i, v in enumerate(verts)}
+    inside = [(i, j) for i, j in sys.edges if i in idx and j in idx]
+    rows = np.array([idx[i] for i, _ in inside], dtype=np.intp)
+    cols = np.array([idx[j] for _, j in inside], dtype=np.intp)
+    p = np.array([float(sys.edge_p(i, j)) for i, j in inside])
+    c = np.array([float(sys.edge_c(i, j)) for i, j in inside])
+    logw = np.log(p) + rf * np.log(c)
+    blocks = []
+    for comp in spectral._cyclic_blocks(len(verts), rows, cols):
+        local = np.full(len(verts), -1)
+        local[comp] = np.arange(len(comp))
+        keep = (local[rows] >= 0) & (local[cols] >= 0)
+        k = len(comp)
+        blocks.append([local[rows[keep]], local[cols[keep]], logw[keep], np.zeros((k, k)), np.full(k, 1.0 / k)])
+
+    def at_least_one(s: float) -> bool:
+        lo = hi = est = 0.0
+        for b in blocks:
+            b[3][b[0], b[1]] = np.exp(b[2] * (s / (s + rf)))
+            b_lo, b_hi, b_est, b[4] = reference_power(b[3], b[4], 1.0)
+            lo, hi, est = max(lo, b_lo), max(hi, b_hi), max(est, b_est)
+        return lo >= 1.0 or (hi >= 1.0 and est >= 1.0)
+
+    if not at_least_one(spectral._SUBCRITICAL_PROBE):
+        return 0.0
+    lo, hi = spectral._SUBCRITICAL_PROBE, 1.0
+    while at_least_one(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if at_least_one(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def kernel_cases():
     """(name, nonnegative matrix) pairs: random model weights, cycles, blocks."""
     rng = random.Random(20261018)
@@ -285,6 +345,23 @@ def kernel_cases():
 KERNEL_CASES = list(kernel_cases())
 
 
+def noda_cases():
+    """(name, nonnegative matrix) pairs that stress Noda's steps."""
+    yield "period-2", np.array([[0.0, 0.7], [0.45, 0.0]])
+    # a cycle through two links of weight 1e-12: the Perron vector spans
+    # 1e-12..1, and the solves of the cold start are not all strictly positive
+    yield "wide-perron", np.array([[0.25, 0.0, 0.72], [1e-12, 0.28, 0.0], [0.39, 1e-12, 0.0]])
+    # links of weight 1e-15: the cold start's solves stop shrinking the
+    # bracket long before it is tight, and (a+I) steps have to finish it
+    yield "rounding-stall", np.array([[0.72, 1e-15, 0.0], [0.49, 0.0, 0.93], [1e-15, 0.57, 0.32]])
+    # circulant: the uniform start is the Perron vector at every exponent,
+    # so the bracket is tight at once, and a solve at its shift is singular
+    yield "exact-start", np.array([[0.2, 0.5, 0.3], [0.3, 0.2, 0.5], [0.5, 0.3, 0.2]])
+
+
+NODA_CASES = list(noda_cases())
+
+
 class TestPerronKernel:
     @pytest.mark.parametrize("name,a", KERNEL_CASES, ids=[name for name, _ in KERNEL_CASES])
     def test_bracket_contains_dense_radius(self, name, a):
@@ -309,6 +386,67 @@ class TestPerronKernel:
     def test_spectral_radius_matches_dense(self):
         for name, a in KERNEL_CASES:
             assert spectral_radius(a) == pytest.approx(dense_radius(a), rel=1e-12), name
+
+
+class TestNodaKernel:
+    @pytest.mark.parametrize("name,a", NODA_CASES, ids=[name for name, _ in NODA_CASES])
+    def test_bracket_contains_dense_radius(self, name, a):
+        rows, cols = np.nonzero(a)
+        pressure = spectral._Pressure(rows, cols, np.log(a[rows, cols]), a.shape[0], 1.0)
+        for s in (0.05, 0.3, 2.0, 7.0):
+            b = np.zeros_like(a)
+            b[rows, cols] = a[rows, cols] ** (s / (s + 1.0))
+            rho = dense_radius(b)
+            for target in (None, 1.0, 0.999 * rho, 1.001 * rho):
+                lo, hi, est = pressure(s, target)
+                slack = 1e-13 * rho
+                assert lo - slack <= rho <= hi + slack, (name, s, target, lo, rho, hi)
+                assert lo - slack <= est <= hi + slack
+                if target is None:
+                    assert hi - lo <= spectral.RADIUS_TOL * hi
+
+    @pytest.mark.parametrize("name,a", NODA_CASES, ids=[name for name, _ in NODA_CASES])
+    def test_cold_start_brackets_dense_radius(self, name, a):
+        k = a.shape[0]
+        for m in (a, a.T):
+            lo, hi, est, x = spectral._perron(m, np.full(k, 1.0 / k))
+            rho = dense_radius(m)
+            assert lo - 1e-13 * rho <= rho <= hi + 1e-13 * rho, name
+            assert hi - lo <= spectral.RADIUS_TOL * hi
+            assert (x > 0).all() and x.sum() == pytest.approx(1.0, rel=1e-12)
+
+    def test_fallback_steps_are_taken(self, monkeypatch):
+        # solves of the wide Perron vector that are not strictly positive fall
+        # back to the (a+I) step, and the kernel still meets its stop rule
+        refused, real = [], spectral._noda_step
+
+        def counted(a, x, shift):
+            y = real(a, x, shift)
+            if y is None:
+                refused.append(shift)
+            return y
+
+        monkeypatch.setattr(spectral, "_noda_step", counted)
+        a = dict(NODA_CASES)["wide-perron"]
+        lo, hi, _, x = spectral._perron(a, np.full(3, 1.0 / 3))
+        assert refused
+        assert lo - 1e-13 <= dense_radius(a) <= hi + 1e-13
+        assert hi - lo <= spectral.RADIUS_TOL * hi and x.min() < 1e-11
+
+    def test_exact_start_is_singular(self):
+        # the uniform start of the circulant is its Perron vector: the
+        # bracket is tight at once and the kernel returns without a solve,
+        # which at that shift would be singular
+        a = dict(NODA_CASES)["exact-start"]
+        x = np.full(3, 1.0 / 3)
+        assert np.array_equal(a @ x, x)
+        assert spectral._noda_step(a, x, 1.0) is None
+        assert spectral._perron(a, x)[:3] == (1.0, 1.0, 1.0)
+
+    def test_left_vector_of_wide_block(self):
+        a = dict(NODA_CASES)["wide-perron"]
+        x = left_perron_vector(a)
+        assert x @ a == pytest.approx(dense_radius(a) * x, rel=1e-9, abs=1e-15)
 
 
 class TestWarmStartedRoots:
@@ -364,6 +502,44 @@ class TestWarmStartedRoots:
         assert abs(solve_sr(sys_b, (1, 2), 1, tol=1e-12).root - exact) <= 2.5e-12
 
 
+class TestReplayedBisection:
+    """The secant's certified ends only skip comparisons the bisection would
+    make the same way, so every root is today's float, bit for bit."""
+
+    @staticmethod
+    def scopes(sys, r):
+        return [tuple(sys.vertices)] + [
+            sol.vertices for sol in component_roots(sys, r).values() if sol is not None
+        ]
+
+    def assert_same_roots(self, sys, r):
+        for verts in self.scopes(sys, r):
+            assert solve_sr(sys, verts, r).root == reference_root(sys, verts, r), (sys, r, verts)
+
+    @pytest.mark.parametrize("r", [Fraction(1, 2), 1, Fraction(3, 2), 2])
+    def test_fixtures(self, sys_a, sys_b, sys_c, r):
+        for sys in (sys_a, sys_b, sys_c):
+            self.assert_same_roots(sys, r)
+
+    @pytest.mark.parametrize("n,chord", [(30, 2), (12, 5)])
+    def test_rings(self, n, chord):
+        for r in (1, Fraction(3, 2)):
+            self.assert_same_roots(ring_system(n, chord), r)
+
+    def test_random_models(self):
+        rng = random.Random(20261019)
+        for _ in range(20):
+            sys = random_rational_system(rng)
+            for r in (1, Fraction(3, 2)):
+                self.assert_same_roots(sys, r)
+
+    def test_fewer_evaluations(self, sys_b):
+        # plain bisection evaluates Psi 37 times on B's full scope
+        sol = solve_sr(sys_b, "full", 1)
+        assert len(sol.evaluations) <= 12
+        assert sol.psi() == pytest.approx(1.0, abs=1e-8)
+
+
 class TestIterationCap:
     def test_spectral_radius_raises_at_cap(self, monkeypatch):
         monkeypatch.setattr(spectral, "_MAX_POWER_ITER", 2)
@@ -380,6 +556,15 @@ class TestIterationCap:
         assert spectral_radius(a) == pytest.approx(dense_radius(a), rel=1e-12)
         x = left_perron_vector(a)
         assert x @ a == pytest.approx(dense_radius(a) * x, rel=1e-10)
+
+    def test_slow_ring_left_vector(self):
+        # power iteration alone reached the cap on this ring's left vector;
+        # Noda's steps take a handful of solves
+        ring = ring_system(120, 2)
+        rs = row_sum_bounds(ring, 1, tuple(ring.vertices), h_max=1)
+        a = weight_matrix(ring, "full", 1, solve_sr(ring, "full", 1, tol=1e-12).root).entries
+        xi = np.array(rs.eigenvector)
+        assert xi @ a == pytest.approx(dense_radius(a) * xi, rel=1e-10)
 
     def test_cli_exits_2_with_reason(self, monkeypatch, capsys):
         monkeypatch.setattr(spectral, "_MAX_POWER_ITER", 2)
