@@ -4,11 +4,14 @@ Kept out of the tier-1 `testpaths`; run it from the repository root with
 
     PYTHONPATH=src python -m pytest bench/test_bench_spectral.py --benchmark-json BENCH_spectral.json
 
-Three cases:
+Four cases:
 
 - `analysis_report` on fixture B at r = 1 and r = 3/2, the work of
   `markovquant analyze fixtures/fixture_b.json` per order without the model
   load and the JSON;
+- `analysis_report` at r = 1 on 12 equal, disjoint 2-vertex blocks: 12
+  critical components and no chain longer than one, whose enumeration grows
+  along reachability instead of filtering orderings;
 - `critical_analysis` and, at the full root, `row_sum_bounds` of every
   critical component (h = 1, as `analysis_report` calls it) on a 120-vertex
   ring whose vertices also jump 3 steps ahead: a slowly mixing block, whose
@@ -60,9 +63,25 @@ def test_analysis_report_b(benchmark, monkeypatch, r):
     benchmark.extra_info["psi_evals"] = sum(len(sol.evaluations) for sol in solves)
 
 
+def disjoint_blocks(m: int) -> MarkovSystem:
+    """m equal, disjoint complete 2-vertex blocks, every p = 1/2 and c = 1/3."""
+    edges = [
+        (i, j, Fraction(1, 2), Fraction(1, 3))
+        for a in range(1, 2 * m, 2) for i in (a, a + 1) for j in (a, a + 1)
+    ]
+    return MarkovSystem.from_edges(2 * m, edges, [Fraction(1, 2 * m)] * (2 * m))
+
+
+def test_analysis_report_blocks(benchmark):
+    report = benchmark.pedantic(
+        verify.analysis_report, args=(disjoint_blocks(12), 1), rounds=20, warmup_rounds=1
+    )
+    assert report["m_r"] == 12 and report["t_r"] == 1
+
+
 def _ring_spectra(system, r):
     cs = critical_analysis(system, r)
-    root = spectral.full_solution(system, cs).root
+    root = spectral.full_solution(cs).root
     return [
         row_sum_bounds(system, r, cs.condensation.components[idx], h_max=1, s=root)
         for idx in cs.critical_indices

@@ -68,7 +68,6 @@ from .spectral import (
     RowSumBounds,
     SpectralSolution,
     WeightMatrix,
-    component_roots,
     critical_analysis,
     row_sum_bounds,
     solve_sr,

@@ -98,18 +98,6 @@ class ScanResult:
     members: tuple[tuple[int, dict], ...] = field(repr=False)
 
 
-def _critical_map(sys: MarkovSystem, cs: CriticalStructure | None) -> list[int]:
-    """vertex (1-based index) -> critical component index, -1 outside."""
-    cmap = [-1] * (sys.n + 1)
-    if cs is not None:
-        vmap = cs.condensation.vertex_map()
-        for v in sys.vertices:
-            idx = vmap[v]
-            if cs.critical[idx]:
-                cmap[v] = idx
-    return cmap
-
-
 def _threshold_power(sys: MarkovSystem, rq: Fraction, k: int) -> Fraction:
     """eta_lo^k raised to the b-th power for r = a/b: p_min^(kb) * c_min^(ka)."""
     p_lo, c_lo, _, _ = edge_extremes(sys)
@@ -242,14 +230,18 @@ def scan_levels(
     pass over merged word states, whose tree shape they share.
 
     Each is exact whatever `exact` says; `exact` only makes the antichain's
-    sum_energy an exact Fraction for integer r.  Raises CapacityError as
-    `_descend` does, at the level a pass per level would name.
+    sum_energy an exact Fraction for integer r.  Members are classified by
+    the chains of `cs`, which must be built at order r (ValueError
+    otherwise).  Raises CapacityError as `_descend` does, at the level a
+    pass per level would name.
     """
+    if cs is not None:
+        cs.check_order(r)
     ks = sorted(set(ks))
     if not ks:
         return {}
     rq = as_fraction(r)
-    cmap = _critical_map(sys, cs)
+    cmap = [-1] * (sys.n + 1) if cs is None else cs.critical_of
     chis = sorted(set(sys.chi))
     roots = [
         (v, (cmap[v],) if cmap[v] >= 0 else (), chis.index(sys.chi[v - 1]), 1, 1)
@@ -475,18 +467,17 @@ class SeriesRow:
     class_sums: dict[Chain, float]
 
 
-def theorem_ratios(
-    value: float, n: int, r, cs: CriticalStructure, label: str
-) -> tuple[float, float]:
+def theorem_ratios(value: float, n: int, cs: CriticalStructure, label: str) -> tuple[float, float]:
     """(corrected, uncorrected): value * n^{r/s_r}, the plain power law, with and
     without the factor (log n)^{(t_r-1)(1+r/s_r)} predicted for t_r comparable
-    critical components divided out.  Taken in logs, so n^{r/s_r} may be far
-    beyond the float range; a value below the normal float range, where it is
-    0 or has lost its digits, raises ValueError naming `label`.
+    critical components divided out, at the order r = cs.r.  Taken in logs,
+    so n^{r/s_r} may be far beyond the float range; a value below the normal
+    float range, where it is 0 or has lost its digits, raises ValueError
+    naming `label`.
     """
     if value < float_info.min:
         raise ValueError(f"{label} is below the float range: {value!r}")
-    power = float(as_fraction(r)) / cs.s_r
+    power = cs.r / cs.s_r
     log_expo = (cs.t_r - 1) * (1.0 + power)
     log_u = power * math.log(n) + math.log(value)
     # log_expo is 0.0 when t_r = 1, and then corrected is u exactly
@@ -498,7 +489,7 @@ def series_row(res: ScanResult, cs: CriticalStructure) -> SeriesRow:
     `theorem_ratios` of sum_energy at phi, and raise below the float range."""
     ac = _statistics(res, cs.s_r)
     energy = float(ac.sum_energy)
-    corrected, uncorrected = theorem_ratios(energy, ac.phi, res.r, cs, f"sum_energy at k={res.k}")
+    corrected, uncorrected = theorem_ratios(energy, ac.phi, cs, f"sum_energy at k={res.k}")
     return SeriesRow(
         k=res.k, phi=ac.phi, depth_min=ac.depth_min, depth_max=ac.depth_max,
         sum_energy=energy, sum_dim=ac.sum_dim,

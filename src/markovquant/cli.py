@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys as _sys
+from functools import cache
 from pathlib import Path
 
 from . import antichain as antichain_mod
@@ -185,7 +186,9 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command: built once per process, on first use, and shared."""
     parser = argparse.ArgumentParser(
         prog="markovquant",
         description=(
@@ -241,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ModelFormatError, OSError, CapacityError, ValueError) as exc:

@@ -652,8 +652,8 @@ class CurveRow:
     iterations: int
 
 
-def _curve_row(k: int, est: ErrorEstimate, r, cs: CriticalStructure, iterations: int) -> CurveRow:
-    ratios = antichain_mod.theorem_ratios(est.upper, est.n, r, cs, f"upper at k={k}")
+def _curve_row(k: int, est: ErrorEstimate, cs: CriticalStructure, iterations: int) -> CurveRow:
+    ratios = antichain_mod.theorem_ratios(est.upper, est.n, cs, f"upper at k={k}")
     return CurveRow(k, est.n, est.lower, est.upper, *ratios, iterations)
 
 
@@ -661,7 +661,7 @@ def curve_row(rz: Realization, res: ScanResult, depth: int, cs: CriticalStructur
               capacity: int = DEFAULT_CAPACITY) -> CurveRow:
     """The unrefined `error_curve` row of the pass `res` from the vertices of
     `rz`'s system: its grid codebook sandwiched per member key at `depth`."""
-    return _curve_row(res.k, member_sandwich(rz, res, depth, capacity=capacity), res.r, cs, 0)
+    return _curve_row(res.k, member_sandwich(rz, res, depth, capacity=capacity), cs, 0)
 
 
 def error_curve(
@@ -683,12 +683,14 @@ def error_curve(
     grid for at most 50 steps, each grid laid out once and dropped after its
     last row.  The normalized columns are `antichain.theorem_ratios` of upper
     at n, taken in logs: an upper below the normal float range raises
-    ValueError naming k.
+    ValueError naming k, as does a `cs` built at another order than r.
     """
     if depth_offset < 0:
         raise ValueError(f"depth offset must be >= 0, got {depth_offset}")
     if cs is None:
         cs = spectral.critical_analysis(sys, r)
+    else:
+        cs.check_order(r)
     rz = realize(sys)
     ks = tuple(k_range)
     depths = [k + depth_offset for k in ks] if refine else []
@@ -702,7 +704,7 @@ def error_curve(
             grids[lvl] = grids.get(lvl) or level_grid(rz, passes.pop(lvl))
         book = grid_codebook(grids[k])
         trace = lloyd_refine(grids[k + depth_offset], book, max_iter=_CURVE_LLOYD_ITERS)[1]
-        rows.append(_curve_row(k, trace[-1], r, cs, len(trace) - 1))
+        rows.append(_curve_row(k, trace[-1], cs, len(trace) - 1))
         later = ks[i + 1 :]
         grids = {lvl: g for lvl, g in grids.items() if lvl in later or lvl - depth_offset in later}
     return rows

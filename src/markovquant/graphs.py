@@ -14,7 +14,6 @@ matrix powers over the F-restricted graph.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Mapping, Sequence
@@ -180,6 +179,8 @@ class CriticalStructure:
     m_r: int
     t_r: int
     transient_set: frozenset[int]
+    # vertex (1-based) -> its critical component index, -1 outside; entry 0 is -1
+    critical_of: tuple[int, ...]
     # component index -> its SpectralSolution (None when acyclic); filled by
     # spectral.critical_analysis, empty when assembled from bare roots
     roots: Mapping = field(default_factory=dict)
@@ -188,28 +189,28 @@ class CriticalStructure:
     def critical_indices(self) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.critical) if f)
 
+    def check_order(self, r) -> None:
+        """Raise ValueError unless the structure was built at order r."""
+        rf = float(as_fraction(r))
+        if self.r != rf:
+            raise ValueError(f"critical structure built at r = {self.r}, not at r = {rf}")
+
 
 def critical_structure(
-    sys: MarkovSystem,
-    r,
-    per_component_s: Mapping[int, float],
-    cond: Condensation | None = None,
+    sys: MarkovSystem, r, per_component_s: Mapping[int, float], cond: Condensation
 ) -> CriticalStructure:
     """Assemble the critical structure from per-component pressure roots.
 
-    per_component_s maps component index -> root s_r(H) (0 for acyclic or
-    subcritical components).  t_r is the longest path in the condensation
-    DAG counting critical components only, which equals the maximum of
-    t_r_of_path over all admissible words because components are strongly
-    connected.
+    per_component_s maps component index of `cond`, the condensation of sys,
+    -> root s_r(H) (0 for acyclic or subcritical components).  t_r is the
+    longest path in the condensation DAG counting critical components only,
+    which equals the maximum of t_r_of_path over all admissible words because
+    components are strongly connected.
     """
-    if cond is None:
-        cond = scc_condensation(sys)
     m = cond.n_components
     per = tuple(float(per_component_s[i]) for i in range(m))
     s_global = max(per)
     critical = tuple(per[i] >= s_global - CRITICAL_TOL and not cond.acyclic[i] for i in range(m))
-    crit_count = sum(critical)
     # longest weighted path over the DAG, weight 1 on critical components
     succ: list[list[int]] = [[] for _ in range(m)]
     for a, b in cond.dag_edges:
@@ -218,10 +219,10 @@ def critical_structure(
     for i in reversed(cond.topo_order):
         tail = max((best[j] for j in succ[i]), default=0)
         best[i] = (1 if critical[i] else 0) + tail
-    t_r = max(best) if m else 0
-    transient = frozenset(
-        v for i, comp in enumerate(cond.components) if not critical[i] for v in comp
-    )
+    critical_of = [-1] * (sys.n + 1)
+    for i, comp in enumerate(cond.components):
+        for v in comp:
+            critical_of[v] = i if critical[i] else -1
     return CriticalStructure(
         system=sys,
         condensation=cond,
@@ -229,31 +230,33 @@ def critical_structure(
         s_r=s_global,
         per_component=per,
         critical=critical,
-        m_r=crit_count,
-        t_r=t_r,
-        transient_set=transient,
+        m_r=sum(critical),
+        t_r=max(best) if m else 0,
+        transient_set=frozenset(v for v in sys.vertices if critical_of[v] < 0),
+        critical_of=tuple(critical_of),
     )
 
 
 def enumerate_chains(cs: CriticalStructure, length: int) -> tuple[tuple[int, ...], ...]:
-    """All strictly ordered chains of `length` critical components.
+    """All strictly ordered chains of `length` critical components, sorted.
 
     A chain (H_1, ..., H_l) requires a condensation path from each H_i to
     H_{i+1}.  Reachability between distinct components is a strict partial
     order, so each l-subset of critical components supports at most one
     chain: cardinality is bounded by C(m_r, length).  When all critical
     components are mutually comparable (t_r = m_r) this is C(t_r, length).
+    Each chain of length l - 1 grows by the critical components reachable
+    from its last one, in ascending order, so the chains come out sorted and
+    the cost is linear in the chains found.
     """
     if not 1 <= length <= max(cs.m_r, 1):
         raise ValueError(f"chain length {length} outside 1..{cs.m_r}")
     crit = cs.critical_indices
     reach = cs.condensation.reachable()
-    chains = [
-        tup
-        for tup in itertools.permutations(crit, length)
-        if all(tup[i + 1] in reach[tup[i]] for i in range(length - 1))
-    ]
-    chains.sort()
+    after = {i: sorted(j for j in reach[i] if cs.critical[j]) for i in crit}
+    chains = [(i,) for i in crit]
+    for _ in range(length - 1):
+        chains = [ch + (j,) for ch in chains for j in after[ch[-1]]]
     result = tuple(chains)
     if len(result) > comb(cs.m_r, length):
         raise AssertionError(
@@ -265,22 +268,20 @@ def enumerate_chains(cs: CriticalStructure, length: int) -> tuple[tuple[int, ...
 def t_r_of_path(cs: CriticalStructure, word: Sequence[int]) -> int:
     """Number of distinct critical components met by the word."""
     w = validate_word(cs.system, word)
-    vmap = cs.condensation.vertex_map()
-    seen = {vmap[v] for v in w if cs.critical[vmap[v]]}
-    return len(seen)
+    return len({cs.critical_of[v] for v in w} - {-1})
 
 
 def visited_chain(cs: CriticalStructure, word: Sequence[int]) -> tuple[int, ...]:
     """Ordered tuple of distinct critical components visited, first-visit order.
 
     The condensation is a DAG, so a path can never re-enter a component it
-    left; first-visit order is therefore the chain order.
+    left; first-visit order is therefore the chain order.  A word off the
+    graph raises InvalidWordError.
     """
-    vmap = cs.condensation.vertex_map()
     chain: list[int] = []
-    for v in word:
-        idx = vmap[v]
-        if cs.critical[idx] and (not chain or chain[-1] != idx):
+    for v in validate_word(cs.system, word):
+        idx = cs.critical_of[v]
+        if idx >= 0 and (not chain or chain[-1] != idx):
             chain.append(idx)
     return tuple(chain)
 

@@ -422,41 +422,28 @@ def row_sum_bounds(
     )
 
 
-def component_roots(
-    sys: MarkovSystem, r, cond: graphs.Condensation | None = None
-) -> dict[int, SpectralSolution | None]:
-    """Root of Psi_H = 1 for every condensation component.
-
-    Acyclic single-vertex components get None (their pressure is identically
-    zero); callers should treat their root as 0.
-    """
-    if cond is None:
-        cond = graphs.scc_condensation(sys)
-    out: dict[int, SpectralSolution | None] = {}
-    for i, comp in enumerate(cond.components):
-        out[i] = None if cond.acyclic[i] else solve_sr(sys, comp, r)
-    return out
-
-
 def critical_analysis(sys: MarkovSystem, r) -> graphs.CriticalStructure:
-    """Condensation plus per-component roots folded into a CriticalStructure.
-
-    The per-component SpectralSolutions are attached as `roots`.
-    """
+    """The critical structure of sys at order r: its condensation, the root
+    of Psi_H = 1 of every component H, attached as `roots` (None for an
+    acyclic single-vertex component, whose pressure is identically zero and
+    whose root counts as 0), and the critical components they single out."""
     cond = graphs.scc_condensation(sys)
-    roots = component_roots(sys, r, cond)
+    roots = {
+        i: None if cond.acyclic[i] else solve_sr(sys, comp, r)
+        for i, comp in enumerate(cond.components)
+    }
     per = {i: (0.0 if sol is None else sol.root) for i, sol in roots.items()}
-    return replace(graphs.critical_structure(sys, r, per, cond=cond), roots=roots)
+    return replace(graphs.critical_structure(sys, r, per, cond), roots=roots)
 
 
-def full_solution(sys: MarkovSystem, cs: graphs.CriticalStructure) -> SpectralSolution:
-    """solve_sr on the full scope at order cs.r.
+def full_solution(cs: graphs.CriticalStructure) -> SpectralSolution:
+    """solve_sr on the full scope of cs.system at order cs.r.
 
     When one component holds every vertex it is the same scope, solved the
     same way, so its root from `critical_analysis` is returned as it is.
     """
-    verts = tuple(sys.vertices)
+    verts = tuple(cs.system.vertices)
     for sol in cs.roots.values():
         if sol is not None and sol.vertices == verts:
             return sol
-    return solve_sr(sys, "full", cs.r)
+    return solve_sr(cs.system, "full", cs.r)

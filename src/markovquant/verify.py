@@ -119,7 +119,7 @@ def analysis_report(sys: MarkovSystem, r) -> dict:
     rf = float(as_fraction(r))
     cs = spectral.critical_analysis(sys, r)
     cond = cs.condensation
-    full = spectral.full_solution(sys, cs)
+    full = spectral.full_solution(cs)
     chains: dict[str, list] = {}
     for length in range(1, max(cs.m_r, 1) + 1):
         found = graphs.enumerate_chains(cs, length)
@@ -172,7 +172,7 @@ class _Context:
         self.depth_offset, self.capacity = depth_offset, capacity
         self.seed, self.mc_samples = seed, mc_samples
         self.cs = spectral.critical_analysis(sys, r)
-        self.full = spectral.full_solution(sys, self.cs)
+        self.full = spectral.full_solution(self.cs)
         # at most _QUANT_POINTS levels of the error curve, from ks[0] to ks[-1]
         picks = np.linspace(0, len(ks) - 1, num=_QUANT_POINTS).round().astype(int)
         self.quant_ks = tuple(sorted({ks[i] for i in picks}))

@@ -437,7 +437,28 @@ class TestRangePass:
         assert message == f"antichain at k={ks[-1]} exceeds capacity cap {cap} words"
 
 
+# each entry point that takes a critical structure, called at r = 2
+AT_ORDER_2 = {
+    "scan_levels": lambda sys, cs: scan_levels(sys, 2, [3, 4], cs=cs),
+    "scan": lambda sys, cs: scan(sys, 2, 3, cs=cs),
+    "theorem_ratio_series": lambda sys, cs: theorem_ratio_series(sys, 2, [3, 4], cs=cs),
+    "enumerate_antichain": lambda sys, cs: enumerate_antichain(sys, 2, 3, critical=cs),
+    "error_curve": lambda sys, cs: error_curve(sys, 2, [3, 4], depth_offset=2, cs=cs),
+}
+
+
 class TestValidationOfArguments:
+    @pytest.mark.parametrize("entry", sorted(AT_ORDER_2))
+    def test_structure_of_another_order_refused(self, sys_b, entry):
+        # its chains and s_r belong to r = 1; the same call at r = 2 runs
+        with pytest.raises(ValueError, match="built at r = 1.0, not at r = 2.0"):
+            AT_ORDER_2[entry](sys_b, critical_analysis(sys_b, 1))
+        AT_ORDER_2[entry](sys_b, critical_analysis(sys_b, 2))
+
+    def test_structure_of_an_equal_order_accepted(self, sys_b):
+        cs = critical_analysis(sys_b, "3/2")
+        assert scan(sys_b, F(3, 2), 3, cs=cs).hist == scan(sys_b, 1.5, 3, cs=cs).hist
+
     def test_bad_level(self, sys_a):
         with pytest.raises(ValueError):
             enumerate_antichain(sys_a, 1, 0)

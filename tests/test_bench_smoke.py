@@ -23,6 +23,7 @@ FAST_CASES = [
     "bench/test_bench_grid.py::test_level_grid[b-r1-k12]",
     "bench/test_bench_grid.py::test_level_grid[c-r1.5-k13]",
     "bench/test_bench_spectral.py::test_analysis_report_b",
+    "bench/test_bench_spectral.py::test_analysis_report_blocks",
     "bench/test_bench_spectral.py::test_ring_spectra",
     "bench/test_bench_spectral.py::test_validate_ring",
 ]
@@ -39,4 +40,4 @@ def test_fast_bench_cases_run():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "13 passed" in done.stdout, done.stdout
+    assert "14 passed" in done.stdout, done.stdout

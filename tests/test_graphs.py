@@ -1,10 +1,21 @@
 """Condensation, critical structure, chains, and the transient mass."""
 
+import itertools
+import json
 import math
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import markovquant
 from markovquant import (
+    InvalidWordError,
+    MarkovSystem,
     critical_analysis,
     critical_structure,
     enumerate_chains,
@@ -14,7 +25,44 @@ from markovquant import (
     transient_sum,
     visited_chain,
 )
-from conftest import DECAY_LIMIT_B, S1_H1_B, all_words
+from conftest import DECAY_LIMIT_B, S1_H1_B, all_words, random_rational_system
+
+
+def oracle_chains(cs, length):
+    """The definition: every ordered `length`-tuple of distinct critical
+    components, each reaching the next in the condensation, sorted."""
+    reach = cs.condensation.reachable()
+    return tuple(sorted(
+        tup for tup in itertools.permutations(cs.critical_indices, length)
+        if all(b in reach[a] for a, b in zip(tup, tup[1:]))
+    ))
+
+
+def chained_blocks(m: int) -> MarkovSystem:
+    """m copies of B's critical block in a row, ending in B's sink block.
+
+    Block i holds 2i-1 and 2i, with edges 2i-1 -> 2i-1, 2i-1 -> 2i,
+    2i -> 2i-1 and the link 2i -> 2i+1; the sink {2m+1, 2m+2} is complete
+    with c = 1/9.  Every p is 1/2 and every other c is 1/3, so the blocks are
+    critical and each reaches all later ones: t_r = m_r = m.
+    """
+    edges = []
+    for a in range(1, 2 * m, 2):
+        edges += [(a, a, "1/2", "1/3"), (a, a + 1, "1/2", "1/3"),
+                  (a + 1, a, "1/2", "1/3"), (a + 1, a + 2, "1/2", "1/3")]
+    s = 2 * m + 1
+    edges += [(i, j, "1/2", "1/9") for i in (s, s + 1) for j in (s, s + 1)]
+    return MarkovSystem.from_edges(s + 1, edges, [Fraction(1, s + 1)] * (s + 1))
+
+
+def disjoint_blocks(m: int) -> dict:
+    """The model file of m equal, disjoint complete 2-vertex blocks (every
+    p = 1/2, c = 1/3): m critical components, no two comparable."""
+    edges = [
+        {"from": i, "to": j, "p": "1/2", "c": "1/3"}
+        for a in range(1, 2 * m, 2) for i in (a, a + 1) for j in (a, a + 1)
+    ]
+    return {"n": 2 * m, "edges": edges, "chi": [f"1/{2 * m}"] * (2 * m)}
 
 
 class TestCondensation:
@@ -138,6 +186,45 @@ class TestChains:
         with pytest.raises(ValueError):
             enumerate_chains(cs, 3)
 
+    @pytest.mark.parametrize("r", [1, Fraction(3, 2), 2])
+    def test_matches_the_definition(self, sys_a, sys_b, sys_c, r):
+        models = [sys_a, sys_b, sys_c]
+        models += [random_rational_system(random.Random(seed)) for seed in range(40)]
+        for model in models:
+            cs = critical_analysis(model, r)
+            for length in range(1, max(cs.m_r, 1) + 1):
+                assert enumerate_chains(cs, length) == oracle_chains(cs, length), (model, length)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_comparable_blocks(self, m, r):
+        cs = critical_analysis(chained_blocks(m), r)
+        assert cs.m_r == cs.t_r == m
+        for length in range(1, m + 1):
+            chains = enumerate_chains(cs, length)
+            assert len(chains) == math.comb(m, length)
+            assert chains == oracle_chains(cs, length)
+
+    def test_many_incomparable_components_run_promptly(self, tmp_path):
+        # 12 critical components: filtering all their orderings would take
+        # hours; in a subprocess, so that a stall fails rather than hangs
+        model = tmp_path / "blocks.json"
+        model.write_text(json.dumps(disjoint_blocks(12)))
+        env = dict(os.environ)
+        src = str(Path(markovquant.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+
+        def cli(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "markovquant.cli", *args, str(model)], env=env,
+                capture_output=True, text=True, timeout=60, check=True,
+            ).stdout
+
+        (report,) = json.loads(cli("analyze"))["orders"]
+        assert report["m_r"] == 12 and report["t_r"] == 1
+        assert report["chains"] == {"1": [[i] for i in range(12)]}
+        assert cli("verify").splitlines()[-1].startswith("verification: ok")
+
     def test_cardinality_bound(self, sys_a, sys_b, sys_c):
         # C(m_r, l) always; the C(t_r, l) refinement holds when the critical
         # components form a single chain (t_r == m_r), as in A and B
@@ -156,6 +243,14 @@ class TestPathCounts:
         assert t_r_of_path(cs, (1, 2, 5, 3)) == 2
         assert t_r_of_path(cs, (6, 7, 6)) == 0
         assert t_r_of_path(cs, (3, 4, 3)) == 1
+
+    @pytest.mark.parametrize("word", [(0, 1), (1, 8), (1, 6)])
+    def test_words_off_the_graph_refused(self, sys_b, word):
+        # vertex 0 or 8 is outside B's 1..7, and (1, 6) is not an edge
+        cs = critical_analysis(sys_b, 1)
+        for count in (t_r_of_path, visited_chain):
+            with pytest.raises(InvalidWordError):
+                count(cs, word)
 
     def test_t_r_is_attained_by_brute_force(self, sys_a, sys_b, sys_c):
         for sys in (sys_a, sys_b, sys_c):

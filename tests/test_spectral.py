@@ -13,7 +13,7 @@ from markovquant import (
     NoCycleError,
     PowerIterationCapError,
     cli,
-    component_roots,
+    critical_analysis,
     row_sum_bounds,
     solve_sr,
     spectral,
@@ -121,12 +121,10 @@ class TestSolveRoot:
         assert sol_full.root - sol_k.root > 0.05
 
     def test_full_equals_component_max(self, sys_a, sys_b, sys_c):
-        from markovquant import component_roots
-
         for sys in (sys_a, sys_b, sys_c):
             full = solve_sr(sys, "full", 1)
             roots = [
-                sol.root for sol in component_roots(sys, 1).values() if sol is not None
+                sol.root for sol in critical_analysis(sys, 1).roots.values() if sol is not None
             ]
             assert abs(full.root - max(roots)) <= 1e-8
 
@@ -166,11 +164,9 @@ class TestSolveRoot:
                 p1 = spectral_radius(weight_matrix(sys, "full", 1, s1))
                 p2 = spectral_radius(weight_matrix(sys, "full", 1, s2))
                 assert p2 < p1
-            from markovquant import component_roots
-
             roots = [
                 sol_h.root
-                for sol_h in component_roots(sys, 1).values()
+                for sol_h in critical_analysis(sys, 1).roots.values()
                 if sol_h is not None
             ]
             assert abs(sol.root - max(roots)) <= 1e-8
@@ -460,7 +456,7 @@ class TestWarmStartedRoots:
     def test_matches_cold_reference(self, sys_a, sys_b, sys_c, r):
         for sys in self.models(sys_a, sys_b, sys_c):
             scopes = [tuple(sys.vertices)] + [
-                sol.vertices for sol in component_roots(sys, r).values() if sol is not None
+                sol.vertices for sol in critical_analysis(sys, r).roots.values() if sol is not None
             ]
             for verts in scopes:
                 sol = solve_sr(sys, verts, r)
@@ -509,7 +505,7 @@ class TestReplayedBisection:
     @staticmethod
     def scopes(sys, r):
         return [tuple(sys.vertices)] + [
-            sol.vertices for sol in component_roots(sys, r).values() if sol is not None
+            sol.vertices for sol in critical_analysis(sys, r).roots.values() if sol is not None
         ]
 
     def assert_same_roots(self, sys, r):

@@ -461,7 +461,7 @@ def test_analyze_json_unchanged_by_the_reused_root(monkeypatch, tmp_path, capsys
     args = ["analyze", str(FIXTURE_DIR / "fixture_a.json"), "--r", "1", "--r", "3/2"]
     assert main(args + ["--out", str(tmp_path / "reused")]) == 0
     monkeypatch.setattr(
-        spectral, "full_solution", lambda sys_, cs: spectral.solve_sr(sys_, "full", cs.r)
+        spectral, "full_solution", lambda cs: spectral.solve_sr(cs.system, "full", cs.r)
     )
     assert main(args + ["--out", str(tmp_path / "solved")]) == 0
     capsys.readouterr()
