@@ -48,7 +48,6 @@ from .graphs import (
     enumerate_chains,
     scc_condensation,
     t_r_of_path,
-    transient_sum,
     visited_chain,
 )
 from .model import (
@@ -67,11 +66,11 @@ from .spectral import (
     PowerIterationCapError,
     RowSumBounds,
     SpectralSolution,
-    WeightMatrix,
     critical_analysis,
     row_sum_bounds,
     solve_sr,
     spectral_radius,
+    transient_sums,
     weight_matrix,
 )
 from .verify import CheckResult, VerificationSuite, analysis_report, run_verification

@@ -6,9 +6,8 @@ which components attain the global pressure root, how many a single
 admissible path can traverse (t_r), the chains of critical components, and
 the transient vertex set F outside all critical components.
 
-Pressure roots per component are supplied by the spectral module; this module
-is purely combinatorial apart from transient_sum, which accumulates weighted
-matrix powers over the F-restricted graph.
+Pressure roots per component are supplied by the spectral module, which also
+sums the weights of the words inside F; this module is purely combinatorial.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ import heapq
 from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Mapping, Sequence
-
-import numpy as np
 
 from .model import MarkovSystem, as_fraction, validate_word
 
@@ -79,40 +76,22 @@ def strongly_connected_components(
 
 @dataclass(frozen=True)
 class Condensation:
-    """SCC partition with the induced DAG.
+    """SCC partition with the induced DAG, recorded once by scc_condensation.
 
     components are ordered by their smallest vertex (1-based vertices);
+    component_of[v] is the index of vertex v's component (entry 0 is -1);
     dag_edges are direct inter-component edges (a, b) meaning a precedes b;
-    topo_order is a topological order of component indices; acyclic[i] is
-    True for a single-vertex component without a self-loop.
+    topo_order is a topological order of component indices; reachable[i] is
+    the set of component indices j != i reachable from i; acyclic[i] is True
+    for a single-vertex component without a self-loop.
     """
 
     components: tuple[tuple[int, ...], ...]
+    component_of: tuple[int, ...]
     dag_edges: tuple[tuple[int, int], ...]
     topo_order: tuple[int, ...]
+    reachable: tuple[frozenset[int], ...]
     acyclic: tuple[bool, ...]
-
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
-    def vertex_map(self) -> dict[int, int]:
-        """vertex -> component index."""
-        return {v: i for i, comp in enumerate(self.components) for v in comp}
-
-    def reachable(self) -> tuple[frozenset[int], ...]:
-        """reachable[i] = set of component indices j != i reachable from i."""
-        succ: list[set[int]] = [set() for _ in self.components]
-        for a, b in self.dag_edges:
-            succ[a].add(b)
-        reach: list[frozenset[int]] = [frozenset()] * len(self.components)
-        for i in reversed(self.topo_order):
-            acc: set[int] = set()
-            for j in succ[i]:
-                acc.add(j)
-                acc |= reach[j]
-            reach[i] = frozenset(acc)
-        return tuple(reach)
 
 
 def scc_condensation(sys: MarkovSystem) -> Condensation:
@@ -120,16 +99,20 @@ def scc_condensation(sys: MarkovSystem) -> Condensation:
 
     Component numbering is deterministic (ascending smallest vertex); the
     topological order is the lexicographically smallest one (Kahn with a
-    min-heap on component index).
+    min-heap on component index); each component's reach is gathered in
+    reverse topological order.
     """
     comps0 = strongly_connected_components(sys.n, lambda v: [j - 1 for j in sys.successors(v + 1)])
     components = tuple(tuple(v + 1 for v in comp) for comp in comps0)
-    vmap = {v: i for i, comp in enumerate(components) for v in comp}
+    component_of = [-1] * (sys.n + 1)
+    for i, comp in enumerate(components):
+        for v in comp:
+            component_of[v] = i
     dag = sorted(
         {
-            (vmap[i], vmap[j])
+            (component_of[i], component_of[j])
             for i, j in sys.edges
-            if vmap[i] != vmap[j]
+            if component_of[i] != component_of[j]
         }
     )
     acyclic = tuple(
@@ -154,10 +137,15 @@ def scc_condensation(sys: MarkovSystem) -> Condensation:
                 heapq.heappush(ready, j)
     if len(topo) != m:
         raise AssertionError("condensation has a cycle; SCC decomposition is broken")
+    reach: list[frozenset[int]] = [frozenset()] * m
+    for i in reversed(topo):
+        reach[i] = frozenset(succ[i]).union(*(reach[j] for j in succ[i]))
     return Condensation(
         components=components,
+        component_of=tuple(component_of),
         dag_edges=tuple(dag),
         topo_order=tuple(topo),
+        reachable=tuple(reach),
         acyclic=acyclic,
     )
 
@@ -207,22 +195,16 @@ def critical_structure(
     which equals the maximum of t_r_of_path over all admissible words because
     components are strongly connected.
     """
-    m = cond.n_components
+    m = len(cond.components)
     per = tuple(float(per_component_s[i]) for i in range(m))
     s_global = max(per)
     critical = tuple(per[i] >= s_global - CRITICAL_TOL and not cond.acyclic[i] for i in range(m))
-    # longest weighted path over the DAG, weight 1 on critical components
-    succ: list[list[int]] = [[] for _ in range(m)]
-    for a, b in cond.dag_edges:
-        succ[a].append(b)
+    # longest weighted path over the DAG, weight 1 on critical components;
+    # best[i] >= best[j] for every j that i reaches
     best = [0] * m
     for i in reversed(cond.topo_order):
-        tail = max((best[j] for j in succ[i]), default=0)
-        best[i] = (1 if critical[i] else 0) + tail
-    critical_of = [-1] * (sys.n + 1)
-    for i, comp in enumerate(cond.components):
-        for v in comp:
-            critical_of[v] = i if critical[i] else -1
+        best[i] = critical[i] + max((best[j] for j in cond.reachable[i]), default=0)
+    critical_of = (-1,) + tuple(i if critical[i] else -1 for i in cond.component_of[1:])
     return CriticalStructure(
         system=sys,
         condensation=cond,
@@ -231,9 +213,9 @@ def critical_structure(
         per_component=per,
         critical=critical,
         m_r=sum(critical),
-        t_r=max(best) if m else 0,
+        t_r=max(best),
         transient_set=frozenset(v for v in sys.vertices if critical_of[v] < 0),
-        critical_of=tuple(critical_of),
+        critical_of=critical_of,
     )
 
 
@@ -252,7 +234,7 @@ def enumerate_chains(cs: CriticalStructure, length: int) -> tuple[tuple[int, ...
     if not 1 <= length <= max(cs.m_r, 1):
         raise ValueError(f"chain length {length} outside 1..{cs.m_r}")
     crit = cs.critical_indices
-    reach = cs.condensation.reachable()
+    reach = cs.condensation.reachable
     after = {i: sorted(j for j in reach[i] if cs.critical[j]) for i in crit}
     chains = [(i,) for i in crit]
     for _ in range(length - 1):
@@ -285,34 +267,3 @@ def visited_chain(cs: CriticalStructure, word: Sequence[int]) -> tuple[int, ...]
             chain.append(idx)
     return tuple(chain)
 
-
-def transient_sum(sys: MarkovSystem, cs: CriticalStructure, r, s, n: int) -> float:
-    """Sum of (p_sigma c_sigma^r)^{s/(s+r)} over length-n words inside F.
-
-    F is the complement of the critical components; a word qualifies only if
-    every entry lies in F.  Computed by accumulating powers of the
-    F-restricted weight matrix, so no words are materialized.  Returns 0.0
-    when F is empty; length-1 words have unit weight by convention, so
-    transient_sum(..., 1) = |F|.
-    """
-    if n < 1:
-        raise ValueError(f"depth must be >= 1, got {n}")
-    fset = sorted(cs.transient_set)
-    if not fset:
-        return 0.0
-    if n == 1:
-        return float(len(fset))
-    rf = float(as_fraction(r))
-    sf = float(s)
-    expo = sf / (sf + rf)
-    idx = {v: i for i, v in enumerate(fset)}
-    m = len(fset)
-    b = np.zeros((m, m))
-    for i, j in sys.edges:
-        if i in idx and j in idx:
-            w = float(sys.edge_p(i, j)) * float(sys.edge_c(i, j)) ** rf
-            b[idx[i], idx[j]] = w**expo
-    vec = np.ones(m)
-    for _ in range(n - 1):
-        vec = b @ vec
-    return float(vec.sum())

@@ -127,22 +127,23 @@ class MarkovSystem:
         Only the listed entries are converted and scanned, so the cost beyond
         the two zero matrices is linear in the edges.
         """
+        chi_t = tuple(as_fraction(x) for x in chi)
+        if len(chi_t) != n:
+            raise ModelFormatError(f"chi has length {len(chi_t)}, expected n={n}")
+        if not chi_t:
+            raise ModelFormatError("empty chi vector")
         p = [[Fraction(0)] * n for _ in range(n)]
         c = [[Fraction(0)] * n for _ in range(n)]
         listed = set()
         for i, j, pij, cij in edges:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ModelFormatError(f"edge ({i},{j}) out of range 1..{n}")
-            if p[i - 1][j - 1] != 0:
+            if (i, j) in listed:
                 raise ModelFormatError(f"duplicate edge ({i},{j})")
             p[i - 1][j - 1] = as_fraction(pij)
             c[i - 1][j - 1] = as_fraction(cij)
             listed.add((i, j))
-        chi_t = tuple(as_fraction(x) for x in chi)
-        if not chi_t:
-            raise ModelFormatError("empty chi vector")
         p_t, c_t = tuple(map(tuple, p)), tuple(map(tuple, c))
-        _check_shape(len(chi_t), p_t, c_t)
         entries = tuple(
             (i, j) for i, j in sorted(listed) if p_t[i - 1][j - 1].numerator or c_t[i - 1][j - 1].numerator
         )
@@ -163,8 +164,6 @@ class MarkovSystem:
             chi = cfg["chi"]
         except (KeyError, TypeError) as exc:
             raise ModelFormatError(f"malformed model config: {exc}") from exc
-        if len(chi) != n:
-            raise ModelFormatError(f"chi has length {len(chi)}, expected n={n}")
         return cls.from_edges(n, edges, chi)
 
     @classmethod

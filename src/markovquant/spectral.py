@@ -68,16 +68,6 @@ class PowerIterationCapError(ValueError):
     bracket is neither tight nor clear of the value it is compared with."""
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Edge-weight matrix b_ij(s) restricted to a vertex scope."""
-
-    vertices: tuple[int, ...]
-    entries: np.ndarray
-    r: float
-    s: float
-
-
 def _scope_vertices(sys: MarkovSystem, scope) -> tuple[int, ...]:
     if isinstance(scope, str):
         if scope != "full":
@@ -102,10 +92,13 @@ def _scope_edges(sys: MarkovSystem, verts: tuple[int, ...], rf: float):
     return rows[inside], cols[inside], log_p[inside] + rf * log_c[inside]  # no underflow of p c^r
 
 
-def weight_matrix(sys: MarkovSystem, scope, r, s) -> WeightMatrix:
-    """Build b_ij(s) = (p_ij c_ij^r)^{s/(s+r)} on the given scope.
+def weight_matrix(sys: MarkovSystem, scope, r, s) -> np.ndarray:
+    """The array b_ij(s) = (p_ij c_ij^r)^{s/(s+r)} on the given scope, rows and
+    columns in ascending vertex order.
 
-    s = 0 yields the 0/1 adjacency pattern (entry 1 on edges).
+    Every reader of B(s) takes it from here; only solve_sr's compiled blocks
+    refill their own in place, from the same log weights.  s = 0 yields the
+    0/1 adjacency pattern (entry 1 on edges).
     """
     rf = float(as_fraction(r))
     sf = float(s)
@@ -115,7 +108,7 @@ def weight_matrix(sys: MarkovSystem, scope, r, s) -> WeightMatrix:
     rows, cols, logw = _scope_edges(sys, verts, rf)
     m = np.zeros((len(verts), len(verts)))
     m[rows, cols] = np.exp(logw * (sf / (sf + rf)))
-    return WeightMatrix(vertices=verts, entries=m, r=rf, s=sf)
+    return m
 
 
 def _noda_step(a: np.ndarray, x: np.ndarray, shift: float) -> np.ndarray | None:
@@ -187,13 +180,13 @@ def _cyclic_blocks(k: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarra
     ]
 
 
-def spectral_radius(m: WeightMatrix | np.ndarray) -> float:
-    """Spectral radius of a nonnegative matrix, certified to relative RADIUS_TOL.
+def spectral_radius(a: np.ndarray) -> float:
+    """Spectral radius of a square nonnegative array, certified to relative RADIUS_TOL.
 
     Reducible matrices are handled block-triangularly: the radius is the
     maximum over SCC diagonal blocks of the nonzero pattern.
     """
-    a = m.entries if isinstance(m, WeightMatrix) else np.asarray(m, dtype=float)
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if (a < 0).any():
@@ -391,21 +384,16 @@ class RowSumBounds:
 
 
 def row_sum_bounds(
-    sys: MarkovSystem, r, component: Iterable[int], h_max: int = 64, s: float | None = None
+    sys: MarkovSystem, r, component: Iterable[int], s: float, h_max: int = 64
 ) -> RowSumBounds:
-    """Column sums of A_H(s_r)^h for h = 1..h_max, with eigenvector bounds.
+    """Column sums of A_H(s)^h for h = 1..h_max, with eigenvector bounds.
 
-    The component must be a non-trivial (cyclic) strongly connected set; s
-    defaults to the global root s_r of the full system, which equals the
-    component root when the component is critical.  The default solve runs
-    tighter than ROOT_TOL because root error is amplified by the h-th matrix
-    power (drift is roughly h times the radius error at the root).
+    The component must be a non-trivial (cyclic) strongly connected set; s is
+    normally the global root s_r.  Root error is amplified by the h-th matrix
+    power, so deep sums want a root solved tighter than ROOT_TOL.
     """
     verts = _scope_vertices(sys, component)
-    if s is None:
-        s = solve_sr(sys, "full", r, tol=1e-12).root
-    wm = weight_matrix(sys, verts, r, s)
-    a = wm.entries
+    a = weight_matrix(sys, verts, r, s)
     if not a.any():
         raise NoCycleError(f"component {verts} is trivial (no internal edges)")
     xi = left_perron_vector(a)
@@ -420,6 +408,23 @@ def row_sum_bounds(
     return RowSumBounds(
         vertices=verts, c1=c1, c2=c2, eigenvector=tuple(float(x) for x in xi), sums=sums
     )
+
+
+def transient_sums(cs: graphs.CriticalStructure, s, n: int) -> list[float]:
+    """Sums of (p_sigma c_sigma^r)^{s/(s+r)} over the words inside F of each
+    length l = 1..n, in one pass: the totals of B_F(s)^(l-1) applied to the
+    ones vector, B_F the weight matrix on F = cs.transient_set.  All 0.0 when
+    F is empty; length-1 words have unit weight, so the first sum is |F|.
+    """
+    if n < 1:
+        raise ValueError(f"depth must be >= 1, got {n}")
+    b = weight_matrix(cs.system, cs.transient_set, cs.r, s)
+    vec = np.ones(len(b))
+    sums = [float(len(b))]
+    for _ in range(n - 1):
+        vec = b @ vec
+        sums.append(float(vec.sum()))
+    return sums
 
 
 def critical_analysis(sys: MarkovSystem, r) -> graphs.CriticalStructure:

@@ -370,7 +370,7 @@ def _eigenvector_sum_band(ctx: _Context) -> Iterator[CheckResult]:
 
 def _transient_decay(ctx: _Context) -> Iterator[CheckResult]:
     cs = ctx.cs
-    tsums = [graphs.transient_sum(ctx.sys, cs, ctx.r, ctx.full.root, n) for n in range(1, 62)]
+    tsums = spectral.transient_sums(cs, ctx.full.root, 61)
     if not (cs.transient_set and tsums[10] > 0):
         raise _Skip("transient set empty or carries no length-11+ words")
     ratios = [tsums[n] / tsums[n - 1] for n in range(10, 61) if tsums[n - 1] > 0]

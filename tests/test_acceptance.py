@@ -28,7 +28,7 @@ from markovquant import (
     row_sum_bounds,
     solve_sr,
     theorem_ratio_series,
-    transient_sum,
+    transient_sums,
 )
 from conftest import DECAY_LIMIT_B, S1_H1_B, S1_K_B, S_R_A, T11_A, grid_at
 
@@ -137,11 +137,11 @@ def test_criterion_04_level_growth_bands(series):
 
 
 def test_criterion_05_eigenvector_band(sys_a, sys_b):
-    rs_b = row_sum_bounds(sys_b, 1, (1, 2), h_max=64)
+    rs_b = row_sum_bounds(sys_b, 1, (1, 2), solve_sr(sys_b, "full", 1, tol=1e-12).root, h_max=64)
     in_band = bool(
         (rs_b.sums >= rs_b.c1 - 1e-9).all() and (rs_b.sums <= rs_b.c2 + 1e-9).all()
     )
-    rs_a = row_sum_bounds(sys_a, 1, (1, 2), h_max=64)
+    rs_a = row_sum_bounds(sys_a, 1, (1, 2), solve_sr(sys_a, "full", 1, tol=1e-12).root, h_max=64)
     a_dev = float(np.abs(rs_a.sums - 1.0).max())
     ok = (
         abs(rs_b.c1 - 0.618034) <= 1e-5
@@ -160,7 +160,7 @@ def test_criterion_05_eigenvector_band(sys_a, sys_b):
 
 def test_criterion_06_transient_decay(sys_b, structures):
     cs = structures["b"]
-    sums = {n: transient_sum(sys_b, cs, 1, cs.s_r, n) for n in range(10, 62)}
+    sums = dict(enumerate(transient_sums(cs, cs.s_r, 61), start=1))
     ratios = [sums[n + 1] / sums[n] for n in range(10, 61)]
     ok = all(0.90 <= q <= 0.94 for q in ratios)
     _report(

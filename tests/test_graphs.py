@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import markovquant
@@ -22,7 +23,7 @@ from markovquant import (
     path_weight,
     scc_condensation,
     t_r_of_path,
-    transient_sum,
+    transient_sums,
     visited_chain,
 )
 from conftest import DECAY_LIMIT_B, S1_H1_B, all_words, random_rational_system
@@ -31,11 +32,45 @@ from conftest import DECAY_LIMIT_B, S1_H1_B, all_words, random_rational_system
 def oracle_chains(cs, length):
     """The definition: every ordered `length`-tuple of distinct critical
     components, each reaching the next in the condensation, sorted."""
-    reach = cs.condensation.reachable()
+    reach = cs.condensation.reachable
     return tuple(sorted(
         tup for tup in itertools.permutations(cs.critical_indices, length)
         if all(b in reach[a] for a, b in zip(tup, tup[1:]))
     ))
+
+
+def reference_transient_sum(cs, s, n: int) -> float:
+    """The length-n transient sum as it was computed one length at a time:
+    the F-restricted matrix built edge by edge from the Fractions, then n - 1
+    mat-vecs from the ones vector."""
+    fset = sorted(cs.transient_set)
+    if not fset:
+        return 0.0
+    if n == 1:
+        return float(len(fset))
+    sys, rf, sf = cs.system, cs.r, float(s)
+    expo = sf / (sf + rf)
+    idx = {v: i for i, v in enumerate(fset)}
+    b = np.zeros((len(fset), len(fset)))
+    for i, j in sys.edges:
+        if i in idx and j in idx:
+            b[idx[i], idx[j]] = (float(sys.edge_p(i, j)) * float(sys.edge_c(i, j)) ** rf) ** expo
+    vec = np.ones(len(fset))
+    for _ in range(n - 1):
+        vec = b @ vec
+    return float(vec.sum())
+
+
+def bfs_reach(sys: MarkovSystem, v: int) -> set[int]:
+    """Every vertex reachable from v by a nonempty path, by breadth-first search."""
+    seen = set(sys.successors(v))
+    queue = list(seen)
+    for w in queue:  # the queue grows while it is read
+        for x in sys.successors(w):
+            if x not in seen:
+                seen.add(x)
+                queue.append(x)
+    return seen
 
 
 def chained_blocks(m: int) -> MarkovSystem:
@@ -83,7 +118,7 @@ class TestCondensation:
     def test_fixture_c_incomparable(self, sys_c):
         cond = scc_condensation(sys_c)
         assert cond.components == ((1, 2), (3, 4), (5,))
-        reach = cond.reachable()
+        reach = cond.reachable
         i12 = cond.components.index((1, 2))
         i34 = cond.components.index((3, 4))
         i5 = cond.components.index((5,))
@@ -92,9 +127,8 @@ class TestCondensation:
 
     def test_every_edge_is_internal_or_dag(self, sys_b):
         cond = scc_condensation(sys_b)
-        vmap = cond.vertex_map()
         for i, j in sys_b.edges:
-            a, b = vmap[i], vmap[j]
+            a, b = cond.component_of[i], cond.component_of[j]
             assert a == b or (a, b) in cond.dag_edges
 
     def test_partition(self, sys_b):
@@ -106,6 +140,22 @@ class TestCondensation:
         cond = scc_condensation(sys_b)
         pos = {cidx: t for t, cidx in enumerate(cond.topo_order)}
         assert all(pos[a] < pos[b] for a, b in cond.dag_edges)
+
+    def test_stored_record_matches_bfs(self, sys_a, sys_b, sys_c):
+        # component_of[v] is the component holding v, and component j is in
+        # reachable[i] iff j != i and some vertex of i reaches one of j
+        models = [sys_a, sys_b, sys_c, chained_blocks(4)]
+        models += [random_rational_system(random.Random(seed)) for seed in range(40)]
+        for model in models:
+            cond = scc_condensation(model)
+            reach = {v: bfs_reach(model, v) for v in model.vertices}
+            assert cond.component_of[0] == -1 and len(cond.component_of) == model.n + 1
+            for v in model.vertices:
+                same = {w for w in model.vertices if w == v or (w in reach[v] and v in reach[w])}
+                assert set(cond.components[cond.component_of[v]]) == same
+            for i, comp in enumerate(cond.components):
+                below = {cond.component_of[w] for v in comp for w in reach[v]} - {i}
+                assert cond.reachable[i] == below, (model, i)
 
     def test_scc_against_reachability_closure(self):
         # brute force: i ~ j iff i reaches j and j reaches i
@@ -266,7 +316,6 @@ class TestPathCounts:
 
     def test_visited_chain_matches_definition(self, sys_b):
         cs = critical_analysis(sys_b, 1)
-        vmap = cs.condensation.vertex_map()
         for w in all_words(sys_b, 6)[:500]:
             chain = visited_chain(cs, w)
             # distinct, critical, in first-visit order
@@ -274,7 +323,7 @@ class TestPathCounts:
             assert all(cs.critical[c] for c in chain)
             firsts = []
             for v in w:
-                c = vmap[v]
+                c = cs.condensation.component_of[v]
                 if cs.critical[c] and c not in firsts:
                     firsts.append(c)
             assert tuple(firsts) == chain
@@ -284,12 +333,11 @@ class TestPathCounts:
 class TestTransientSum:
     def test_empty_transient_set(self, sys_a):
         cs = critical_analysis(sys_a, 1)
-        for n in (1, 2, 5):
-            assert transient_sum(sys_a, cs, 1, cs.s_r, n) == 0.0
+        assert transient_sums(cs, cs.s_r, 5) == [0.0] * 5
 
     def test_length_one_counts_vertices(self, sys_b):
         cs = critical_analysis(sys_b, 1)
-        assert transient_sum(sys_b, cs, 1, cs.s_r, 1) == 3.0
+        assert transient_sums(cs, cs.s_r, 1) == [3.0]
 
     def test_length_two_value(self, sys_b):
         # words fully inside F = {5,6,7}: only 66, 67, 76, 77 qualify
@@ -297,24 +345,24 @@ class TestTransientSum:
         cs = critical_analysis(sys_b, 1)
         expo = cs.s_r / (cs.s_r + 1.0)
         expected = 4.0 * (1.0 / 18.0) ** expo
-        assert transient_sum(sys_b, cs, 1, cs.s_r, 2) == pytest.approx(expected, rel=1e-12)
+        assert transient_sums(cs, cs.s_r, 2)[1] == pytest.approx(expected, rel=1e-12)
 
     def test_matches_word_enumeration(self, sys_b):
         cs = critical_analysis(sys_b, 1)
         fset = cs.transient_set
         expo = cs.s_r / (cs.s_r + 1.0)
+        sums = transient_sums(cs, cs.s_r, 6)
         for n in range(1, 7):
             expected = 0.0
             for w in all_words(sys_b, n):
                 if all(v in fset for v in w):
                     pw = path_weight(sys_b, w)
                     expected += float(pw.p_weight * pw.c_weight) ** expo
-            got = transient_sum(sys_b, cs, 1, cs.s_r, n)
-            assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
+            assert sums[n - 1] == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
     def test_geometric_ratio_converges(self, sys_b):
         cs = critical_analysis(sys_b, 1)
-        sums = {n: transient_sum(sys_b, cs, 1, cs.s_r, n) for n in range(10, 62)}
+        sums = dict(enumerate(transient_sums(cs, cs.s_r, 61), start=1))
         ratios = [sums[n + 1] / sums[n] for n in range(10, 61)]
         assert all(0.90 <= q <= 0.94 for q in ratios)
         assert ratios[-1] == pytest.approx(DECAY_LIMIT_B, abs=1e-6)
@@ -322,7 +370,16 @@ class TestTransientSum:
     def test_depth_must_be_positive(self, sys_b):
         cs = critical_analysis(sys_b, 1)
         with pytest.raises(ValueError):
-            transient_sum(sys_b, cs, 1, cs.s_r, 0)
+            transient_sums(cs, cs.s_r, 0)
+
+    @pytest.mark.parametrize("r", [1, Fraction(3, 2)])
+    @pytest.mark.parametrize("name", ["b", "c"])
+    def test_matches_the_per_length_loop(self, sys_b, sys_c, name, r):
+        cs = critical_analysis({"b": sys_b, "c": sys_c}[name], r)
+        sums = transient_sums(cs, cs.s_r, 61)
+        assert len(sums) == 61
+        for n, got in enumerate(sums, start=1):
+            assert got == pytest.approx(reference_transient_sum(cs, cs.s_r, n), rel=1e-12, abs=0.0), n
 
     def test_root_value_used(self, sys_b):
         # the solved root feeding the exponent matches the frozen oracle

@@ -309,6 +309,28 @@ class TestLoader:
                 [HALF, HALF],
             )
 
+    @pytest.mark.parametrize("first", ["0", "1/2"])
+    def test_duplicate_edge_rejected_in_either_order(self, first):
+        # a listing with p = 0 is still a listing: its repeat is refused either way
+        other = {"0": "1/2", "1/2": "0"}[first]
+        cfg = {
+            "n": 2,
+            "edges": [
+                {"from": 1, "to": 1, "p": first, "c": "1/3"},
+                {"from": 1, "to": 2, "p": "1/2", "c": "1/3"},
+                {"from": 1, "to": 1, "p": other, "c": "1/3"},
+                {"from": 2, "to": 1, "p": "1/2", "c": "1/3"},
+                {"from": 2, "to": 2, "p": "1/2", "c": "1/3"},
+            ],
+            "chi": ["1/2", "1/2"],
+        }
+        with pytest.raises(ModelFormatError, match=r"duplicate edge \(1,1\)"):
+            MarkovSystem.from_config(cfg)
+
+    def test_edge_list_chi_length_mismatch(self):
+        with pytest.raises(ModelFormatError, match="chi has length 3, expected n=2"):
+            MarkovSystem.from_edges(2, [(1, 1, HALF, THIRD), (1, 2, HALF, THIRD)], [HALF, HALF, 0])
+
     def test_edge_out_of_range(self):
         with pytest.raises(ModelFormatError):
             MarkovSystem.from_edges(2, [(1, 3, HALF, THIRD)], [HALF, HALF])

@@ -30,24 +30,24 @@ class TestWeightMatrix:
     def test_uniform_entries_fixture_a(self, sys_a):
         wm = weight_matrix(sys_a, "full", 1, 1.0)
         expected = (1 / 6) ** 0.5
-        assert np.allclose(wm.entries, expected)
+        assert np.allclose(wm, expected)
 
     def test_zero_exponent_gives_adjacency(self, sys_b):
         wm = weight_matrix(sys_b, "full", 1, 0.0)
         adj = np.zeros((7, 7))
         for i, j in sys_b.edges:
             adj[i - 1, j - 1] = 1.0
-        assert np.array_equal(wm.entries, adj)
+        assert np.array_equal(wm, adj)
 
     def test_h1_pattern_at_root(self, sys_b):
         wm = weight_matrix(sys_b, (1, 2), 1, S1_H1_B)
         b = (1 / 6) ** (S1_H1_B / (S1_H1_B + 1))
         assert b == pytest.approx(1 / GOLDEN, abs=1e-5)
-        assert wm.entries == pytest.approx(np.array([[b, b], [b, 0.0]]))
+        assert wm == pytest.approx(np.array([[b, b], [b, 0.0]]))
 
     def test_entries_decrease_in_s(self, sys_b):
-        w1 = weight_matrix(sys_b, "full", 1, 0.3).entries
-        w2 = weight_matrix(sys_b, "full", 1, 0.4).entries
+        w1 = weight_matrix(sys_b, "full", 1, 0.3)
+        w2 = weight_matrix(sys_b, "full", 1, 0.4)
         mask = w1 > 0
         assert (w2[mask] < w1[mask]).all()
 
@@ -174,38 +174,38 @@ class TestSolveRoot:
 
 class TestRowSumBounds:
     def test_fixture_b_h1_bounds(self, sys_b):
-        rs = row_sum_bounds(sys_b, 1, (1, 2), h_max=64)
+        rs = row_sum_bounds(sys_b, 1, (1, 2), solve_sr(sys_b, "full", 1, tol=1e-12).root, h_max=64)
         assert rs.c1 == pytest.approx(1 / GOLDEN, abs=1e-5)
         assert rs.c2 == pytest.approx(GOLDEN, abs=1e-5)
         assert rs.eigenvector[0] == pytest.approx(0.618034, abs=1e-5)
         assert rs.eigenvector[1] == pytest.approx(0.381966, abs=1e-5)
 
     def test_fixture_b_h1_first_column_sum(self, sys_b):
-        rs = row_sum_bounds(sys_b, 1, (1, 2), h_max=1)
+        rs = row_sum_bounds(sys_b, 1, (1, 2), solve_sr(sys_b, "full", 1, tol=1e-12).root, h_max=1)
         # one-step sums into vertex 1: b + b = 2/golden
         assert rs.sums[0][0] == pytest.approx(2 / GOLDEN, abs=1e-5)
         assert rs.c1 - 1e-9 <= rs.sums[0][0] <= rs.c2 + 1e-9
 
     def test_sums_stay_in_band(self, sys_b):
-        rs = row_sum_bounds(sys_b, 1, (1, 2), h_max=64)
+        rs = row_sum_bounds(sys_b, 1, (1, 2), solve_sr(sys_b, "full", 1, tol=1e-12).root, h_max=64)
         assert (rs.sums >= rs.c1 - 1e-9).all()
         assert (rs.sums <= rs.c2 + 1e-9).all()
 
     def test_fixture_a_sums_are_one(self, sys_a):
-        rs = row_sum_bounds(sys_a, 1, (1, 2), h_max=64)
+        rs = row_sum_bounds(sys_a, 1, (1, 2), solve_sr(sys_a, "full", 1, tol=1e-12).root, h_max=64)
         assert rs.c1 == pytest.approx(1.0, abs=1e-10)
         assert rs.c2 == pytest.approx(1.0, abs=1e-10)
         assert np.abs(rs.sums - 1.0).max() <= 1e-10
 
     def test_trivial_component_rejected(self, sys_b):
         with pytest.raises(NoCycleError):
-            row_sum_bounds(sys_b, 1, (5,))
+            row_sum_bounds(sys_b, 1, (5,), solve_sr(sys_b, "full", 1, tol=1e-12).root)
 
     def test_eigenvector_is_left_fixed_point(self, sys_b):
-        rs = row_sum_bounds(sys_b, 1, (1, 2))
+        rs = row_sum_bounds(sys_b, 1, (1, 2), solve_sr(sys_b, "full", 1, tol=1e-12).root)
         wm = weight_matrix(sys_b, (1, 2), 1, solve_sr(sys_b, (1, 2), 1, tol=1e-12).root)
         xi = np.array(rs.eigenvector)
-        assert xi @ wm.entries == pytest.approx(xi, abs=1e-9)
+        assert xi @ wm == pytest.approx(xi, abs=1e-9)
 
 
 def ring_system(n: int, chord: int) -> MarkovSystem:
@@ -320,7 +320,7 @@ def kernel_cases():
     rng = random.Random(20261018)
     for k in range(6):
         sys = random_rational_system(rng)
-        yield f"random{k}", weight_matrix(sys, "full", Fraction(3, 2), 0.4).entries
+        yield f"random{k}", weight_matrix(sys, "full", Fraction(3, 2), 0.4)
     yield "pure-cycle", np.roll(np.diag([0.3, 0.9, 0.5, 0.7, 0.2]), 1, axis=1)
     bip = np.zeros((6, 6))
     bip[:3, 3:] = [[0.2, 0.5, 0.1], [0.3, 0.3, 0.6], [0.9, 0.1, 0.4]]
@@ -557,8 +557,9 @@ class TestIterationCap:
         # power iteration alone reached the cap on this ring's left vector;
         # Noda's steps take a handful of solves
         ring = ring_system(120, 2)
-        rs = row_sum_bounds(ring, 1, tuple(ring.vertices), h_max=1)
-        a = weight_matrix(ring, "full", 1, solve_sr(ring, "full", 1, tol=1e-12).root).entries
+        root = solve_sr(ring, "full", 1, tol=1e-12).root
+        rs = row_sum_bounds(ring, 1, tuple(ring.vertices), root, h_max=1)
+        a = weight_matrix(ring, "full", 1, root)
         xi = np.array(rs.eigenvector)
         assert xi @ a == pytest.approx(dense_radius(a) * xi, rel=1e-10)
 
