@@ -12,7 +12,7 @@ Four cases:
 - `analysis_report` at r = 1 on 12 equal, disjoint 2-vertex blocks: 12
   critical components and no chain longer than one, whose enumeration grows
   along reachability instead of filtering orderings;
-- `critical_analysis` and, at the full root, `row_sum_bounds` of every
+- `critical_analysis` and, at its s_r, `row_sum_bounds` of every
   critical component (h = 1, as `analysis_report` calls it) on a 120-vertex
   ring whose vertices also jump 3 steps ahead: a slowly mixing block, whose
   tight radii and left Perron vector are the kernel's hard case;
@@ -81,9 +81,8 @@ def test_analysis_report_blocks(benchmark):
 
 def _ring_spectra(system, r):
     cs = critical_analysis(system, r)
-    root = spectral.full_solution(cs).root
     return [
-        row_sum_bounds(system, r, cs.condensation.components[idx], h_max=1, s=root)
+        row_sum_bounds(system, r, cs.condensation.components[idx], h_max=1, s=cs.s_r)
         for idx in cs.critical_indices
     ]
 

@@ -98,10 +98,11 @@ class ScanResult:
     members: tuple[tuple[int, dict], ...] = field(repr=False)
 
 
-def _threshold_power(sys: MarkovSystem, rq: Fraction, k: int) -> Fraction:
-    """eta_lo^k raised to the b-th power for r = a/b: p_min^(kb) * c_min^(ka)."""
+def _threshold_power(sys: MarkovSystem, rq: Fraction) -> Fraction:
+    """eta_lo raised to the b-th power for r = a/b: p_min^b * c_min^a.  Level
+    k's threshold is its k-th power."""
     p_lo, c_lo, _, _ = edge_extremes(sys)
-    return p_lo ** (k * rq.denominator) * c_lo ** (k * rq.numerator)
+    return p_lo**rq.denominator * c_lo**rq.numerator
 
 
 def _scales(sys: MarkovSystem) -> tuple[int, int]:
@@ -138,7 +139,8 @@ def _descend(
         raise ValueError(f"order r must be positive, got {rq}")
     a, b = rq.numerator, rq.denominator
     lo, hi = ks[0], ks[-1]
-    thr = {k: _threshold_power(sys, rq, k) for k in range(lo, hi + 1)}
+    eta = _threshold_power(sys, rq)
+    thr = {k: eta**k for k in range(lo, hi + 1)}
     dp, dc = _scales(sys)
     out: list[list[tuple]] = [[] for _ in range(sys.n + 1)]
     for e, (i, j) in enumerate(sys.edges):

@@ -127,6 +127,8 @@ class MarkovSystem:
         Only the listed entries are converted and scanned, so the cost beyond
         the two zero matrices is linear in the edges.
         """
+        if type(n) is not int:
+            raise ModelFormatError(f"n must be an integer, got {n!r}")
         chi_t = tuple(as_fraction(x) for x in chi)
         if len(chi_t) != n:
             raise ModelFormatError(f"chi has length {len(chi_t)}, expected n={n}")
@@ -136,8 +138,8 @@ class MarkovSystem:
         c = [[Fraction(0)] * n for _ in range(n)]
         listed = set()
         for i, j, pij, cij in edges:
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ModelFormatError(f"edge ({i},{j}) out of range 1..{n}")
+            if type(i) is not int or type(j) is not int or not (1 <= i <= n and 1 <= j <= n):
+                raise ModelFormatError(f"edge ({i!r},{j!r}): vertices must be integers in 1..{n}")
             if (i, j) in listed:
                 raise ModelFormatError(f"duplicate edge ({i},{j})")
             p[i - 1][j - 1] = as_fraction(pij)
@@ -159,7 +161,7 @@ class MarkovSystem:
         "chi": [...]}. Vertices are 1-based.
         """
         try:
-            n = int(cfg["n"])
+            n = cfg["n"]
             edges = [(e["from"], e["to"], e["p"], e["c"]) for e in cfg["edges"]]
             chi = cfg["chi"]
         except (KeyError, TypeError) as exc:

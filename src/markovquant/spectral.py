@@ -9,7 +9,9 @@ spectral radius Psi(s) decreases strictly on any scope containing a cycle,
 from Psi(0) >= 1 (adjacency radius) to a value < 1 as s -> infinity (row sums
 then fall below 1).  The unique root of Psi(s) = 1 is the float a bisection
 returns; a secant finds certified ends around it first, so that the
-bisection only evaluates Psi at the few midpoints between them.
+bisection only evaluates Psi at the few midpoints between them, never at
+the root itself.  On the full scope Psi is the maximum over the cyclic blocks
+of the condensation's components, so its root is their largest root, s_r.
 
 Scopes without a solvable root (Psi(s) < 1 for every s > 0, e.g. a lone
 self-loop) are flagged subcritical with root 0; such components can never be
@@ -239,9 +241,9 @@ class _Pressure:
 class SpectralSolution:
     """Root of Psi(s) = 1 on a scope, with the evaluations made on the way.
 
-    Each evaluation is (s, estimate of Psi(s)).  The secant's evaluations and
-    the last one, at the root, are RADIUS_TOL-tight; the others are only as
-    precise as deciding Psi(s) against 1 required.
+    Each evaluation is (s, estimate of Psi(s)).  The secant's evaluations are
+    RADIUS_TOL-tight; the others are only as precise as deciding Psi(s)
+    against 1 required.  None is made at the root.
     """
 
     vertices: tuple[int, ...]
@@ -249,10 +251,6 @@ class SpectralSolution:
     root: float
     subcritical: bool
     evaluations: tuple[tuple[float, float], ...]
-
-    def psi(self) -> float:
-        """Psi at the root (from the final evaluation)."""
-        return self.evaluations[-1][1] if self.evaluations else float("nan")
 
 
 def solve_sr(sys: MarkovSystem, scope, r, tol: float = ROOT_TOL) -> SpectralSolution:
@@ -262,14 +260,15 @@ def solve_sr(sys: MarkovSystem, scope, r, tol: float = ROOT_TOL) -> SpectralSolu
     as s -> infinity row sums drop below 1).  If Psi is already below 1 at
     s = 1e-9, the scope is subcritical and the root is reported as 0.  Each
     comparison of Psi with 1 stops as soon as the radius bracket excludes 1;
-    the evaluation at the root runs until the bracket is RADIUS_TOL-tight.
+    Psi is not evaluated at the root.
 
     The bisection is replayed inside certified ends a <= root < b found
     beforehand (see _certified_ends): a midpoint at or below a is taken as
     Psi >= 1 and one at or above b as Psi < 1 without evaluating Psi, which
     is sound since Psi decreases strictly.  So the root is the float plain
     bisection returns wherever its comparisons are certified, and only
-    midpoints inside (a, b) are evaluated.
+    midpoints inside (a, b) are evaluated.  The full scope's root is the
+    largest component root, critical_analysis's s_r (module docstring).
     """
     rf = float(as_fraction(r))
     verts = _scope_vertices(sys, scope)
@@ -306,10 +305,8 @@ def solve_sr(sys: MarkovSystem, scope, r, tol: float = ROOT_TOL) -> SpectralSolu
             lo = mid
         else:
             hi = mid
-    root = 0.5 * (lo + hi)
-    psi(root)
     return SpectralSolution(
-        vertices=verts, r=rf, root=root, subcritical=False, evaluations=tuple(evals)
+        vertices=verts, r=rf, root=0.5 * (lo + hi), subcritical=False, evaluations=tuple(evals)
     )
 
 
@@ -431,7 +428,8 @@ def critical_analysis(sys: MarkovSystem, r) -> graphs.CriticalStructure:
     """The critical structure of sys at order r: its condensation, the root
     of Psi_H = 1 of every component H, attached as `roots` (None for an
     acyclic single-vertex component, whose pressure is identically zero and
-    whose root counts as 0), and the critical components they single out."""
+    whose root counts as 0), and the critical components they single out.
+    Its s_r, the largest root, is the full scope's: readers take it here."""
     cond = graphs.scc_condensation(sys)
     roots = {
         i: None if cond.acyclic[i] else solve_sr(sys, comp, r)
@@ -440,15 +438,3 @@ def critical_analysis(sys: MarkovSystem, r) -> graphs.CriticalStructure:
     per = {i: (0.0 if sol is None else sol.root) for i, sol in roots.items()}
     return replace(graphs.critical_structure(sys, r, per, cond), roots=roots)
 
-
-def full_solution(cs: graphs.CriticalStructure) -> SpectralSolution:
-    """solve_sr on the full scope of cs.system at order cs.r.
-
-    When one component holds every vertex it is the same scope, solved the
-    same way, so its root from `critical_analysis` is returned as it is.
-    """
-    verts = tuple(cs.system.vertices)
-    for sol in cs.roots.values():
-        if sol is not None and sol.vertices == verts:
-            return sol
-    return solve_sr(cs.system, "full", cs.r)

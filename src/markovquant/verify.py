@@ -13,14 +13,15 @@ the band it was tested against and the measured values, so reports are
 reproducible and machine-readable.  `_CHECKS` lists them in report order, each
 entry with the names it reports, the band of its SKIPs and the function that
 yields its results.  The functions share one `_Context`: it holds the spectral
-analysis and one antichain pass over every level a check reads, built with
-the run, and builds the 1-D realization on first use.  A check asks it for
-all its levels, ascending, before any work.  Every other result has one
-reader, which builds it.  Only the Lloyd and Monte Carlo checks lay out a
-grid: the codebook identity sandwiches the smallest level's midpoints per
-member key, as the error curve does.  The loop in `run_verification` turns
-a capacity, layout or sampler error, or a check's own `_Skip`, into a SKIP
-of each of the entry's names with the error text as the reason.
+analysis with s_r, the run's one full-scope root, solved tighter, and one
+antichain pass over every level a check reads, built with the run, and
+builds the 1-D realization on first use.  A check asks it for all its
+levels, ascending, before any work.  Every other result has one reader,
+which builds it.  Only the Lloyd and Monte Carlo checks lay out a grid: the
+codebook identity sandwiches the smallest level's midpoints per member key,
+as the error curve does.  The loop in `run_verification` turns a capacity,
+layout or sampler error, or a check's own `_Skip`, into a SKIP of each of
+the entry's names with the error text as the reason.
 """
 
 from __future__ import annotations
@@ -119,7 +120,6 @@ def analysis_report(sys: MarkovSystem, r) -> dict:
     rf = float(as_fraction(r))
     cs = spectral.critical_analysis(sys, r)
     cond = cs.condensation
-    full = spectral.full_solution(cs)
     chains: dict[str, list] = {}
     for length in range(1, max(cs.m_r, 1) + 1):
         found = graphs.enumerate_chains(cs, length)
@@ -127,7 +127,7 @@ def analysis_report(sys: MarkovSystem, r) -> dict:
             chains[str(length)] = [list(ch) for ch in found]
     bounds = {}
     for idx in cs.critical_indices:
-        rs = spectral.row_sum_bounds(sys, r, cond.components[idx], h_max=1, s=full.root)
+        rs = spectral.row_sum_bounds(sys, r, cond.components[idx], h_max=1, s=cs.s_r)
         bounds[f"c{idx}"] = {"c1": rs.c1, "c2": rs.c2, "eigenvector": list(rs.eigenvector)}
     return {
         "schema_version": 1,
@@ -140,15 +140,15 @@ def analysis_report(sys: MarkovSystem, r) -> dict:
         "acyclic_components": [bool(a) for a in cond.acyclic],
         "component_roots": list(cs.per_component),
         "subcritical": [bool(sol is None or sol.subcritical) for sol in cs.roots.values()],
-        "s_r": full.root,
+        "s_r": cs.s_r,
         "s_r_component_max": cs.s_r,
         "critical": [bool(c) for c in cs.critical],
         "m_r": cs.m_r,
         "t_r": cs.t_r,
         "transient_set": sorted(cs.transient_set),
         "chains": chains,
-        "power_exponent": -rf / full.root if full.root > 0 else None,
-        "log_exponent": (cs.t_r - 1) * (1.0 + rf / full.root) if full.root > 0 else None,
+        "power_exponent": -rf / cs.s_r if cs.s_r > 0 else None,
+        "log_exponent": (cs.t_r - 1) * (1.0 + rf / cs.s_r) if cs.s_r > 0 else None,
         "eigenvector_bounds": bounds,
         "tolerances": {
             "criticality": graphs.CRITICAL_TOL,
@@ -161,9 +161,11 @@ def analysis_report(sys: MarkovSystem, r) -> dict:
 class _Context:
     """The inputs of one run and the results its checks share.
 
-    The spectral analysis and the pass over the k range and, from r = 1 on,
-    the Lloyd depth are built with the run; the realization, which can raise
-    a SKIP error, on first use.  Grids are not shared.
+    The spectral analysis, the full scope's root at 1e-12 (matrix powers
+    amplify root error about h-fold, so the eigenvector band reads it) and
+    the pass over the k range and, from r = 1 on, the Lloyd depth are built
+    with the run; the realization, which can raise a SKIP error, on first
+    use.  Grids are not shared.
     """
 
     def __init__(self, sys, r, ks, depth_offset, capacity, seed, mc_samples):
@@ -172,7 +174,7 @@ class _Context:
         self.depth_offset, self.capacity = depth_offset, capacity
         self.seed, self.mc_samples = seed, mc_samples
         self.cs = spectral.critical_analysis(sys, r)
-        self.full = spectral.full_solution(self.cs)
+        self.s_tight = spectral.solve_sr(sys, "full", r, tol=1e-12).root
         # at most _QUANT_POINTS levels of the error curve, from ks[0] to ks[-1]
         picks = np.linspace(0, len(ks) - 1, num=_QUANT_POINTS).round().astype(int)
         self.quant_ks = tuple(sorted({ks[i] for i in picks}))
@@ -205,18 +207,17 @@ def _planned_passes(sys, r, plan, cs, capacity) -> dict:
 
 
 def _spectral_root_consistency(ctx: _Context) -> Iterator[CheckResult]:
-    cs, full = ctx.cs, ctx.full
-    worst = 0.0
-    for sol in list(cs.roots.values()) + [full]:
-        if sol is not None and not sol.subcritical:
-            psi = spectral.spectral_radius(spectral.weight_matrix(ctx.sys, sol.vertices, ctx.r, sol.root))
-            worst = max(worst, abs(psi - 1.0))
-    gap = abs(full.root - cs.s_r)
+    cs, worst = ctx.cs, 0.0
+    roots = [(sol.vertices, sol.root) for sol in cs.roots.values() if sol is not None and not sol.subcritical]
+    for verts, s in roots + ([("full", cs.s_r)] if cs.s_r > 0 else []):  # and the full matrix at s_r
+        psi = spectral.spectral_radius(spectral.weight_matrix(ctx.sys, verts, ctx.r, s))
+        worst = max(worst, abs(psi - 1.0))
+    gap = abs(ctx.s_tight - cs.s_r)
     yield CheckResult(
         name="spectral_root_consistency",
         passed=worst <= ROOT_CONSISTENCY_TOL and gap <= ROOT_CONSISTENCY_TOL,
         band=f"|Psi(root)-1| <= {ROOT_CONSISTENCY_TOL}; |global - max component| <= {ROOT_CONSISTENCY_TOL}",
-        measured={"max_psi_deviation": worst, "global_vs_components": gap, "s_r": full.root},
+        measured={"max_psi_deviation": worst, "global_vs_components": gap, "s_r": cs.s_r},
     )
 
 
@@ -246,7 +247,7 @@ def _definition_holds(sys: MarkovSystem, rq: Fraction, k: int, words) -> list[bo
     for i, j in sys.edges:
         p, c = sys.edge_p(i, j), sys.edge_c(i, j)
         powers[(i, j)] = (p.numerator**b * c.numerator**a, p.denominator**b * c.denominator**a)
-    thr = antichain_mod._threshold_power(sys, rq, k)
+    thr = antichain_mod._threshold_power(sys, rq) ** k
     tn, td = thr.numerator, thr.denominator
     holds = []
     for w in words:
@@ -349,11 +350,9 @@ def _growth_bands(ctx: _Context) -> Iterator[CheckResult]:
 
 def _eigenvector_sum_band(ctx: _Context) -> Iterator[CheckResult]:
     cs = ctx.cs
-    # matrix powers amplify root error ~ h-fold, so use a tighter root here
-    s_tight = spectral.solve_sr(ctx.sys, "full", ctx.r, tol=1e-12).root
     bounds_meas = {}
     for idx in cs.critical_indices:
-        rs = spectral.row_sum_bounds(ctx.sys, ctx.r, cs.condensation.components[idx], h_max=64, s=s_tight)
+        rs = spectral.row_sum_bounds(ctx.sys, ctx.r, cs.condensation.components[idx], h_max=64, s=ctx.s_tight)
         lo = float(rs.sums.min())
         hi = float(rs.sums.max())
         bounds_meas[f"c{idx}"] = {"c1": rs.c1, "c2": rs.c2, "min_sum": lo, "max_sum": hi}
@@ -370,7 +369,7 @@ def _eigenvector_sum_band(ctx: _Context) -> Iterator[CheckResult]:
 
 def _transient_decay(ctx: _Context) -> Iterator[CheckResult]:
     cs = ctx.cs
-    tsums = spectral.transient_sums(cs, ctx.full.root, 61)
+    tsums = spectral.transient_sums(cs, cs.s_r, 61)
     if not (cs.transient_set and tsums[10] > 0):
         raise _Skip("transient set empty or carries no length-11+ words")
     ratios = [tsums[n] / tsums[n - 1] for n in range(10, 61) if tsums[n - 1] > 0]
@@ -405,7 +404,7 @@ def _error_curve(ctx: _Context) -> Iterator[CheckResult]:
         xs = [math.log(row.n) for row in curve]
         ys = [math.log(row.upper) for row in curve]
         slope = float(np.polyfit(xs, ys, 1)[0])
-        target = -ctx.rf / ctx.full.root
+        target = -ctx.rf / ctx.cs.s_r
         yield CheckResult(
             name="error_decay",
             passed=abs(slope - target) <= SLOPE_REL_TOL * abs(target),

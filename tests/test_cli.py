@@ -103,6 +103,20 @@ class TestValidate:
         bad.write_text("{")
         assert main(["validate", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "key,value", [("n", 2.7), ("n", True), ("from", True), ("from", "1"), ("from", 1.0)]
+    )
+    def test_non_integer_size_or_vertex_exit_two(self, tmp_path, capsys, key, value):
+        # 2.7 validated as 2 vertices and true as vertex 1; "1" and 1.0 died
+        # with a TypeError traceback
+        cfg = json.loads(Path(A).read_text())
+        (cfg if key == "n" else cfg["edges"][1])[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["validate", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestAnalyze:
     def test_fixture_a(self, capsys):

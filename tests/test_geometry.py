@@ -523,6 +523,20 @@ class TestCellKernel:
         got = _cell_centers(mids, masses, np.array([0]), np.array([5]), rf)
         assert abs(got[0] - 2.0) <= 1e-12
 
+    def test_bracket_excluding_the_root_solves_from_the_cells_ends(self):
+        # a bracket that leaves the first cell's root outside, above it or
+        # empty, is dropped: every cell is solved from its own ends
+        rng = np.random.default_rng(3)
+        mids = np.sort(rng.uniform(0.0, 10.0, 40))
+        masses = rng.uniform(0.01, 1.0, 40)
+        starts, ends = np.array([0, 20]), np.array([20, 40])
+        plain = _cell_centers(mids, masses, starts, ends, 1.5)
+        above = 0.5 * (plain[0] + mids[19])
+        for first in ((above, mids[19]), (mids[10], mids[5])):
+            bracket = (np.array([first[0], mids[20]]), np.array([first[1], mids[39]]))
+            got = _cell_centers(mids, masses, starts, ends, 1.5, bracket=bracket)
+            assert np.array_equal(got, plain)
+
     def test_bracket_of_adjacent_floats_stops(self):
         # from 8192 on one ulp exceeds 1e-12, so a bracket of two adjacent
         # floats is never 1e-12 wide; in a subprocess, as a hang would not fail
@@ -726,6 +740,16 @@ class TestLloyd:
         assert refined.size == 3
         assert min(refined.points) >= 0.0
         assert trace[-1].upper <= trace[0].upper
+
+    def test_respawn_runs_out_of_distinct_midpoints(self):
+        # three code points on two midpoints: the empty middle cell finds no
+        # unused midpoint, and the codebook shrinks to the two
+        grid = CylinderGrid(
+            k=0, r=2.0, mids=np.array([0.25, 0.75]), halves=np.zeros(2), masses=np.full(2, 0.5)
+        )
+        refined, trace = lloyd_refine(grid, Codebook(points=(0.1, 0.5, 0.9)))
+        assert refined.points.tolist() == [0.25, 0.75]
+        assert trace[-1].upper < trace[0].upper
 
     def test_weighted_median_for_order_one(self, sys_a):
         rz = realize(sys_a)

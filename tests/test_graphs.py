@@ -22,6 +22,7 @@ from markovquant import (
     enumerate_chains,
     path_weight,
     scc_condensation,
+    solve_sr,
     t_r_of_path,
     transient_sums,
     visited_chain,
@@ -216,6 +217,19 @@ class TestCriticalStructure:
     def test_fixture_a_no_transients(self, sys_a):
         cs = critical_analysis(sys_a, 1)
         assert cs.transient_set == frozenset()
+
+    def test_s_r_is_the_full_scope_root(self, sys_b, sys_c):
+        # Psi on the full scope is the maximum over the components' cyclic
+        # blocks, so its root is the largest component root, bit for bit;
+        # the random seeds are those of 0..79 with two or more components
+        systems = [sys_b, sys_c]
+        systems += [random_rational_system(random.Random(seed)) for seed in (1, 5, 11, 13, 22, 44)]
+        systems += [chained_blocks(m) for m in (2, 3, 4)]
+        systems += [MarkovSystem.from_config(disjoint_blocks(m)) for m in (2, 5, 12)]
+        for sys in systems:
+            assert len(scc_condensation(sys).components) >= 2
+            for r in (Fraction(1, 2), 1, Fraction(3, 2), 2):
+                assert critical_analysis(sys, r).s_r == solve_sr(sys, "full", r).root, (sys, r)
 
 
 class TestChains:

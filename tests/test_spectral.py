@@ -149,7 +149,7 @@ class TestSolveRoot:
         # linear in s/(s+1) on A, so the secant lands on the root at once
         sol = solve_sr(sys_a, "full", 1)
         assert len(sol.evaluations) <= 8
-        assert sol.psi() == pytest.approx(1.0, abs=1e-8)
+        assert spectral_radius(weight_matrix(sys_a, "full", 1, sol.root)) == pytest.approx(1.0, abs=1e-8)
 
     def test_random_systems_properties(self):
         rng = random.Random(424242)
@@ -533,7 +533,21 @@ class TestReplayedBisection:
         # plain bisection evaluates Psi 37 times on B's full scope
         sol = solve_sr(sys_b, "full", 1)
         assert len(sol.evaluations) <= 12
-        assert sol.psi() == pytest.approx(1.0, abs=1e-8)
+        assert spectral_radius(weight_matrix(sys_b, "full", 1, sol.root)) == pytest.approx(1.0, abs=1e-8)
+
+    def test_secant_stops_on_equal_estimates(self):
+        # equal estimates at both ends leave the secant no slope: it makes no
+        # step, and only the probe below the last end is evaluated
+        calls = []
+
+        def psi(s, target=None):
+            calls.append((s, target))
+            return 1.5, 1.5, 1.5
+
+        tol = 1e-10
+        a, b = spectral._certified_ends(psi, 1.0, (1.0, 0.5), (2.0, 0.5), tol)
+        assert (a, b) == (2.0 - tol / 4, 2.0)
+        assert calls == [(2.0 - tol / 4, 1.0)]
 
 
 class TestIterationCap:

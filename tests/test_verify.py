@@ -450,26 +450,11 @@ def test_one_component_model_solves_its_scope_once(sys_a, sys_b, monkeypatch):
     analysis_report(sys_a, 1)  # one SCC holding both vertices: the full scope
     assert len(calls) == 1 and calls[0][0] != "full"
     calls.clear()
-    analysis_report(sys_b, 1)  # four components: the full scope is its own
-    assert [scope for scope, _ in calls].count("full") == 1
+    analysis_report(sys_b, 1)  # four components: s_r is the largest of their roots
+    assert [scope for scope, _ in calls].count("full") == 0
     calls.clear()
-    _verify_a(sys_a)  # the tight solve of the eigenvector band is the only full one
+    _verify_a(sys_a)  # the tight solve read by the eigenvector band is the only full one
     assert [kwargs for scope, kwargs in calls if scope == "full"] == [{"tol": 1e-12}]
-
-
-def test_analyze_json_unchanged_by_the_reused_root(monkeypatch, tmp_path, capsys):
-    args = ["analyze", str(FIXTURE_DIR / "fixture_a.json"), "--r", "1", "--r", "3/2"]
-    assert main(args + ["--out", str(tmp_path / "reused")]) == 0
-    monkeypatch.setattr(
-        spectral, "full_solution", lambda cs: spectral.solve_sr(cs.system, "full", cs.r)
-    )
-    assert main(args + ["--out", str(tmp_path / "solved")]) == 0
-    capsys.readouterr()
-    reused, solved = (
-        (tmp_path / d / "analyze_fixture_a.json").read_bytes() for d in ("reused", "solved")
-    )
-    assert reused == solved
-    assert json.loads(reused)["orders"][1]["r"] == 1.5
 
 
 def test_verify_at_a_fractional_order_lists_every_check(tmp_path, capsys):
