@@ -27,21 +27,23 @@ p_min^{lb} * c_min^{la} for r = a/b in lowest terms, in integers over one
 common scale per depth.  The pass keeps a member table per level, each
 member's state with its word count per depth, and the tree shape: per depth,
 which state every child of a state goes to and each state's lowest inner
-level.  A table folds into a histogram keyed by (chain, chi, p, c), so
-counts and the sums built from them do not depend on traversal order, and
-by `member_keys` into (last vertex, p, c) keys.  Member words are read off
+level.  A table folds, in integers, into a histogram keyed by (chain, chi,
+p, c) with p and c as numerator and denominator in lowest terms, so counts
+and the sums built from them do not depend on traversal order, and by
+`member_keys` into (last vertex, p, c) keys.  Member words are read off
 the tree shape, and the geometry module lays out the members' cylinders
 under each state once from it; `descend` runs the same pass from member
 keys, one word each, to a deeper threshold.  Each histogram key is weighed
 once, in logs taken from its exact integers, so no weight underflows at any
 depth; every float statistic is a sum of exp(log count + e * log w) over
-those keys.
+those keys.  The histogram in Fractions is built only when read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import accumulate
 from sys import float_info
@@ -84,18 +86,34 @@ class Level(NamedTuple):
 
 @dataclass(frozen=True)
 class ScanResult:
-    """One level of an antichain pass."""
+    """One level of an antichain pass.
+
+    `weights` is its histogram in integers: (chain, chi index, P, Dp, C, Dc)
+    -> member words, for the members of weights p = P/Dp and c = C/Dc in
+    lowest terms whose root has chi = chis[chi index].  `hist` is the same
+    histogram keyed by (chain, chi, p, c) in Fractions, in the same order,
+    built on first read.
+    """
 
     k: int
     r: Fraction
     phi: int
     depth_min: int
     depth_max: int
-    hist: dict = field(repr=False)  # (chain, chi, p, c) -> number of member words
+    weights: dict = field(repr=False)
+    chis: tuple[Fraction, ...] = field(repr=False)  # sorted(set(sys.chi)), as `weights` indexes it
     exact: bool
     levels: tuple[Level, ...] = field(repr=False)  # the tree shape of the whole pass
     # (depth, {state: member words}) per depth with members, states as in `_descend`
     members: tuple[tuple[int, dict], ...] = field(repr=False)
+
+    @functools.cached_property
+    def hist(self) -> dict:
+        """(chain, chi, p, c) -> number of member words."""
+        return {
+            (chain, self.chis[chi], Fraction(pn, pd), Fraction(cn, cd)): n
+            for (chain, chi, pn, pd, cn, cd), n in self.weights.items()
+        }
 
 
 def _threshold_power(sys: MarkovSystem, rq: Fraction) -> Fraction:
@@ -205,18 +223,20 @@ def _descend(
     return tuple(levels), {k: (phi[k], tuple(tables[k])) for k in ks}
 
 
-def _fold(sys: MarkovSystem, members, head):
-    """Rows (head(vertex, chain), chi index, p, c, words) of a member table, summed
-    by key on each depth's integers first: one Fraction pair per key and depth."""
+def _fold(sys: MarkovSystem, members, head) -> dict:
+    """A member table's words summed, over all its depths, by (head(vertex,
+    chain), chi index, P, Dp, C, Dc): p = P/Dp and c = C/Dc in lowest terms,
+    so two rows share a key exactly when their weights are equal.  Keys are
+    in the order their first row comes."""
     dp, dc = _scales(sys)
+    folded: dict[tuple, int] = {}
     for depth, table in members:
-        folded: dict[tuple, int] = {}
-        for (v, chain, chi, p, c), n in table.items():
-            key = (head(v, chain), chi, p, c)
-            folded[key] = folded.get(key, 0) + n
         scale_p, scale_c = dp ** (depth - 1), dc ** (depth - 1)
-        for (h, chi, p, c), n in folded.items():
-            yield h, chi, Fraction(p, scale_p), Fraction(c, scale_c), n
+        for (v, chain, chi, p, c), n in table.items():
+            g, h = math.gcd(p, scale_p), math.gcd(c, scale_c)
+            key = (head(v, chain), chi, p // g, scale_p // g, c // h, scale_c // h)
+            folded[key] = folded.get(key, 0) + n
+    return folded
 
 
 def scan_levels(
@@ -244,23 +264,20 @@ def scan_levels(
         return {}
     rq = as_fraction(r)
     cmap = [-1] * (sys.n + 1) if cs is None else cs.critical_of
-    chis = sorted(set(sys.chi))
+    chis = tuple(sorted(set(sys.chi)))
     roots = [
         (v, (cmap[v],) if cmap[v] >= 0 else (), chis.index(sys.chi[v - 1]), 1, 1)
         for v in sys.vertices
     ]
     levels, tables = _descend(sys, rq, ks, roots, [1] * sys.n, 1, cmap, capacity)
-    passes = {}
-    for k, (phi, members) in tables.items():
-        hist: dict = {}
-        for chain, chi, p, c, n in _fold(sys, members, lambda _v, chain: chain):
-            key = (chain, chis[chi], p, c)
-            hist[key] = hist.get(key, 0) + n
-        passes[k] = ScanResult(
-            k=k, r=rq, phi=phi, depth_min=members[0][0], depth_max=members[-1][0], hist=hist,
+    return {
+        k: ScanResult(
+            k=k, r=rq, phi=phi, depth_min=members[0][0], depth_max=members[-1][0],
+            weights=_fold(sys, members, lambda _v, chain: chain), chis=chis,
             exact=exact, levels=levels, members=members,
         )
-    return passes
+        for k, (phi, members) in tables.items()
+    }
 
 
 def scan(sys: MarkovSystem, r, k: int, **options) -> ScanResult:
@@ -272,13 +289,14 @@ def member_keys(sys: MarkovSystem, res: ScanResult) -> dict:
     """The members of a pass from the vertices, folded by (last vertex, p, c).
 
     Maps each key to the sum of chi over its member words, read off the
-    pass's member table.  Words with one key have the same members below
-    them, up to the affine map of their own cylinder.
+    pass's member table by `_fold` in integers: one Fraction pair per key
+    of the fold.  Words with one key have the same members below them, up
+    to the affine map of their own cylinder.
     """
-    chis = sorted(set(sys.chi))
     keys: dict = {}
-    for v, chi, p, c, n in _fold(sys, res.members, lambda v, _chain: v):
-        keys[(v, p, c)] = keys.get((v, p, c), 0) + n * chis[chi]
+    for (v, chi, pn, pd, cn, cd), n in _fold(sys, res.members, lambda v, _chain: v).items():
+        key = (v, Fraction(pn, pd), Fraction(cn, cd))
+        keys[key] = keys.get(key, 0) + n * res.chis[chi]
     return keys
 
 
@@ -306,9 +324,9 @@ def descend(
     return _descend(sys, rq, [k], states, [1] * len(states), depth, cmap, capacity)[0]
 
 
-def _log(q: Fraction) -> float:
-    """log q from its integers: exact inputs of any size, no underflow."""
-    return math.log(q.numerator) - math.log(q.denominator)
+def _log(num: int, den: int) -> float:
+    """log(num/den) from the integers: exact inputs of any size, no underflow."""
+    return math.log(num) - math.log(den)
 
 
 def _power_sum(table, e: float) -> float:
@@ -359,13 +377,15 @@ def enumerate_antichain(
 
 
 def _statistics(res: ScanResult, s_dim: float) -> Antichain:
-    """The pass `res` with its statistics at the dimension exponent s_dim."""
+    """The pass `res` with its statistics at the dimension exponent s_dim,
+    read from its integer histogram `weights`: no Fraction is built, except
+    sum_energy's in exact mode, and `hist` is not built."""
     rq = res.r
     rf = float(rq)
     # log w = log p + r log c, from the exact integers of each key
     table = tuple(sorted(
-        (chain, _log(p) + rf * _log(c), math.log(cnt))
-        for (chain, _chi, p, c), cnt in res.hist.items()
+        (chain, _log(pn, pd) + rf * _log(cn, cd), math.log(cnt))
+        for (chain, _chi, pn, pd, cn, cd), cnt in res.weights.items()
     ))
     expo = s_dim / (s_dim + rf)
     sum_dim = 0.0
@@ -377,12 +397,14 @@ def _statistics(res: ScanResult, s_dim: float) -> Antichain:
     if res.exact and rq.denominator == 1:
         a = rq.numerator
         sum_energy: Fraction | float = sum(
-            cnt * p * c**a for (_ch, _chi, p, c), cnt in res.hist.items()
+            Fraction(cnt * pn * cn**a, pd * cd**a)
+            for (_ch, _chi, pn, pd, cn, cd), cnt in res.weights.items()
         )
     else:
         sum_energy = _power_sum(table, 1.0)
+    passed = {f.name: getattr(res, f.name) for f in fields(ScanResult)}  # not a cached `hist`
     return Antichain(
-        **vars(res), s_dim=s_dim, sum_energy=sum_energy, sum_dim=sum_dim,
+        **passed, s_dim=s_dim, sum_energy=sum_energy, sum_dim=sum_dim,
         class_sums=class_sums, log_weights=table,
     )
 

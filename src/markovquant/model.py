@@ -166,6 +166,8 @@ class MarkovSystem:
             chi = cfg["chi"]
         except (KeyError, TypeError) as exc:
             raise ModelFormatError(f"malformed model config: {exc}") from exc
+        if type(chi) is not list:  # a string would iterate as its characters
+            raise ModelFormatError(f"chi must be a list, got {chi!r}")
         return cls.from_edges(n, edges, chi)
 
     @classmethod

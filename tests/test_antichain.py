@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from markovquant import (
     CapacityError,
     MarkovSystem,
+    antichain,
     critical_analysis,
     enumerate_antichain,
     error_curve,
@@ -259,7 +260,7 @@ def _fold_words(sys, words, key) -> dict:
 class TestMemberTableFolds:
     """Both folds of the pass's member table against its words, one by one."""
 
-    CASES = [(name, 4) for name in "abc"] + [(seed, 2) for seed in range(4)]
+    CASES = [(name, 4) for name in "abc"] + [(seed, 2) for seed in range(4)] + [(0, 3)]
 
     @pytest.mark.parametrize("r", [F(1), F(3, 2), F(2)])
     @pytest.mark.parametrize("model,k", CASES)
@@ -279,8 +280,29 @@ class TestMemberTableFolds:
             sys, words,
             lambda w, pw: ((visited_chain(cs, w), chi[w[0]], pw.p_weight, pw.c_weight), 1),
         )
+        assert measure_partition_sum(res) == 1
         if model == "b":  # the keys' chains are not all ()
             assert {(0,), (0, 1)} <= {chain for chain, *_ in res.hist}
+
+    def test_statistics_build_no_fraction_histogram(self, sys_b, monkeypatch):
+        # the series and the error curve read the integer histogram alone
+        passes, real = [], antichain.scan_levels
+
+        def recorded(*args, **kwargs):
+            passes.append(real(*args, **kwargs))
+            return passes[-1]
+
+        monkeypatch.setattr(antichain, "scan_levels", recorded)
+        theorem_ratio_series(sys_b, 1, range(6, 15))
+        error_curve(sys_b, 1, range(4, 7), depth_offset=2)
+        assert [len(levels) for levels in passes] == [9, 3]
+        for res in (res for levels in passes for res in levels.values()):
+            assert "hist" not in vars(res)
+        # a read view is cached, and the statistics' fields do not take it in
+        res = passes[0][6]
+        assert res.hist is res.hist and "hist" in vars(res)
+        ac = antichain._statistics(res, 1.0)
+        assert "hist" not in vars(ac) and ac.hist == res.hist
 
 
 class TestSeries:

@@ -16,6 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FAST_CASES = [
     "bench/test_bench_antichain.py::test_series_b",
+    "bench/test_bench_antichain.py::test_scan_random[seed0]",
     "bench/test_bench_centers.py::test_lloyd_refine_c",
     "bench/test_bench_centers.py::test_lloyd_refine_b",
     "bench/test_bench_centers.py::test_optimal_two_point_b_r1",
@@ -40,4 +41,4 @@ def test_fast_bench_cases_run():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "14 passed" in done.stdout, done.stdout
+    assert "15 passed" in done.stdout, done.stdout

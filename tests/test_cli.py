@@ -117,6 +117,16 @@ class TestValidate:
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_chi_not_a_list_exit_two(self, tmp_path, capsys):
+        # the string "11" loaded as chi = (1, 1) and failed validation (exit 1)
+        cfg = json.loads(Path(A).read_text())
+        cfg["chi"] = "11"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["validate", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: chi must be a list, got '11'\n"
+
 
 class TestAnalyze:
     def test_fixture_a(self, capsys):
