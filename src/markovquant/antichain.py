@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import accumulate
@@ -54,7 +55,7 @@ from .graphs import CriticalStructure
 from .model import MarkovSystem, Word, as_fraction, edge_extremes
 
 DEFAULT_CAPACITY = 10**8
-_EXPONENT_TOL = 1e-10  # `implicit_exponent` bisects t down to this width
+_EXPONENT_TOL = 1e-10  # `implicit_exponent` narrows its bracket in t to this width
 
 Chain = tuple[int, ...]
 
@@ -447,32 +448,61 @@ def measure_partition_sum(ac: ScanResult) -> Fraction:
 
 
 def implicit_exponent(ac: Antichain) -> float:
-    """Solve Sum_{members} w^{t/(t+r)} = 1 for t by bisection.
+    """Solve Sum_{members} w^{t/(t+r)} = 1 for t.
 
-    The left side decreases strictly in t from phi (at t -> 0) toward
-    Sum w < 1, so the root is unique.  Requires at least two members.
+    In e = t/(t+r), g(e) = log Sum count * w^e is convex and decreases
+    strictly from log phi > 0 at e = 0 to log Sum w < 0 at e = 1, so the
+    root is unique.  A bracket in t is doubled until g changes sign, then
+    narrowed to `_EXPONENT_TOL` in rounds of two steps: Newton from the lower
+    end, whose tangent lies below the convex g, so its root is again a lower
+    end, and the secant through both ends, which lies above g on the
+    bracket, so its root is an upper end.  Each step is kept at least half
+    the tolerance inside the bracket, so a step that rounding puts at or past
+    an end still closes the bracket; each point replaces the end of its
+    sign of g, and a round that does not halve the bracket ends with a
+    bisection.  Requires at least two members.
     """
     if ac.phi < 2:
         raise ValueError("implicit exponent needs an antichain with >= 2 words")
     rf = float(ac.r)
+    rows = [(lw, lc) for _chain, lw, lc in ac.log_weights]
+    log_w = [lw for lw, _lc in rows]
 
-    def f(t: float) -> float:
-        return _power_sum(ac.log_weights, t / (t + rf)) - 1.0
+    def point(t: float) -> tuple[float, float, float, float]:
+        """(t, e, g(e), g'(e)) at e = t/(t+r), one pass over the weight table;
+        the slope only steers Newton, so it is not summed exactly."""
+        e = t / (t + rf)
+        terms = [math.exp(lc + e * lw) for lw, lc in rows]
+        total = math.fsum(terms)
+        return t, e, math.log(total), sum(map(operator.mul, terms, log_w)) / total
 
-    lo = 0.0
-    hi = 1.0
-    while f(hi) > 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e9:
+    lo, hi = point(0.0), point(1.0)
+    while hi[2] > 0.0:
+        if 2.0 * hi[0] > 1e9:
             raise ValueError("no positive root: sum of weights is >= 1 at all orders")
-    while hi - lo > _EXPONENT_TOL:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        lo, hi = hi, point(2.0 * hi[0])
+
+    def narrow(t: float) -> None:
+        """Evaluate at t, kept inside the bracket, unless it is closed."""
+        nonlocal lo, hi
+        if hi[0] - lo[0] > _EXPONENT_TOL:
+            new = point(min(max(t, lo[0] + 0.5 * _EXPONENT_TOL), hi[0] - 0.5 * _EXPONENT_TOL))
+            lo, hi = (new, hi) if new[2] > 0.0 else (lo, new)
+
+    while hi[0] - lo[0] > _EXPONENT_TOL:
+        width = hi[0] - lo[0]
+        _, e_lo, g_lo, slope = lo
+        narrow(_t_of(e_lo - g_lo / slope, rf))  # Newton
+        (_, e_lo, g_lo, _), (_, e_hi, g_hi, _) = lo, hi
+        narrow(_t_of(e_lo - g_lo * (e_hi - e_lo) / (g_hi - g_lo), rf))  # secant
+        if hi[0] - lo[0] > 0.5 * width:
+            narrow(0.5 * (lo[0] + hi[0]))
+    return 0.5 * (lo[0] + hi[0])
+
+
+def _t_of(e: float, rf: float) -> float:
+    """t with t/(t+r) = e, for e < 1; +inf from e >= 1."""
+    return rf * e / (1.0 - e) if e < 1.0 else math.inf
 
 
 @dataclass(frozen=True)

@@ -46,10 +46,10 @@ r = 1 all its cuts read their medians from one cumulative sum, and at other
 orders a cut's centers are bracketed by those of its evaluated neighbours.
 Dot products over the grid use numpy's own loop, not BLAS, so no sum depends
 on the thread count.  A seeded Monte Carlo sampler is a validation sidecar only.
-It walks all samples at once: each step orders them by vertex with one sort
-of packed (vertex, sample index) keys and picks every edge by comparing the
-draws with its vertex's cdf values.  It draws the same stream as one
-`Generator.choice` call per vertex and step, so its output is fixed by the
+It walks all samples at once, L chain levels per uniform draw: every path of
+L edges from each vertex is tabulated once per call, with Walker's alias
+table of each vertex's paths built by Vose's method, so a sample picks its
+next L edges with one draw and one compare.  Its output is fixed by the
 seed alone.
 """
 
@@ -59,7 +59,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,8 +72,11 @@ from .model import MarkovSystem, as_fraction, validate_word
 # grid cells per sandwich pass: its temporaries stay a few MB where grid-sized
 # ones added several copies of the grid to the peak memory of verify
 _SANDWICH_CHUNK = 1 << 16
-# chain steps the sampler may take before its cylinders reach the resolution
+# chain levels the sampler may walk before its cylinders reach the resolution
 _SAMPLE_STEPS = 10_000
+# paths the sampler tabulates at most: it walks the largest number L of levels
+# per draw for which n * (max out-degree)^L paths fit, and one level otherwise
+_PATH_TABLE = 1024
 # relative slack of the 2-point pruning test: computed side costs are
 # monotone in the cut only up to rounding
 _PRUNE_SLACK = 1e-13
@@ -95,7 +98,7 @@ class UnsupportedOrderError(ValueError):
 
 
 class SamplingResolutionError(RuntimeError):
-    """Raised when sampled cylinders stay above the resolution after every step."""
+    """Raised when sampled cylinders stay above the resolution at the level cap."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -710,6 +713,122 @@ def error_curve(
     return rows
 
 
+class _PathTables(NamedTuple):
+    """Every path of `levels` edges from each vertex, for the sampler.
+
+    Path v * width + a is the a-th path, in lexicographic order of edge
+    ranks, from 0-based vertex v; each row is padded to `width` = (max
+    out-degree)^levels with paths of probability 0.  A path's offset and
+    ratio compose its placement maps in floats, o_1 + c_1 (o_2 + c_2 (...))
+    and c_1 c_2 ..., and `end_row` is its end vertex times `width`.
+    `thresh` and `alias` are each row's alias table of the paths' exact
+    probabilities, the products of their edge p's, with alias as path
+    indices; `start_thresh` and `start_alias` are the table of chi, by vertex.
+    """
+
+    levels: int
+    width: int
+    offset: np.ndarray
+    ratio: np.ndarray
+    end_row: np.ndarray
+    thresh: np.ndarray
+    alias: np.ndarray
+    start_thresh: np.ndarray
+    start_alias: np.ndarray
+
+
+def _alias_table(weights) -> tuple[np.ndarray, np.ndarray]:
+    """Vose's alias tables of the rows of a 2-D array of integer weights,
+    flat: slot s keeps itself with probability thresh[s] and passes to slot
+    alias[s] of its row otherwise, and each slot carries 1/width of its
+    row's mass.  Each row is built exactly, in units of one slot: a large
+    weight fills each small slot's rest, and every slot left at the end
+    holds exactly one unit.  Only the thresholds are rounded, once each.
+    """
+    thresh, alias = [], []
+    for row in weights.tolist():
+        width, unit, first = len(row), sum(row), len(alias)
+        q = [w * width for w in row]
+        thresh += [1.0] * width
+        alias += range(first, first + width)
+        small = [s for s, w in enumerate(q) if w < unit]
+        large = [s for s, w in enumerate(q) if w >= unit]
+        while small and large:
+            s, big = small.pop(), large[-1]
+            thresh[first + s], alias[first + s] = q[s] / unit, first + big
+            q[big] -= unit - q[s]
+            if q[big] < unit:
+                small.append(large.pop())
+    return np.array(thresh), np.array(alias, dtype=np.intp)
+
+
+def _integer_weights(values: Sequence[Fraction]) -> list[int]:
+    """Fractions scaled by their common denominator, as integers."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
+def _path_tables(rz: Realization) -> _PathTables:
+    """The sampler's path and alias tables of `rz`, at the most levels whose
+    paths fit `_PATH_TABLE` (one level where none does)."""
+    sysm = rz.system
+    _, place = rz.layout_floats()
+    n = sysm.n
+    deg = max(len(sysm.successors(i)) for i in sysm.vertices)
+    levels = 1  # `realize` requires a row with two children, so deg >= 2
+    while n * deg ** (levels + 1) <= _PATH_TABLE:
+        levels += 1
+    # one row of edges per vertex, padded with edges of probability 0 to
+    # vertex 0, which no draw picks; probabilities are exact integers over
+    # one common denominator
+    weight = iter(_integer_weights([sysm.edge_p(i, j) for i, j in sysm.edges]))
+    prob = np.zeros((n, deg), dtype=object)
+    off, ratio = np.zeros((n, deg)), np.zeros((n, deg))
+    succ = np.zeros((n, deg), dtype=np.intp)
+    for v, i in enumerate(sysm.vertices):
+        for a, j in enumerate(sysm.successors(i)):  # `edges` order
+            prob[v, a] = next(weight)
+            off[v, a], ratio[v, a] = place[(i, j)]
+            succ[v, a] = j - 1
+    # each level puts one edge in front of the paths from its end vertex
+    p_path, o_path, c_path, end = prob, off, ratio, succ
+    for _ in range(levels - 1):
+        p_path = (prob[:, :, None] * p_path[succ]).reshape(n, -1)
+        o_path = (off[:, :, None] + ratio[:, :, None] * o_path[succ]).reshape(n, -1)
+        c_path = (ratio[:, :, None] * c_path[succ]).reshape(n, -1)
+        end = end[succ].reshape(n, -1)
+    return _PathTables(
+        levels,
+        p_path.shape[1],
+        o_path.ravel(),
+        c_path.ravel(),
+        end.ravel() * p_path.shape[1],
+        *_alias_table(p_path),
+        *_alias_table(np.array([_integer_weights(sysm.chi)], dtype=object)),
+    )
+
+
+def _alias_pick(rng, thresh, alias, width: int, row, slot, frac, buf, keep) -> None:
+    """Replace each entry of `row`, the first slot of a table row of `width`
+    slots, by one alias pick from that row, with one uniform draw each.
+
+    x = u * width stays below width, after rounding too, so its slot
+    floor(x) lies in the row; the slot keeps itself when the fraction
+    x - floor(x) is below its threshold.  slot, frac, buf and keep are
+    scratch; take with out= skips its copy only when not asked to check
+    bounds.
+    """
+    rng.random(out=frac)
+    frac *= width
+    np.floor(frac, out=buf)
+    frac -= buf
+    np.copyto(slot, buf, casting="unsafe")
+    slot += row
+    np.less(frac, thresh.take(slot, out=buf, mode="clip"), out=keep)
+    alias.take(slot, out=row, mode="clip")
+    np.copyto(row, slot, where=keep)
+
+
 def sample_support_points(
     rz: Realization, n_samples: int, seed: int
 ) -> np.ndarray:
@@ -717,75 +836,46 @@ def sample_support_points(
 
     Walks the chain vectorized until every cylinder is shorter than 1e-12,
     then returns the cylinder midpoints.  Raises
-    SamplingResolutionError if that takes more than 10,000 steps, and
-    ValueError for fewer than one sample.
+    SamplingResolutionError if that takes more than 10,000 chain levels,
+    and ValueError for fewer than one sample.
 
-    Each step sorts the packed keys (vertex << bits) | sample index, which
-    are distinct, so their low bits come out in the stable vertex order, and
-    hands the step's uniform draws out in that order.  A sample picks its
-    edge by counting the inner cdf values of its vertex's row that are <= its
-    draw: the comparisons `Generator.choice` makes with searchsorted, since
-    every cdf ends at exactly 1.0, which no draw reaches.  So the draws are
-    consumed in the order that one choice call per vertex (ascending), over
-    its samples in index order, would consume them, and the samples are
-    bit-identical to that per-vertex walk for every seed.
+    Each draw is one uniform per sample and one alias pick (`_alias_pick`):
+    first the start vertex by chi, then, per super-step, a path of L edges
+    from the `_path_tables` row of the sample's vertex, which moves the
+    sample L levels.  Paths come out with the product of their edge p's, as
+    L single-edge picks would; the draws are not those of one
+    `Generator.choice` call per vertex and level, so the samples are not
+    bit-identical to that walk's.
     """
     if n_samples < 1:
         raise ValueError(f"sampling needs at least 1 sample, got {n_samples}")
-    sysm = rz.system
     rng = np.random.default_rng(seed)
-    roots, place = rz.layout_floats()
-    edges = sysm.edges  # lexicographic: each row's edges are contiguous, by successor
-    succ = np.array([j - 1 for _, j in edges], dtype=np.intp)
-    off = np.array([place[e][0] for e in edges])
-    ratio = np.array([place[e][1] for e in edges])
-    first = np.searchsorted([i for i, _ in edges], np.arange(1, sysm.n + 1))
-    # inner cdf values, one row per edge rank and one column per vertex; +inf
-    # pads the rows of vertices with fewer edges, and no draw reaches it
-    inner = np.full((int(np.diff(first, append=len(edges)).max()) - 1, sysm.n), np.inf)
-    for v, i in enumerate(sysm.vertices):  # built as Generator.choice builds them
-        cdf = np.array([float(sysm.edge_p(i, j)) for j in sysm.successors(i)]).cumsum()
-        cdf /= cdf[-1]
-        inner[: cdf.size - 1, v] = cdf[:-1]
-    cur = rng.choice(sysm.n, size=n_samples, p=sysm.chi_float())  # 0-based vertices
-    left = np.array([roots[v] for v in sysm.vertices]).take(cur)
+    roots, _ = rz.layout_floats()
+    tab = _path_tables(rz)
+    row, slot = np.zeros(n_samples, dtype=np.intp), np.empty(n_samples, dtype=np.intp)
+    frac, buf = np.empty(n_samples), np.empty(n_samples)
+    keep = np.empty(n_samples, dtype=bool)
+    _alias_pick(rng, tab.start_thresh, tab.start_alias, rz.system.n, row, slot, frac, buf, keep)
+    left = np.array([roots[v] for v in rz.system.vertices]).take(row)
     length = np.ones(n_samples)
-    bits = (n_samples - 1).bit_length()
-    key = np.empty(n_samples, dtype=np.min_scalar_type(((sysm.n - 1) << bits) | (n_samples - 1)))
-    index = np.arange(n_samples, dtype=key.dtype)
-    # per-step work reuses these; take with out= skips its copy only when not
-    # asked to check bounds, and every index here is in range.  The order is
-    # spent on handing out the draws before the edges are picked into it.
-    order = edge = np.empty(n_samples, dtype=np.intp)
-    draw, buf = np.empty(n_samples), np.empty(n_samples)
-    hit = np.empty(n_samples, dtype=bool)
-    steps = 0
+    row *= tab.width  # each sample's first path
+    levels = 0
     while float(length.max()) >= _SAMPLE_RESOLUTION:
-        if steps == _SAMPLE_STEPS:
+        if levels + tab.levels > _SAMPLE_STEPS:
             raise SamplingResolutionError(
-                f"cylinders still {float(length.max()):.3g} long after {steps} steps, "
+                f"cylinders still {float(length.max()):.3g} long after {levels} levels, "
                 f"above the resolution {_SAMPLE_RESOLUTION:g}"
             )
-        steps += 1
-        np.left_shift(cur, bits, out=key, casting="unsafe")
-        key |= index
-        # the keys are distinct, so any sort is stable: on 100,000 samples
-        # (numpy 2.4, 2-core Xeon) sorting them in place takes about 0.4 ms,
-        # a stable argsort of one-byte vertex keys 1.1 ms
-        key.sort()
-        np.bitwise_and(key, (1 << bits) - 1, out=order, casting="unsafe")
-        draw[order] = rng.random(out=buf)
-        first.take(cur, out=edge, mode="clip")
-        for row in inner:
-            row.take(cur, out=buf, mode="clip")
-            np.less_equal(buf, draw, out=hit)
-            edge += hit
-        off.take(edge, out=buf, mode="clip")
+        levels += tab.levels
+        _alias_pick(rng, tab.thresh, tab.alias, tab.width, row, slot, frac, buf, keep)
+        tab.offset.take(row, out=buf, mode="clip")
         buf *= length
         left += buf
-        length *= ratio.take(edge, out=buf, mode="clip")
-        succ.take(edge, out=cur, mode="clip")
-    return left + 0.5 * length
+        length *= tab.ratio.take(row, out=buf, mode="clip")
+        row, slot = tab.end_row.take(row, out=slot, mode="clip"), row
+    length *= 0.5
+    left += length
+    return left
 
 
 def monte_carlo_error(

@@ -483,7 +483,7 @@ def _monte_carlo_bracket(ctx: _Context) -> Iterator[CheckResult]:
     grid_mc = geometry.level_grid(rz, *ctx.levels(mid_k))
     book_mc = geometry.quantile_codebook(grid_mc, min(4, grid_mc.size), rf if rf >= 1 else 2.0)
     est_mc = geometry.integrate_error(grid_mc, book_mc)
-    del grid_mc  # the sample walk, the peak of the run, needs only the codebook
+    del grid_mc  # the sample walk, still the run's traced peak, needs only the codebook
     mc_mean, mc_err = geometry.monte_carlo_error(rz, book_mc, ctx.r, ctx.mc_samples, ctx.seed)
     yield CheckResult(
         name="monte_carlo_bracket",

@@ -164,6 +164,23 @@ class TestDefinitionalInvariants:
             assert lo**k <= hi ** (ac.depth_max - 2)
 
 
+def bisected_exponent(ac) -> float:
+    """`implicit_exponent` by bisection of Sum count * w^{t/(t+r)} - 1 in t,
+    down to a bracket of width 1e-10."""
+    rf = float(ac.r)
+
+    def f(t: float) -> float:
+        return math.fsum(math.exp(lc + t / (t + rf) * lw) for _chain, lw, lc in ac.log_weights) - 1.0
+
+    lo, hi = 0.0, 1.0
+    while f(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 class TestImplicitExponent:
     def test_level_one_closed_form(self, sys_a):
         ac = enumerate_antichain(sys_a, 1, 1, exact=True)
@@ -207,6 +224,19 @@ class TestImplicitExponent:
         crippled = dataclasses.replace(ac, phi=1)
         with pytest.raises(ValueError):
             implicit_exponent(crippled)
+
+    @pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_c", *range(7)])
+    def test_matches_bisection(self, request, name):
+        # the bracketed Newton and secant steps land within the tolerance of
+        # plain bisection on the same sum, over A-C and random models 0-6
+        if isinstance(name, int):
+            sys_, levels = random_rational_system(random.Random(name)), (1, 2)
+        else:
+            sys_, levels = request.getfixturevalue(name), (2, 6, 10)
+        for r in (Fraction(1), Fraction(3, 2), Fraction(2)):
+            for k in levels:
+                ac = enumerate_antichain(sys_, r, k)
+                assert abs(implicit_exponent(ac) - bisected_exponent(ac)) <= 1e-10
 
 
 class TestChainDecomposition:

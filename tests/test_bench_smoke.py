@@ -23,6 +23,7 @@ FAST_CASES = [
     "bench/test_bench_curve.py::test_error_curve",
     "bench/test_bench_grid.py::test_level_grid[b-r1-k12]",
     "bench/test_bench_grid.py::test_level_grid[c-r1.5-k13]",
+    "bench/test_bench_sampler.py::test_sample_support_points[b]",
     "bench/test_bench_spectral.py::test_analysis_report_b",
     "bench/test_bench_spectral.py::test_analysis_report_blocks",
     "bench/test_bench_spectral.py::test_ring_spectra",
@@ -41,4 +42,4 @@ def test_fast_bench_cases_run():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "15 passed" in done.stdout, done.stdout
+    assert "16 passed" in done.stdout, done.stdout

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import mpmath
@@ -145,38 +145,65 @@ def realizable_random_models(count: int, seed: int = 0) -> list:
     return models
 
 
-def per_vertex_walk(rz, n_samples: int, seed: int, resolution: float = 1e-12) -> np.ndarray:
-    """The sampler's reference walk: one `Generator.choice` call per vertex and step.
+def per_sample_walk(rz, n_samples: int, seed: int) -> np.ndarray:
+    """The sampler's reference walk: one sample at a time, in plain Python.
 
+    It reads the sampler's own tables and the same uniform draws: one per
+    sample for its start vertex, then one per sample and super-step.
     `sample_support_points` must return these arrays bit for bit.
     """
-    sysm = rz.system
+    tab = geometry._path_tables(rz)
     rng = np.random.default_rng(seed)
-    roots, place = rz.layout_floats()
-    cur = rng.choice(np.array(sysm.vertices), size=n_samples, p=sysm.chi_float())
-    left = np.array([roots[v] for v in cur])
-    length = np.ones(n_samples)
-    succ = {i: np.array(sysm.successors(i)) for i in sysm.vertices}
-    prob = {i: np.array([float(sysm.edge_p(i, j)) for j in succ[i]]) for i in sysm.vertices}
-    off = {i: np.array([place[(i, j)][0] for j in succ[i]]) for i in sysm.vertices}
-    rat = {i: np.array([place[(i, j)][1] for j in succ[i]]) for i in sysm.vertices}
-    while float(length.max()) >= resolution:
-        nxt = np.empty_like(cur)
-        offs = np.empty(n_samples)
-        rats = np.empty(n_samples)
-        for i in sysm.vertices:
-            mask = cur == i
-            cnt = int(mask.sum())
-            if cnt == 0:
-                continue
-            pick = rng.choice(len(succ[i]), size=cnt, p=prob[i])
-            nxt[mask] = succ[i][pick]
-            offs[mask] = off[i][pick]
-            rats[mask] = rat[i][pick]
-        left = left + offs * length
-        length = length * rats
-        cur = nxt
-    return left + 0.5 * length
+    roots, _ = rz.layout_floats()
+
+    def pick(u, first, width, thresh, alias):
+        x = u * width
+        slot = first + math.floor(x)
+        return slot if x - math.floor(x) < thresh[slot] else alias[slot]
+
+    start = [pick(u, 0, rz.system.n, tab.start_thresh, tab.start_alias)
+             for u in rng.random(n_samples).tolist()]
+    left = [roots[v + 1] for v in start]
+    length = [1.0] * n_samples
+    row = [v * tab.width for v in start]
+    while max(length) >= geometry._SAMPLE_RESOLUTION:
+        for s, u in enumerate(rng.random(n_samples).tolist()):
+            path = pick(u, row[s], tab.width, tab.thresh, tab.alias)
+            left[s] += tab.offset[path] * length[s]
+            length[s] *= tab.ratio[path]
+            row[s] = tab.end_row[path]
+    return np.array([x + 0.5 * h for x, h in zip(left, length)])
+
+
+def alias_masses(thresh: np.ndarray, alias: np.ndarray) -> list:
+    """Exact mass of each slot's outcome in an alias table, in slots: its own
+    threshold plus the rest of every slot aliased to it."""
+    mass = [F(0)] * thresh.size
+    for s, (t, a) in enumerate(zip(thresh.tolist(), alias.tolist())):
+        mass[s] += F(t)
+        mass[a] += 1 - F(t)
+    return mass
+
+
+def padded_paths(sys_: MarkovSystem, levels: int):
+    """(vertex, path index, exact (probability, offset, ratio), end vertex) of
+    every path of `levels` edges in the sampler's layout; the exact triple is
+    None for padding.  Offset and ratio compose the placement in Fractions."""
+    rz = realize(sys_)
+    deg = max(len(sys_.successors(i)) for i in sys_.vertices)
+    for i in sys_.vertices:
+        for a, ranks in enumerate(product(range(deg), repeat=levels)):
+            cur, prob, off, ratio = i, F(1), F(0), F(1)
+            for rank in ranks:
+                succ = sys_.successors(cur)
+                if rank >= len(succ):
+                    yield i, a, None, None
+                    break
+                o, c = rz.placement[(cur, succ[rank])]
+                prob, off, ratio = prob * sys_.edge_p(cur, succ[rank]), off + ratio * o, ratio * c
+                cur = succ[rank]
+            else:
+                yield i, a, (prob, off, ratio), cur
 
 
 class TestRealize:
@@ -425,37 +452,80 @@ class TestIntegrateError:
         assert ((xs % 2) <= 1).all()
 
     @pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_c", *range(6)])
-    def test_sampler_matches_per_vertex_walk(self, request, name):
-        if isinstance(name, int):
-            sys_ = realizable_random_models(6)[name]
-        else:
-            sys_ = request.getfixturevalue(name)
+    def test_sampler_path_tables(self, request, name):
+        sys_ = realizable_random_models(6)[name] if isinstance(name, int) else request.getfixturevalue(name)
+        tab = geometry._path_tables(realize(sys_))
+        n, deg = sys_.n, max(len(sys_.successors(i)) for i in sys_.vertices)
+        # the most levels whose paths fit the table; every model here fits one
+        assert tab.width == deg**tab.levels
+        assert n * tab.width <= geometry._PATH_TABLE < n * tab.width * deg
+        # a path's alias mass is its probability within 1e-15 relative, and
+        # its offset and ratio are the exact composition, rounded at most
+        # once per float operation
+        u = 2.0**-53
+        mass = alias_masses(tab.thresh, tab.alias)
+        for i, a, exact, end in padded_paths(sys_, tab.levels):
+            path = (i - 1) * tab.width + a
+            if exact is None:
+                assert mass[path] == 0
+                continue
+            prob, off, ratio = exact
+            assert abs(mass[path] / tab.width / prob - 1) <= 1e-15
+            assert abs(tab.offset[path] - float(off)) <= 4 * tab.levels * u
+            assert abs(tab.ratio[path] / float(ratio) - 1) <= 2 * tab.levels * u
+            assert tab.end_row[path] == (end - 1) * tab.width
+        start = alias_masses(tab.start_thresh, tab.start_alias)
+        for v, chi in enumerate(sys_.chi):
+            assert abs(start[v] / n / chi - 1) <= 1e-15
+
+    @pytest.mark.parametrize("name", ["sys_b", 1])
+    def test_sampler_matches_per_sample_walk(self, request, name):
+        # B's 7-level tables hold equal p's, where every slot keeps its own
+        # path; random model 1's 9-level tables also exercise the aliases
+        sys_ = realizable_random_models(6)[name] if isinstance(name, int) else request.getfixturevalue(name)
         rz = realize(sys_)
+        assert geometry._path_tables(rz).levels == {"sys_b": 7, 1: 9}[name]
         for seed in (0, 5, 12345):
-            for n in (2, 7, 1000):
+            for n in (1, 7, 1000):
                 got = sample_support_points(rz, n, seed)
-                want = per_vertex_walk(rz, n, seed)
+                want = per_sample_walk(rz, n, seed)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize(
-        "n, key", [(1, np.uint8), (32, np.uint8), (33, np.uint16), (8192, np.uint16),
-                   (8193, np.uint32)],
-    )
-    def test_sampler_matches_per_vertex_walk_at_every_key_width(self, sys_b, n, key):
-        # each step sorts (vertex << bits) | sample index in the smallest
-        # unsigned dtype that holds it; on B's 7 vertices these n sit at the
-        # edges of each width
-        assert np.min_scalar_type(((sys_b.n - 1) << (n - 1).bit_length()) | (n - 1)) == key
-        rz = realize(sys_b)
-        for seed in (0, 5, 12345):
-            got = sample_support_points(rz, n, seed)
-            want = per_vertex_walk(rz, n, seed)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("name, k", [("sys_a", 8), ("sys_b", 4), ("sys_c", 7), (1, 3)])
+    def test_sampler_cylinder_counts_chi_square(self, request, name, k):
+        # the deepest level at which every cell expects at least 50 of the
+        # 100,000 samples (seed 12345, verify's default); the samples fall in
+        # the cells of the level-k grid, up to the rounding of its float
+        # endpoints, with counts a chi-square test accepts at the 1e-3 level
+        sys_ = realizable_random_models(6)[name] if isinstance(name, int) else request.getfixturevalue(name)
+        rz = realize(sys_)
+        grid = grid_at(rz, 1, k)
+        n = 100_000
+        assert n * grid.masses.min() >= 50 > n * grid_at(rz, 1, k + 1).masses.min()
+        xs = sample_support_points(rz, n, 12345)
+        cell = np.searchsorted(grid.mids - grid.halves, xs, side="right") - 1
+        assert (cell >= 0).all() and (xs <= grid.mids[cell] + grid.halves[cell] + 1e-14).all()
+        expected = n * grid.masses
+        stat = float(((np.bincount(cell, minlength=grid.size) - expected) ** 2 / expected).sum())
+        df = grid.size - 1
+        assert mpmath.gammainc(df / 2, stat / 2, mpmath.inf, regularized=True) >= 1e-3
 
-    def test_sampler_matches_per_vertex_walk_at_verify_default(self, sys_b):
-        rz = realize(sys_b)
-        got = sample_support_points(rz, 100_000, 12345)
-        assert got.tobytes() == per_vertex_walk(rz, 100_000, 12345).tobytes()
+    @pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_c"])
+    def test_monte_carlo_z_scores(self, request, name):
+        # 200 seeds of 2,000 samples against a bracket far narrower than one
+        # standard error: the z-scores of an unbiased estimate are about
+        # standard normal (mean within 3.5 of its standard errors, sd within
+        # 4 of its own)
+        rz = realize(request.getfixturevalue(name))
+        for r in (1, 2):
+            book = quantile_codebook(grid_at(rz, r, 6), 4, r)
+            est = integrate_error(grid_at(rz, r, 10), book)
+            zs = []
+            for seed in range(200):
+                mc, se = monte_carlo_error(rz, book, r, 2000, seed)
+                assert est.upper - est.lower < 0.01 * se
+                zs.append((mc - 0.5 * (est.lower + est.upper)) / se)
+            assert abs(np.mean(zs)) <= 0.25 and 0.8 <= np.std(zs, ddof=1) <= 1.2
 
     @pytest.mark.parametrize("n", [-1, 0])
     def test_sampler_needs_one_sample(self, sys_a, n):
