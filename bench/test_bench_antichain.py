@@ -10,8 +10,9 @@ Three cases on fixture B:
   `antichain fixtures/fixture_b.json --r 1 --k-min 6 --k-max 14`;
 - `theorem_ratio_series` at r = 1 over k 1..40, one pass deep into the
   levels where phi leaves the word cap far behind;
-- `enumerate_antichain` and `implicit_exponent` at r = 2, k = 160, where
-  phi is about 5.6e61 and the member weights lie far below the float range.
+- `scan` and `series_row` (with its `implicit_exponent`) at r = 2,
+  k = 160, where phi is about 5.6e61 and the member weights lie far below
+  the float range.
 
 And `scan_levels` at r = 1, k = 3 on the test suite's seeded random models 0
 and 6, whose word states barely merge: the pass's member table has nearly a
@@ -21,8 +22,9 @@ pass.
 The critical structure is solved once, outside the timed calls.  Both series
 record, from one untimed call, their antichain passes from the vertices
 (`passes`: calls of `antichain.scan_levels`).  The deep exponent case also
-records, from one untimed call under `tracemalloc`, the memory the
-antichain holds once built (`held_mb`) and the pass's child slots (`slots`).
+records its histogram keys (`keys`) and exponent (`t_k`) and, from one
+untimed scan under `tracemalloc`, the memory the pass holds once built
+(`held_mb`) and its child slots (`slots`).
 The random scans record their member words (`words`), histogram keys
 (`keys`) and child slots (`slots`).
 """
@@ -35,8 +37,7 @@ from pathlib import Path
 import pytest
 
 from markovquant import (
-    MarkovSystem, antichain, critical_analysis, enumerate_antichain, implicit_exponent,
-    load_model, theorem_ratio_series,
+    MarkovSystem, antichain, critical_analysis, load_model, theorem_ratio_series,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -89,21 +90,21 @@ def test_deep_exponent_b(benchmark):
     cs = critical_analysis(sys_b, 2)
 
     def deep():
-        ac = enumerate_antichain(sys_b, 2, 160, critical=cs, capacity=10**300)
-        return ac, implicit_exponent(ac)
+        res = antichain.scan(sys_b, 2, 160, cs=cs, capacity=10**300)
+        return res, antichain.series_row(res, cs)
 
-    ac, t = benchmark.pedantic(deep, rounds=10, warmup_rounds=1)
-    benchmark.extra_info["keys"] = len(ac.hist)
-    benchmark.extra_info["t_k"] = t
-    del ac
+    res, row = benchmark.pedantic(deep, rounds=10, warmup_rounds=1)
+    benchmark.extra_info["keys"] = len(res.weights)
+    benchmark.extra_info["t_k"] = row.t_k
+    del res
     tracemalloc.start()
     try:
-        ac = enumerate_antichain(sys_b, 2, 160, critical=cs, capacity=10**300)
+        res = antichain.scan(sys_b, 2, 160, cs=cs, capacity=10**300)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     benchmark.extra_info["held_mb"] = held / 1e6
-    benchmark.extra_info["slots"] = sum(len(lvl.edge) for lvl in ac.levels)
+    benchmark.extra_info["slots"] = sum(len(lvl.edge) for lvl in res.levels)
 
 
 @pytest.mark.parametrize("seed", [0, 6], ids=["seed0", "seed6"])

@@ -8,11 +8,9 @@ and direct quantization on a 1-D realization with rigorous two-sided bounds.
 """
 
 from .antichain import (
-    Antichain,
     CapacityError,
     DEFAULT_CAPACITY,
     SeriesRow,
-    enumerate_antichain,
     implicit_exponent,
     measure_partition_sum,
     member_words,
@@ -56,7 +54,6 @@ from .model import (
     ModelFormatError,
     PathWeight,
     ValidationReport,
-    eta_bounds,
     load_model,
     path_weight,
     validate_system,

@@ -33,10 +33,12 @@ and the sums built from them do not depend on traversal order, and by
 `member_keys` into (last vertex, p, c) keys.  Member words are read off
 the tree shape, and the geometry module lays out the members' cylinders
 under each state once from it; `descend` runs the same pass from member
-keys, one word each, to a deeper threshold.  Each histogram key is weighed
-once, in logs taken from its exact integers, so no weight underflows at any
-depth; every float statistic is a sum of exp(log count + e * log w) over
-those keys.  The histogram in Fractions is built only when read.
+keys, one word each, to a deeper threshold.  `series_row` alone turns a
+level into statistics: it weighs each histogram key once, in logs taken
+from its exact integers, so no weight underflows at any depth; every float
+statistic is a sum of exp(log count + e * log w) over that one table, which
+`implicit_exponent` reads too.  The histogram in Fractions is built only
+when read.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from sys import float_info
@@ -252,11 +254,11 @@ def scan_levels(
     """The antichains of the levels `ks`, one `ScanResult` each, from one exact
     pass over merged word states, whose tree shape they share.
 
-    Each is exact whatever `exact` says; `exact` only makes the antichain's
-    sum_energy an exact Fraction for integer r.  Members are classified by
-    the chains of `cs`, which must be built at order r (ValueError
-    otherwise).  Raises CapacityError as `_descend` does, at the level a
-    pass per level would name.
+    Each is exact whatever `exact` says; `exact` only makes `series_row`'s
+    sum_energy the correctly rounded exact sum for integer r.  Members are
+    classified by the chains of `cs`, which must be built at order r
+    (ValueError otherwise).  Raises CapacityError as `_descend` does, at the
+    level a pass per level would name.
     """
     if cs is not None:
         cs.check_order(r)
@@ -325,88 +327,14 @@ def descend(
     return _descend(sys, rq, [k], states, [1] * len(states), depth, cmap, capacity)[0]
 
 
-def _log(num: int, den: int) -> float:
-    """log(num/den) from the integers: exact inputs of any size, no underflow."""
-    return math.log(num) - math.log(den)
-
-
-def _power_sum(table, e: float) -> float:
-    """Sum of count * w^e over a weight table, as one correctly rounded sum."""
-    return math.fsum(math.exp(lc + e * lw) for _chain, lw, lc in table)
-
-
-@dataclass(frozen=True)
-class Antichain(ScanResult):
-    """One maximal antichain: its pass, with the pass's statistics.
-
-    sum_energy is Sum p*c^r over members (exact Fraction in exact mode with
-    integer r, float otherwise); sum_dim is Sum (p*c^r)^{s/(s+r)} at the
-    dimension exponent s = s_dim.  class_sums splits sum_dim by the visited
-    chain of critical components (all mass under () when no critical
-    structure was supplied).  Each float is a sum over log_weights, one
-    (chain, log w, log count) row per histogram key, sorted.  levels are the
-    pass's tree shape; `member_words` reads the members off it.
-    """
-
-    s_dim: float
-    sum_energy: Fraction | float
-    sum_dim: float
-    class_sums: dict[Chain, float]
-    log_weights: tuple[tuple[Chain, float, float], ...] = field(repr=False)
-
-
-def enumerate_antichain(
-    sys: MarkovSystem,
-    r,
-    k: int,
-    *,
-    critical: CriticalStructure | None = None,
-    exact: bool = False,
-    capacity: int = DEFAULT_CAPACITY,
-) -> Antichain:
-    """Enumerate the level-k antichain and its statistics.
-
-    When `critical` is given, members are classified by the chain of critical
-    components they visit and the dimension exponent is taken from it;
-    otherwise the global root is solved on the spot.
-    """
-    if critical is not None:
-        s_dim = critical.s_r
-    else:
-        s_dim = spectral.solve_sr(sys, "full", r).root
-    return _statistics(scan(sys, r, k, cs=critical, exact=exact, capacity=capacity), s_dim)
-
-
-def _statistics(res: ScanResult, s_dim: float) -> Antichain:
-    """The pass `res` with its statistics at the dimension exponent s_dim,
-    read from its integer histogram `weights`: no Fraction is built, except
-    sum_energy's in exact mode, and `hist` is not built."""
-    rq = res.r
-    rf = float(rq)
-    # log w = log p + r log c, from the exact integers of each key
-    table = tuple(sorted(
-        (chain, _log(pn, pd) + rf * _log(cn, cd), math.log(cnt))
+def _log_weights(res: ScanResult) -> list[tuple[Chain, float, float]]:
+    """The pass's weight table: one (chain, log w, log count) row per key of
+    its integer histogram `weights`, sorted, with log w = log p + r log c
+    taken from the key's exact integers: no weight underflows."""
+    rf = float(res.r)
+    return sorted(
+        (chain, (math.log(pn) - math.log(pd)) + rf * (math.log(cn) - math.log(cd)), math.log(cnt))
         for (chain, _chi, pn, pd, cn, cd), cnt in res.weights.items()
-    ))
-    expo = s_dim / (s_dim + rf)
-    sum_dim = 0.0
-    class_sums: dict[Chain, float] = {}
-    for chain, lw, lc in table:
-        term = math.exp(lc + expo * lw)
-        sum_dim += term
-        class_sums[chain] = class_sums.get(chain, 0.0) + term
-    if res.exact and rq.denominator == 1:
-        a = rq.numerator
-        sum_energy: Fraction | float = sum(
-            Fraction(cnt * pn * cn**a, pd * cd**a)
-            for (_ch, _chi, pn, pd, cn, cd), cnt in res.weights.items()
-        )
-    else:
-        sum_energy = _power_sum(table, 1.0)
-    passed = {f.name: getattr(res, f.name) for f in fields(ScanResult)}  # not a cached `hist`
-    return Antichain(
-        **passed, s_dim=s_dim, sum_energy=sum_energy, sum_dim=sum_dim,
-        class_sums=class_sums, log_weights=table,
     )
 
 
@@ -447,8 +375,9 @@ def measure_partition_sum(ac: ScanResult) -> Fraction:
     return total
 
 
-def implicit_exponent(ac: Antichain) -> float:
-    """Solve Sum_{members} w^{t/(t+r)} = 1 for t.
+def implicit_exponent(table, r) -> float:
+    """Solve Sum_{members} w^{t/(t+r)} = 1 for t over a weight table of
+    (chain, log w, log count) rows.
 
     In e = t/(t+r), g(e) = log Sum count * w^e is convex and decreases
     strictly from log phi > 0 at e = 0 to log Sum w < 0 at e = 1, so the
@@ -462,10 +391,8 @@ def implicit_exponent(ac: Antichain) -> float:
     sign of g, and a round that does not halve the bracket ends with a
     bisection.  Requires at least two members.
     """
-    if ac.phi < 2:
-        raise ValueError("implicit exponent needs an antichain with >= 2 words")
-    rf = float(ac.r)
-    rows = [(lw, lc) for _chain, lw, lc in ac.log_weights]
+    rf = float(r)
+    rows = [(lw, lc) for _chain, lw, lc in table]
     log_w = [lw for lw, _lc in rows]
 
     def point(t: float) -> tuple[float, float, float, float]:
@@ -476,7 +403,10 @@ def implicit_exponent(ac: Antichain) -> float:
         total = math.fsum(terms)
         return t, e, math.log(total), sum(map(operator.mul, terms, log_w)) / total
 
-    lo, hi = point(0.0), point(1.0)
+    lo = point(0.0)
+    if lo[2] <= 0.0:  # log phi: one word, or none
+        raise ValueError("implicit exponent needs an antichain with >= 2 words")
+    hi = point(1.0)
     while hi[2] > 0.0:
         if 2.0 * hi[0] > 1e9:
             raise ValueError("no positive root: sum of weights is >= 1 at all orders")
@@ -539,17 +469,41 @@ def theorem_ratios(value: float, n: int, cs: CriticalStructure, label: str) -> t
 
 
 def series_row(res: ScanResult, cs: CriticalStructure) -> SeriesRow:
-    """The `theorem_ratio_series` row of the pass `res`: its ratio columns are
-    `theorem_ratios` of sum_energy at phi, and raise below the float range."""
-    ac = _statistics(res, cs.s_r)
-    energy = float(ac.sum_energy)
-    corrected, uncorrected = theorem_ratios(energy, ac.phi, cs, f"sum_energy at k={res.k}")
+    """The `theorem_ratio_series` row of the pass `res`, read from its
+    integer histogram `weights` through one `_log_weights` table; `hist` is
+    not built.
+
+    sum_energy is Sum p*c^r over members: the exact sum correctly rounded
+    when the pass is exact at integer r, else summed over the table.
+    sum_dim is Sum (p*c^r)^{s/(s+r)} at s = s_r, and class_sums splits it
+    by the visited chain of critical components.  t_k is
+    `implicit_exponent` of the table.  The ratio columns are
+    `theorem_ratios` of sum_energy at phi, and raise below the float range.
+    `cs` must be built at the pass's order (ValueError otherwise).
+    """
+    cs.check_order(res.r)
+    table = _log_weights(res)
+    rq = res.r
+    expo = cs.s_r / (cs.s_r + float(rq))
+    sum_dim = 0.0
+    class_sums: dict[Chain, float] = {}
+    for chain, lw, lc in table:
+        term = math.exp(lc + expo * lw)
+        sum_dim += term
+        class_sums[chain] = class_sums.get(chain, 0.0) + term
+    if res.exact and rq.denominator == 1:
+        a = rq.numerator
+        energy = float(sum(
+            Fraction(cnt * pn * cn**a, pd * cd**a)
+            for (_ch, _chi, pn, pd, cn, cd), cnt in res.weights.items()
+        ))
+    else:
+        energy = math.fsum(math.exp(lc + lw) for _chain, lw, lc in table)
+    corrected, uncorrected = theorem_ratios(energy, res.phi, cs, f"sum_energy at k={res.k}")
     return SeriesRow(
-        k=res.k, phi=ac.phi, depth_min=ac.depth_min, depth_max=ac.depth_max,
-        sum_energy=energy, sum_dim=ac.sum_dim,
-        t_k=implicit_exponent(ac),
-        corrected=corrected, uncorrected=uncorrected,
-        class_sums=dict(ac.class_sums),
+        k=res.k, phi=res.phi, depth_min=res.depth_min, depth_max=res.depth_max,
+        sum_energy=energy, sum_dim=sum_dim, t_k=implicit_exponent(table, rq),
+        corrected=corrected, uncorrected=uncorrected, class_sums=class_sums,
     )
 
 

@@ -27,10 +27,13 @@ SCHEMA_VERSION = 1
 
 
 def _parse_orders(values) -> list:
-    orders = [as_fraction(v) for v in (values or ["1"])]
-    for r in orders:
-        if r <= 0:
-            raise ModelFormatError(f"order r must be positive, got {r}")
+    """The orders of --r, default 1: each a positive normal float, as the
+    spectral layer computes in floats."""
+    values = values or ["1"]
+    orders = [as_fraction(v) for v in values]
+    for value, r in zip(values, orders):
+        if not _sys.float_info.min <= r <= _sys.float_info.max:  # exact: r is a Fraction
+            raise ModelFormatError(f"order r must be a positive normal float, got {value}")
     return orders
 
 

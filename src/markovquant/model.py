@@ -318,23 +318,6 @@ def path_weight(sys: MarkovSystem, word: Sequence[int]) -> PathWeight:
     return PathWeight(p_weight=p, c_weight=c, measure_weight=mass)
 
 
-def eta_bounds(sys: MarkovSystem, r) -> tuple:
-    """One-step weight bounds (eta_lo, eta_hi) = (p_min*c_min^r, p_max*c_max^r).
-
-    Minima and maxima run over edges only.  Exact Fractions when r is an
-    integer, floats otherwise.
-    """
-    rq = as_fraction(r)
-    if rq <= 0:
-        raise ValueError(f"order r must be positive, got {r}")
-    p_lo, c_lo, p_hi, c_hi = edge_extremes(sys)
-    if rq.denominator == 1:
-        k = rq.numerator
-        return p_lo * c_lo**k, p_hi * c_hi**k
-    rf = float(rq)
-    return float(p_lo) * float(c_lo) ** rf, float(p_hi) * float(c_hi) ** rf
-
-
 def edge_extremes(sys: MarkovSystem) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(p_min, c_min, p_max, c_max) over edges, exact."""
     ps = [sys.edge_p(i, j) for i, j in sys.edges]

@@ -257,10 +257,11 @@ def solve_sr(sys: MarkovSystem, scope, r, tol: float = ROOT_TOL) -> SpectralSolu
     """Solve Psi_scope(s) = 1 for the unique positive root by bisection.
 
     The upper bracket is doubled from 1 until Psi < 1 (guaranteed to happen:
-    as s -> infinity row sums drop below 1).  If Psi is already below 1 at
-    s = 1e-9, the scope is subcritical and the root is reported as 0.  Each
-    comparison of Psi with 1 stops as soon as the radius bracket excludes 1;
-    Psi is not evaluated at the root.
+    as s -> infinity row sums drop below 1), and a ValueError is raised past
+    s = 2^60, where r is so small that the float weights lose it.  If Psi is
+    already below 1 at s = 1e-9, the scope is subcritical and the root is
+    reported as 0.  Each comparison of Psi with 1 stops as soon as the radius
+    bracket excludes 1; Psi is not evaluated at the root.
 
     The bisection is replayed inside certified ends a <= root < b found
     beforehand (see _certified_ends): a midpoint at or below a is taken as
@@ -297,7 +298,10 @@ def solve_sr(sys: MarkovSystem, scope, r, tol: float = ROOT_TOL) -> SpectralSolu
         lo = hi
         hi *= 2.0
         if hi > 2.0**60:
-            raise AssertionError("Psi(s) failed to drop below 1; model weights invalid")
+            raise ValueError(
+                f"Psi(s) stays >= 1 up to s = 2^60 on scope {verts} at r = {rf!r}: "
+                "r log c is lost beside log p in the float weights"
+            )
     a, b = _certified_ends(psi, rf, *evals[-2:], tol)  # evaluations at lo and hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

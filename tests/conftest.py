@@ -69,7 +69,7 @@ def oracle_antichain(sys: MarkovSystem, r: int, k: int) -> list[tuple[int, ...]]
     Grows words breadth-first and tests membership per word with fresh exact
     products (no incremental state shared with the production scanner).  The
     threshold is eta_lo^k with eta_lo = p_min * c_min^r, the minima taken
-    separately over edges as in `model.eta_bounds`.  Integer r only.
+    separately over edges as in `model.edge_extremes`.  Integer r only.
     """
     p_lo = min(sys.edge_p(i, j) for i, j in sys.edges)
     c_lo = min(sys.edge_c(i, j) for i, j in sys.edges)

@@ -15,7 +15,6 @@ from markovquant import (
     critical_analysis,
     cylinder_interval,
     discrete_cost,
-    enumerate_antichain,
     enumerate_chains,
     error_curve,
     grid_codebook,
@@ -30,6 +29,7 @@ from markovquant import (
     theorem_ratio_series,
     transient_sums,
 )
+from markovquant.antichain import scan
 from conftest import DECAY_LIMIT_B, S1_H1_B, S1_K_B, S_R_A, T11_A, grid_at
 
 _MODULE_T0 = time.time()
@@ -186,8 +186,8 @@ def test_criterion_07_chain_sum_growth(series, structures, sys_a):
     exact_ok = True
     for row in series["a"]:
         k = row.k
-        ac = enumerate_antichain(sys_a, 1, k, critical=structures["a"], exact=True)
-        keys = {(p, c): cnt for (_ch, _chi, p, c), cnt in ac.hist.items()}
+        res = scan(sys_a, 1, k, cs=structures["a"], exact=True)
+        keys = {(p, c): cnt for (_ch, _chi, p, c), cnt in res.hist.items()}
         exact_ok = exact_ok and keys == {
             (Fraction(1, 2 ** (k + 1)), Fraction(1, 3 ** (k + 1))): 2 ** (k + 2)
         }
@@ -237,9 +237,9 @@ def test_criterion_09_numeric_quantization(sys_a, sys_b, structures):
         for k in range(4, 10):
             grid = grid_at(rz_a, r, k)
             est = integrate_error(grid, grid_codebook(grid))
-            ac = enumerate_antichain(sys_a, r, k, exact=True)
+            res = scan(sys_a, r, k, exact=True)
             expected = float(
-                sum(cnt * chi * p * c**r for (_ch, chi, p, c), cnt in ac.hist.items())
+                sum(cnt * chi * p * c**r for (_ch, chi, p, c), cnt in res.hist.items())
             ) / 2**r
             worst_dev = max(worst_dev, abs(est.upper - expected))
             ok = ok and est.lower == 0.0
@@ -268,9 +268,8 @@ def test_criterion_10_lloyd_equals_bruteforce(sys_a):
     # independent oracle: exact depth-10 discretization via words and interval
     # walks, then split enumeration with prefix sums (r = 2 closed forms)
     rz = realize(sys_a)
-    ac = enumerate_antichain(sys_a, 2, 10, exact=True)
     pts = []
-    for w in member_words(sys_a, ac):
+    for w in member_words(sys_a, scan(sys_a, 2, 10, exact=True)):
         left, length = cylinder_interval(rz, w)
         pw = path_weight(sys_a, w)
         pts.append((float(left + length / 2), float(pw.measure_weight)))

@@ -1,6 +1,5 @@
-"""Antichain enumeration against brute-force oracles, sums, exponents, chains."""
+"""Antichain passes against brute-force oracles, sums, exponents, chains."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -14,9 +13,7 @@ from markovquant import (
     MarkovSystem,
     antichain,
     critical_analysis,
-    enumerate_antichain,
     error_curve,
-    eta_bounds,
     implicit_exponent,
     measure_partition_sum,
     member_words,
@@ -24,28 +21,54 @@ from markovquant import (
     theorem_ratio_series,
     visited_chain,
 )
-from markovquant.antichain import member_keys, scan, scan_levels
+from markovquant.antichain import member_keys, scan, scan_levels, series_row
+from markovquant.model import edge_extremes
 from conftest import S1_H1_B, S_R_A, T11_A, oracle_antichain, random_rational_system
 
 F = Fraction
 
 
+def exact_energy(res) -> Fraction:
+    """Sum n * p * c^r over the pass's exact histogram, at integer r."""
+    assert res.r.denominator == 1
+    return sum(n * p * c**res.r.numerator for (_ch, _chi, p, c), n in res.hist.items())
+
+
+def row_of(sys, r, k, **options):
+    """(pass, its `series_row`) at level k, members classed by the order's
+    critical structure."""
+    cs = critical_analysis(sys, r)
+    res = scan(sys, r, k, cs=cs, **options)
+    return res, series_row(res, cs)
+
+
+def exponent_of(sys, r, k) -> float:
+    """`implicit_exponent` of the level-k pass's weight table."""
+    return implicit_exponent(antichain._log_weights(scan(sys, r, k)), r)
+
+
+def eta_band(sys, r: int) -> tuple[Fraction, Fraction]:
+    """(p_min c_min^r, p_max c_max^r) over edges."""
+    p_lo, c_lo, p_hi, c_hi = edge_extremes(sys)
+    return p_lo * c_lo**r, p_hi * c_hi**r
+
+
 class TestAgainstOracle:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_fixture_b_words_match(self, sys_b, k):
-        ac = enumerate_antichain(sys_b, 1, k, exact=True)
-        assert member_words(sys_b, ac) == oracle_antichain(sys_b, 1, k)
+        res = scan(sys_b, 1, k, exact=True)
+        assert member_words(sys_b, res) == oracle_antichain(sys_b, 1, k)
 
     @pytest.mark.parametrize("sys_name,k", [("a", 3), ("c", 3), ("a", 5), ("c", 5)])
     def test_other_fixtures_match(self, request, sys_name, k):
         sys = request.getfixturevalue(f"sys_{sys_name}")
-        ac = enumerate_antichain(sys, 1, k, exact=True)
-        assert member_words(sys, ac) == oracle_antichain(sys, 1, k)
+        res = scan(sys, 1, k, exact=True)
+        assert member_words(sys, res) == oracle_antichain(sys, 1, k)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_order_two_matches(self, sys_a, k):
-        ac = enumerate_antichain(sys_a, 2, k, exact=True)
-        assert member_words(sys_a, ac) == oracle_antichain(sys_a, 2, k)
+        res = scan(sys_a, 2, k, exact=True)
+        assert member_words(sys_a, res) == oracle_antichain(sys_a, 2, k)
 
     @pytest.mark.parametrize("r", [F(1), F(2), F(3, 2)])
     @pytest.mark.parametrize("seed", range(4))
@@ -54,14 +77,14 @@ class TestAgainstOracle:
         # holds both p_min and c_min, so the threshold p_min * c_min^r is
         # below every edge's p * c^r
         sys = random_rational_system(random.Random(seed))
-        ac = enumerate_antichain(sys, r, 2, exact=True)
-        words = member_words(sys, ac)
+        res = scan(sys, r, 2, exact=True)
+        words = member_words(sys, res)
         assert words == oracle_antichain_fractional(sys, r, 2)
         if r.denominator == 1:
             assert words == oracle_antichain(sys, r.numerator, 2)
         if (seed, r) == (1, 1):
             assert len(words) == 216
-        assert measure_partition_sum(ac) == 1
+        assert measure_partition_sum(res) == 1
 
     def test_words_deeper_than_the_recursion_limit(self):
         # two vertices, self-loops (p, c) = (a, a) and cross edges (b, b); at
@@ -79,51 +102,54 @@ class TestAgainstOracle:
         for v, u in ((1, 2), (2, 1)):
             expected += [(v, u, u), (v, u, v), (v,) * (big_l + 2)]
             expected += [(v,) * (m + 1) + (u,) for m in range(1, big_l + 1)]
-        ac = enumerate_antichain(sys, 1, 1)
+        res = scan(sys, 1, 1)
         # deeper than Python's default recursion limit of 1000
-        assert ac.depth_max == big_l + 2 > 1000
-        assert member_words(sys, ac) == sorted(expected)
+        assert res.depth_max == big_l + 2 > 1000
+        assert member_words(sys, res) == sorted(expected)
 
     def test_float_mode_agrees_with_exact(self, sys_b):
         for k in (2, 5, 8):
-            fast = enumerate_antichain(sys_b, 1, k)
-            slow = enumerate_antichain(sys_b, 1, k, exact=True)
+            _fast_res, fast = row_of(sys_b, 1, k)
+            slow_res, slow = row_of(sys_b, 1, k, exact=True)
             assert fast.phi == slow.phi
             assert (fast.depth_min, fast.depth_max) == (slow.depth_min, slow.depth_max)
-            assert fast.sum_dim == pytest.approx(slow.sum_dim, rel=1e-12)
-            assert float(fast.sum_energy) == pytest.approx(float(slow.sum_energy), rel=1e-12)
+            assert fast.sum_dim == slow.sum_dim
+            assert slow.sum_energy == float(exact_energy(slow_res))
+            assert fast.sum_energy == pytest.approx(slow.sum_energy, rel=1e-12)
 
 
 class TestFixtureAClosedForms:
     def test_level_one(self, sys_a):
-        ac = enumerate_antichain(sys_a, 1, 1, exact=True)
-        assert ac.phi == 8
-        assert ac.depth_min == ac.depth_max == 3
-        assert ac.sum_energy == F(2, 9)
-        words = member_words(sys_a, ac)
+        res, row = row_of(sys_a, 1, 1, exact=True)
+        assert res.phi == row.phi == 8
+        assert res.depth_min == res.depth_max == 3
+        assert exact_energy(res) == F(2, 9)
+        assert row.sum_energy == float(F(2, 9))
+        words = member_words(sys_a, res)
         assert len(words) == 8 and all(len(w) == 3 for w in words)
 
     @pytest.mark.parametrize("k", [2, 4, 7, 10])
     def test_cardinality_and_single_weight_class(self, sys_a, k):
-        ac = enumerate_antichain(sys_a, 1, k, exact=True)
-        assert ac.phi == 2 ** (k + 2)
-        assert ac.depth_min == ac.depth_max == k + 2
+        res, row = row_of(sys_a, 1, k, exact=True)
+        assert res.phi == 2 ** (k + 2)
+        assert res.depth_min == res.depth_max == k + 2
         # one exact weight class: p = 2^-(k+1), c = 3^-(k+1)
-        keys = {(p, c) for (_ch, _chi, p, c) in ac.hist}
+        keys = {(p, c) for (_ch, _chi, p, c) in res.hist}
         assert keys == {(F(1, 2 ** (k + 1)), F(1, 3 ** (k + 1)))}
-        assert ac.sum_energy == 2 ** (k + 2) * F(1, 6 ** (k + 1))
+        energy = 2 ** (k + 2) * F(1, 6 ** (k + 1))
+        assert exact_energy(res) == energy
+        assert row.sum_energy == float(energy)
 
     @pytest.mark.parametrize("k", [2, 6, 10, 14])
     def test_dimension_sum_is_two(self, sys_a, k):
-        ac = enumerate_antichain(sys_a, 1, k)
-        assert ac.sum_dim == pytest.approx(2.0, abs=1e-8)
+        _res, row = row_of(sys_a, 1, k)
+        assert row.sum_dim == pytest.approx(2.0, abs=1e-8)
 
     def test_ties_stay_internal(self, sys_a):
         # every length-(k+1) word has weight exactly eta_lo^k; the strict
         # right inequality keeps it out, so members all have length k+2
         for r in (1, F(3, 2)):
-            ac = enumerate_antichain(sys_a, r, 6, exact=True)
-            assert ac.depth_min == 8
+            assert scan(sys_a, r, 6, exact=True).depth_min == 8
 
 
 class TestDefinitionalInvariants:
@@ -131,10 +157,9 @@ class TestDefinitionalInvariants:
     def test_membership_inequalities_exact(self, request, sys_name):
         sys = request.getfixturevalue(f"sys_{sys_name}")
         k = 3
-        eta_lo, _ = eta_bounds(sys, 1)
+        eta_lo, _ = eta_band(sys, 1)
         thr = eta_lo**k
-        ac = enumerate_antichain(sys, 1, k, exact=True)
-        for w in member_words(sys, ac):
+        for w in member_words(sys, scan(sys, 1, k, exact=True)):
             pw = path_weight(sys, w)
             parent = path_weight(sys, w[:-1])
             assert parent.p_weight * parent.c_weight >= thr
@@ -146,31 +171,29 @@ class TestDefinitionalInvariants:
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_partition_of_measure_exact(self, request, sys_name, k):
         sys = request.getfixturevalue(f"sys_{sys_name}")
-        ac = enumerate_antichain(sys, 1, k, exact=True)
-        assert measure_partition_sum(ac) == 1
+        assert measure_partition_sum(scan(sys, 1, k, exact=True)) == 1
 
     def test_prefix_free(self, sys_b):
-        ac = enumerate_antichain(sys_b, 1, 4, exact=True)
-        words = sorted(member_words(sys_b, ac))
+        words = sorted(member_words(sys_b, scan(sys_b, 1, 4, exact=True)))
         for u, v in zip(words, words[1:]):
             assert not (len(u) <= len(v) and v[: len(u)] == u)
 
     def test_depth_bounds_vs_eta(self, sys_b):
         # eta_lo^{l1-1} <= eta_lo^k and eta_lo^k <= eta_hi^{l2-2}
-        lo, hi = eta_bounds(sys_b, 1)
+        lo, hi = eta_band(sys_b, 1)
         for k in (2, 5, 9):
-            ac = enumerate_antichain(sys_b, 1, k)
-            assert lo ** (ac.depth_min - 1) <= lo**k
-            assert lo**k <= hi ** (ac.depth_max - 2)
+            res = scan(sys_b, 1, k)
+            assert lo ** (res.depth_min - 1) <= lo**k
+            assert lo**k <= hi ** (res.depth_max - 2)
 
 
-def bisected_exponent(ac) -> float:
+def bisected_exponent(table, r) -> float:
     """`implicit_exponent` by bisection of Sum count * w^{t/(t+r)} - 1 in t,
     down to a bracket of width 1e-10."""
-    rf = float(ac.r)
+    rf = float(r)
 
     def f(t: float) -> float:
-        return math.fsum(math.exp(lc + t / (t + rf) * lw) for _chain, lw, lc in ac.log_weights) - 1.0
+        return math.fsum(math.exp(lc + t / (t + rf) * lw) for _chain, lw, lc in table) - 1.0
 
     lo, hi = 0.0, 1.0
     while f(hi) > 0.0:
@@ -183,8 +206,7 @@ def bisected_exponent(ac) -> float:
 
 class TestImplicitExponent:
     def test_level_one_closed_form(self, sys_a):
-        ac = enumerate_antichain(sys_a, 1, 1, exact=True)
-        t = implicit_exponent(ac)
+        t = exponent_of(sys_a, 1, 1)
         assert t == pytest.approx(T11_A, abs=1e-9)
         # substitution: 8 * (1/36)^{t/(t+1)} == 1
         assert 8 * (1 / 36) ** (t / (t + 1)) == pytest.approx(1.0, abs=1e-10)
@@ -194,36 +216,31 @@ class TestImplicitExponent:
         # phi * w^{t/(t+1)} = 1 with phi = 2^{k+2}, w = 6^-(k+1)
         y = (k + 2) * math.log(2) / ((k + 1) * math.log(6))
         expected = y / (1 - y)
-        ac = enumerate_antichain(sys_a, 1, k)
-        assert implicit_exponent(ac) == pytest.approx(expected, abs=1e-9)
+        assert exponent_of(sys_a, 1, k) == pytest.approx(expected, abs=1e-9)
 
     def test_converges_toward_dimension(self, sys_a):
-        gaps = []
-        for k in (4, 8, 12, 16):
-            ac = enumerate_antichain(sys_a, 1, k)
-            gaps.append(abs(implicit_exponent(ac) - S_R_A))
+        gaps = [abs(exponent_of(sys_a, 1, k) - S_R_A) for k in (4, 8, 12, 16)]
         assert gaps == sorted(gaps, reverse=True)
         assert gaps[-1] < 0.1
 
     def test_fixture_b_bracket(self, sys_b):
         # for large k the exponent sits within [s_r/2, 2 s_r]
-        ac = enumerate_antichain(sys_b, 1, 12)
-        t = implicit_exponent(ac)
+        t = exponent_of(sys_b, 1, 12)
         assert S1_H1_B / 2 <= t <= 2 * S1_H1_B
 
     def test_substitution_property(self, sys_b):
-        ac = enumerate_antichain(sys_b, 1, 6)
-        t = implicit_exponent(ac)
+        res, row = row_of(sys_b, 1, 6)
+        t = row.t_k
+        assert t == implicit_exponent(antichain._log_weights(res), 1)
         total = sum(
-            cnt * float(p * c) ** (t / (t + 1)) for (_ch, _chi, p, c), cnt in ac.hist.items()
+            cnt * float(p * c) ** (t / (t + 1)) for (_ch, _chi, p, c), cnt in res.hist.items()
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_single_word_rejected(self, sys_a):
-        ac = enumerate_antichain(sys_a, 1, 1, exact=True)
-        crippled = dataclasses.replace(ac, phi=1)
-        with pytest.raises(ValueError):
-            implicit_exponent(crippled)
+        chain, log_w, _log_count = antichain._log_weights(scan(sys_a, 1, 1))[0]
+        with pytest.raises(ValueError, match=">= 2 words"):
+            implicit_exponent([(chain, log_w, 0.0)], 1)
 
     @pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_c", *range(7)])
     def test_matches_bisection(self, request, name):
@@ -235,47 +252,40 @@ class TestImplicitExponent:
             sys_, levels = request.getfixturevalue(name), (2, 6, 10)
         for r in (Fraction(1), Fraction(3, 2), Fraction(2)):
             for k in levels:
-                ac = enumerate_antichain(sys_, r, k)
-                assert abs(implicit_exponent(ac) - bisected_exponent(ac)) <= 1e-10
+                table = antichain._log_weights(scan(sys_, r, k))
+                assert abs(implicit_exponent(table, r) - bisected_exponent(table, r)) <= 1e-10
 
 
 class TestChainDecomposition:
     def test_fixture_b_classes(self, sys_b):
-        cs = critical_analysis(sys_b, 1)
-        ac = enumerate_antichain(sys_b, 1, 10, critical=cs)
-        assert set(ac.class_sums) == {(), (0,), (1,), (0, 1)}
-        assert ac.class_sums[()] > 0  # the transient (l = 0) residual
-        assert sum(ac.class_sums.values()) == pytest.approx(ac.sum_dim, rel=1e-12)
+        _res, row = row_of(sys_b, 1, 10)
+        assert set(row.class_sums) == {(), (0,), (1,), (0, 1)}
+        assert row.class_sums[()] > 0  # the transient (l = 0) residual
+        assert sum(row.class_sums.values()) == pytest.approx(row.sum_dim, rel=1e-12)
 
     def test_fixture_c_no_pair_class(self, sys_c):
-        cs = critical_analysis(sys_c, 1)
         for k in (3, 6, 10):
-            ac = enumerate_antichain(sys_c, 1, k, critical=cs)
-            assert (0, 1) not in ac.class_sums
-            assert (1, 0) not in ac.class_sums
+            _res, row = row_of(sys_c, 1, k)
+            assert (0, 1) not in row.class_sums
+            assert (1, 0) not in row.class_sums
 
     def test_pair_mass_increases_with_level(self, sys_b):
-        cs = critical_analysis(sys_b, 1)
-        vals = []
-        for k in range(6, 13):
-            ac = enumerate_antichain(sys_b, 1, k, critical=cs)
-            vals.append(ac.class_sums[(0, 1)])
+        vals = [row_of(sys_b, 1, k)[1].class_sums[(0, 1)] for k in range(6, 13)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_chain_tracking_matches_per_word_classification(self, sys_b):
-        from markovquant import visited_chain
-
         cs = critical_analysis(sys_b, 1)
-        ac = enumerate_antichain(sys_b, 1, 4, critical=cs, exact=True)
+        res = scan(sys_b, 1, 4, cs=cs, exact=True)
+        class_sums = series_row(res, cs).class_sums
         expo = cs.s_r / (cs.s_r + 1.0)
         expected: dict = {}
-        for w in member_words(sys_b, ac):
+        for w in member_words(sys_b, res):
             pw = path_weight(sys_b, w)
             ch = visited_chain(cs, w)
             expected[ch] = expected.get(ch, 0.0) + float(pw.p_weight * pw.c_weight) ** expo
-        assert set(expected) == set(ac.class_sums)
+        assert set(expected) == set(class_sums)
         for ch, val in expected.items():
-            assert ac.class_sums[ch] == pytest.approx(val, rel=1e-12)
+            assert class_sums[ch] == pytest.approx(val, rel=1e-12)
 
 
 def _fold_words(sys, words, key) -> dict:
@@ -328,11 +338,9 @@ class TestMemberTableFolds:
         assert [len(levels) for levels in passes] == [9, 3]
         for res in (res for levels in passes for res in levels.values()):
             assert "hist" not in vars(res)
-        # a read view is cached, and the statistics' fields do not take it in
+        # a read view is cached
         res = passes[0][6]
         assert res.hist is res.hist and "hist" in vars(res)
-        ac = antichain._statistics(res, 1.0)
-        assert "hist" not in vars(ac) and ac.hist == res.hist
 
 
 class TestSeries:
@@ -358,21 +366,34 @@ class TestSeries:
         assert r_band < u_band
 
     def test_row_fields_consistent(self, sys_b):
+        # the row against the pass's exact histogram, word by weight class
         cs = critical_analysis(sys_b, 1)
         (row,) = theorem_ratio_series(sys_b, 1, [5], cs=cs)
-        ac = enumerate_antichain(sys_b, 1, 5, critical=cs)
-        assert row.phi == ac.phi
-        assert row.sum_dim == pytest.approx(ac.sum_dim)
-        assert row.uncorrected == pytest.approx(ac.phi ** (1 / cs.s_r) * float(ac.sum_energy))
+        res = scan(sys_b, 1, 5, cs=cs)
+        hist = res.hist
+        assert row.phi == res.phi == sum(hist.values())
+        assert (row.depth_min, row.depth_max) == (res.depth_min, res.depth_max)
+        expo = cs.s_r / (cs.s_r + 1.0)
+        sum_dim = math.fsum(n * float(p * c) ** expo for (_ch, _chi, p, c), n in hist.items())
+        assert row.sum_dim == pytest.approx(sum_dim, rel=1e-12)
+        energy = exact_energy(res)
+        assert row.sum_energy == pytest.approx(float(energy), rel=1e-12)
+        assert row.uncorrected == pytest.approx(row.phi ** (1 / cs.s_r) * float(energy))
 
     def test_energy_below_the_float_range_raises(self, sys_b):
         # at r = 2 the energy sum of B leaves the normal float range at
         # k = 169 (about 6e-321 at k = 175) while sum_dim and the exponent,
         # taken from log weights, stay finite
-        ac = enumerate_antichain(sys_b, 2, 175, capacity=10**300)
-        assert ac.sum_dim > 1.0 and 0.0 < implicit_exponent(ac) < 1.0
+        cs = critical_analysis(sys_b, 2)
+        res = scan(sys_b, 2, 175, cs=cs, capacity=10**300)
+        table = antichain._log_weights(res)
+        expo = cs.s_r / (cs.s_r + 2.0)
+        assert math.fsum(math.exp(lc + expo * lw) for _ch, lw, lc in table) > 1.0
+        assert 0.0 < implicit_exponent(table, 2) < 1.0
         with pytest.raises(ValueError, match="k=175"):
-            theorem_ratio_series(sys_b, 2, [175], capacity=10**300)
+            series_row(res, cs)
+        with pytest.raises(ValueError, match="k=175"):
+            theorem_ratio_series(sys_b, 2, [175], cs=cs, capacity=10**300)
 
     @pytest.mark.parametrize("sys_name", ["a", "b", "c"])
     def test_consecutive_cardinality_ratio_bounded(self, request, sys_name):
@@ -386,11 +407,11 @@ class TestSeries:
 class TestCapacity:
     def test_cap_exceeded_raises(self, sys_b):
         with pytest.raises(CapacityError):
-            enumerate_antichain(sys_b, 1, 8, capacity=1000)
+            scan(sys_b, 1, 8, capacity=1000)
 
     def test_cap_exceeded_raises_exact_mode(self, sys_b):
         with pytest.raises(CapacityError):
-            enumerate_antichain(sys_b, 1, 8, exact=True, capacity=1000)
+            scan(sys_b, 1, 8, exact=True, capacity=1000)
 
     def test_cap_propagates_through_series(self, sys_b):
         with pytest.raises(CapacityError):
@@ -494,7 +515,7 @@ AT_ORDER_2 = {
     "scan_levels": lambda sys, cs: scan_levels(sys, 2, [3, 4], cs=cs),
     "scan": lambda sys, cs: scan(sys, 2, 3, cs=cs),
     "theorem_ratio_series": lambda sys, cs: theorem_ratio_series(sys, 2, [3, 4], cs=cs),
-    "enumerate_antichain": lambda sys, cs: enumerate_antichain(sys, 2, 3, critical=cs),
+    "series_row": lambda sys, cs: series_row(scan(sys, 2, 3), cs),
     "error_curve": lambda sys, cs: error_curve(sys, 2, [3, 4], depth_offset=2, cs=cs),
 }
 
@@ -513,16 +534,16 @@ class TestValidationOfArguments:
 
     def test_bad_level(self, sys_a):
         with pytest.raises(ValueError):
-            enumerate_antichain(sys_a, 1, 0)
+            scan(sys_a, 1, 0)
 
     def test_bad_order(self, sys_a):
         with pytest.raises(ValueError):
-            enumerate_antichain(sys_a, -1, 3)
+            scan(sys_a, -1, 3)
 
     def test_fractional_order_runs(self, sys_a):
-        ac = enumerate_antichain(sys_a, "3/2", 3, exact=True)
-        words = member_words(sys_a, ac)
-        assert ac.phi == len(words) > 0
+        res = scan(sys_a, "3/2", 3, exact=True)
+        words = member_words(sys_a, res)
+        assert res.phi == len(words) > 0
         assert words == oracle_antichain_fractional(sys_a, F(3, 2), 3)
 
 

@@ -284,6 +284,15 @@ class TestArgErrors:
     def test_nonpositive_order(self, capsys):
         assert main(["analyze", A, "--r", "0"]) == 2
 
+    @pytest.mark.parametrize("command", ["analyze", "antichain", "verify"])
+    @pytest.mark.parametrize("order", ["1e400", "1e-400", "1e-320"])
+    def test_order_outside_the_normal_floats(self, capsys, command, order):
+        # its float overflows, rounds to 0 or is subnormal: refused up front,
+        # before a layer computes in floats
+        assert main([command, A, "--r", order]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: order r must be a positive normal float, got {order}\n"
+
     def test_unparseable_order(self, capsys):
         assert main(["analyze", A, "--r", "abc"]) == 2
 

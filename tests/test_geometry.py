@@ -27,7 +27,6 @@ from markovquant import (
     critical_analysis,
     cylinder_interval,
     discrete_cost,
-    enumerate_antichain,
     error_curve,
     grid_codebook,
     integrate_error,
@@ -279,8 +278,7 @@ class TestGrids:
     def test_grid_size_matches_antichain(self, sys_b):
         rz = realize(sys_b)
         grid = grid_at(rz, 1, 4)
-        ac = enumerate_antichain(sys_b, 1, 4)
-        assert grid.size == ac.phi
+        assert grid.size == scan(sys_b, 1, 4).phi
 
     def test_masses_partition(self, sys_a, sys_b, sys_c):
         for sys in (sys_a, sys_b, sys_c):
@@ -297,9 +295,8 @@ class TestGrids:
         for sys, r, k in cases:
             rz = realize(sys)
             grid = grid_at(rz, r, k)
-            ac = enumerate_antichain(sys, r, k, exact=True)
             exact = []
-            for w in member_words(sys, ac):
+            for w in member_words(sys, scan(sys, r, k, exact=True)):
                 left, length = cylinder_interval(rz, w)
                 mass = path_weight(sys, w).measure_weight
                 exact.append((float(left) + float(length) / 2, float(length) / 2, float(mass)))
@@ -369,9 +366,9 @@ class TestIntegrateError:
             k = 4
             grid = grid_at(rz, r, k)
             est = integrate_error(grid, grid_codebook(grid))
-            ac = enumerate_antichain(sys_a, r, k, exact=True)
+            res = scan(sys_a, r, k, exact=True)
             expected = float(
-                sum(cnt * chi * p * c**r for (_ch, chi, p, c), cnt in ac.hist.items())
+                sum(cnt * chi * p * c**r for (_ch, chi, p, c), cnt in res.hist.items())
             ) / 2**r
             assert est.lower == 0.0
             assert est.upper == pytest.approx(expected, abs=1e-12)

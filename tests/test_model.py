@@ -12,12 +12,11 @@ from markovquant import (
     InvalidWordError,
     MarkovSystem,
     ModelFormatError,
-    eta_bounds,
     load_model,
     path_weight,
     validate_system,
 )
-from markovquant.model import NORMALIZATION_TOL
+from markovquant.model import NORMALIZATION_TOL, edge_extremes
 from conftest import random_rational_system
 
 F = Fraction
@@ -225,7 +224,7 @@ class TestPathWeight:
 
     def test_one_step_ratio_in_eta_band(self, sys_b):
         rng = random.Random(11)
-        lo, hi = eta_bounds(sys_b, 1)
+        lo, hi = TestEtaBounds.band(sys_b, 1)
         for _ in range(100):
             w = _random_word(sys_b, rng, rng.randint(2, 8))
             pw = path_weight(sys_b, w)
@@ -249,28 +248,28 @@ def _random_word_from(sys, rng, start, length):
 
 
 class TestEtaBounds:
+    """The one-step weight band (eta_lo, eta_hi) = (p_min c_min^r, p_max
+    c_max^r), read off the exact `edge_extremes`."""
+
+    @staticmethod
+    def band(sys, r: int) -> tuple[F, F]:
+        p_lo, c_lo, p_hi, c_hi = edge_extremes(sys)
+        return p_lo * c_lo**r, p_hi * c_hi**r
+
     def test_fixture_a(self, sys_a):
-        assert eta_bounds(sys_a, 1) == (F(1, 6), F(1, 6))
-        assert eta_bounds(sys_a, 2) == (F(1, 18), F(1, 18))
+        assert edge_extremes(sys_a) == (HALF, THIRD, HALF, THIRD)
+        assert self.band(sys_a, 1) == (F(1, 6), F(1, 6))
+        assert self.band(sys_a, 2) == (F(1, 18), F(1, 18))
 
     def test_fixture_b(self, sys_b):
-        lo, hi = eta_bounds(sys_b, 1)
-        assert lo == F(1, 18)
-        assert hi == F(1, 6)
+        assert edge_extremes(sys_b) == (HALF, F(1, 9), HALF, THIRD)
+        assert self.band(sys_b, 1) == (F(1, 18), F(1, 6))
 
     def test_exact_for_integer_order(self, sys_b):
-        lo, hi = eta_bounds(sys_b, 2)
+        assert all(isinstance(x, F) for x in edge_extremes(sys_b))
+        lo, hi = self.band(sys_b, 2)
         assert isinstance(lo, F) and lo == F(1, 2) * F(1, 81)
         assert hi == F(1, 2) * F(1, 9)
-
-    def test_fractional_order_is_float(self, sys_a):
-        lo, hi = eta_bounds(sys_a, 0.5)
-        assert isinstance(lo, float)
-        assert lo == pytest.approx(0.5 * (1 / 3) ** 0.5)
-
-    def test_requires_positive_order(self, sys_a):
-        with pytest.raises(ValueError):
-            eta_bounds(sys_a, 0)
 
 
 class TestLoader:

@@ -138,6 +138,13 @@ class TestSolveRoot:
         with pytest.raises(NoCycleError):
             solve_sr(sys_b, (5,), 1)
 
+    @pytest.mark.parametrize("r", [1e-300, 1e-20])
+    def test_order_lost_in_the_float_weights_refused(self, sys_a, r):
+        # r log c vanishes beside log p, so Psi never drops below 1: the
+        # doubling cap names the scope and the order, not the model weights
+        with pytest.raises(ValueError, match=rf"scope \(1, 2\) at r = {r!r}"):
+            solve_sr(sys_a, "full", r)
+
     def test_root_consistency_on_fixtures(self, sys_a, sys_b, sys_c):
         for sys in (sys_a, sys_b, sys_c):
             sol = solve_sr(sys, "full", 1)

@@ -383,7 +383,7 @@ def test_integer_definition_matches_fractions(fixture, r, request):
     # members, their children, their parents, and words with a step along no edge
     sys_ = request.getfixturevalue(fixture)
     rq, k = Fraction(r), 4
-    members = antichain.member_words(sys_, antichain.enumerate_antichain(sys_, r, k, exact=True))
+    members = antichain.member_words(sys_, antichain.scan(sys_, r, k, exact=True))
     words = list(members)
     for w in members[:50]:
         words += [w + (j,) for j in sys_.successors(w[-1])] + [w[:-1]]
@@ -397,7 +397,7 @@ def test_integer_definition_matches_fractions(fixture, r, request):
 def test_integer_definition_keeps_fixture_a_ties(sys_a):
     # every depth-k word of fixture A weighs exactly eta_lo^k: each member's
     # parent sits on the threshold and must still count as internal
-    members = antichain.member_words(sys_a, antichain.enumerate_antichain(sys_a, 1, 4, exact=True))
+    members = antichain.member_words(sys_a, antichain.scan(sys_a, 1, 4, exact=True))
     assert {len(w) for w in members} == {6}
     assert all(verify._definition_holds(sys_a, Fraction(1), 4, members))
     assert not any(verify._definition_holds(sys_a, Fraction(1), 4, [w[:-1] for w in members]))
