@@ -16,12 +16,17 @@ recenters all cells of a codebook in one array pass:
   fixtures/fixture_b.json --r R --k-min 4 --k-max 8 --refine --depth-offset
   2`), where the centers are weighted medians and means;
 - `optimal_two_point` on the level-8 grid of B at r = 3/2 (26,050 cells),
-  where every cut solves its two centers by the bracketed secant, inside
-  the centers of the nearest cuts already evaluated, and at r = 1 (17,460
-  cells), where every cut reads its medians from one shared cumulative sum.
+  where a branch and bound solves each cut it evaluates by the bracketed
+  secant, inside the centers of the nearest cuts already evaluated; and at
+  r = 1 (17,460 cells) and r = 2 (40,366 cells), where one prefix-sum
+  sweep costs every cut at once, the medians of all cuts read from one
+  shared cumulative sum at r = 1, and only the cuts within the sweep's
+  rounding bound of the least are recentered directly.
 
-Each Lloyd case records its grid's cells and the steps Lloyd took.  The
-grids are built once, outside the timed calls.
+Each Lloyd case records its grid's cells and the steps Lloyd took.  Each
+2-point case records its grid's cells and, from one untimed run, the cuts
+recentered directly (`candidates`).  The grids are built once, outside the
+timed calls.
 """
 
 from fractions import Fraction
@@ -30,7 +35,7 @@ from pathlib import Path
 import pytest
 
 from markovquant import (
-    grid_codebook, level_grid, lloyd_refine, load_model, optimal_two_point, realize,
+    geometry, grid_codebook, level_grid, lloyd_refine, load_model, optimal_two_point, realize,
 )
 from markovquant.antichain import scan
 
@@ -63,15 +68,24 @@ def test_lloyd_refine_b(benchmark, r):
     run_lloyd(benchmark, "b", r, 8, 10)
 
 
-def run_two_point(benchmark, r, rounds):
+def run_two_point(benchmark, monkeypatch, r, rounds):
     grid = grid_at(realize(load_model(FIXTURES / "fixture_b.json")), r, 8)
+    recentered, kernel = [], geometry._cell_centers
+    monkeypatch.setattr(geometry, "_cell_centers", lambda *args: recentered.append(1) or kernel(*args))
+    optimal_two_point(grid)
+    monkeypatch.undo()
     benchmark.pedantic(optimal_two_point, args=(grid,), rounds=rounds, warmup_rounds=1)
     benchmark.extra_info["cells"] = grid.size
+    benchmark.extra_info["candidates"] = len(recentered)
 
 
-def test_optimal_two_point_b(benchmark):
-    run_two_point(benchmark, R, 5)
+def test_optimal_two_point_b(benchmark, monkeypatch):
+    run_two_point(benchmark, monkeypatch, R, 5)
 
 
-def test_optimal_two_point_b_r1(benchmark):
-    run_two_point(benchmark, 1, 20)
+def test_optimal_two_point_b_r1(benchmark, monkeypatch):
+    run_two_point(benchmark, monkeypatch, 1, 20)
+
+
+def test_optimal_two_point_b_r2(benchmark, monkeypatch):
+    run_two_point(benchmark, monkeypatch, 2, 20)

@@ -16,17 +16,19 @@ model load and the report:
   checks read), the descents from member keys (`descents`: calls of
   `antichain.descend`; 3, one per level of the error curve) and the
   `geometry.level_grid` builds (`grids`: 2, the Lloyd and Monte Carlo
-  grids) of one suite.
+  grids) of one suite, and the milliseconds each `verify._CHECKS` entry
+  took in that run (`check_ms`, keyed by the entry's names).
 - `run_verification` on fixture B at r = 3/2 with the defaults (k 6..12,
   depth offset 6), as `markovquant verify fixtures/fixture_b.json --r 3/2`:
   most of its time is the 2-point optimum on the Lloyd check's level-10
   grid of 205,210 cells.  Each check's status is recorded in `extra_info`.
 """
 
+import time
 from fractions import Fraction
 from pathlib import Path
 
-from markovquant import antichain, geometry, load_model, run_verification
+from markovquant import antichain, geometry, load_model, run_verification, verify
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -43,11 +45,32 @@ def _counted(monkeypatch, module, name) -> list:
     return calls
 
 
+def _timed_checks(monkeypatch) -> dict:
+    """Milliseconds of each `verify._CHECKS` entry, keyed by its names, until
+    monkeypatch is undone."""
+    ms = {}
+
+    def timed(names, check):
+        def run(ctx):
+            start = time.perf_counter()
+            try:
+                return list(check(ctx))
+            finally:
+                ms["/".join(names)] = round(1e3 * (time.perf_counter() - start), 2)
+
+        return run
+
+    entries = tuple((names, band, timed(names, check)) for names, band, check in verify._CHECKS)
+    monkeypatch.setattr(verify, "_CHECKS", entries)
+    return ms
+
+
 def test_verify_b(benchmark, monkeypatch):
     sys_b = load_model(FIXTURES / "fixture_b.json")
     passes = _counted(monkeypatch, antichain, "scan_levels")
     descents = _counted(monkeypatch, antichain, "descend")
     grids = _counted(monkeypatch, geometry, "level_grid")
+    check_ms = _timed_checks(monkeypatch)
     run_verification(sys_b, 1, range(6, 13), depth_offset=2)
     monkeypatch.undo()
     suite = benchmark.pedantic(
@@ -58,6 +81,7 @@ def test_verify_b(benchmark, monkeypatch):
     benchmark.extra_info["passes"] = len(passes)
     benchmark.extra_info["descents"] = len(descents)
     benchmark.extra_info["grids"] = len(grids)
+    benchmark.extra_info["check_ms"] = check_ms
 
 
 def test_verify_b_r32(benchmark):

@@ -82,6 +82,9 @@ _PATH_TABLE = 1024
 _PRUNE_SLACK = 1e-13
 # unit roundoff of float64 arithmetic
 _UNIT_ROUNDOFF = 2.0**-53
+# rounding bound of a swept 2-point cost, in units of u M R^r (n + 4): the
+# analysis needs 18 n + 52 of u M R^r at r = 1 and 8 n + 21 at r = 2
+_SWEEP_ROUNDING = 20
 # probes a cell center may take past the count bisection needs
 _SPARE_PROBES = 3
 _LLOYD_REL_TOL = 1e-9  # Lloyd stops at a smaller relative gain in the upper bound
@@ -380,18 +383,22 @@ def member_sandwich(
     )
 
 
-def _weighted_medians(x, cum, starts, ends) -> np.ndarray:
-    """Weighted median of each cell x[starts[i]:ends[i]], its r = 1 center.
+def _median_indices(cum, starts, ends) -> np.ndarray:
+    """Index of the weighted median of each cell [starts[i], ends[i]), its
+    r = 1 center: the cell's first point whose cumulative mass reaches half
+    the cell's.
 
-    That is the cell's first point whose cumulative mass reaches half the
-    cell's.  The cells are non-empty and adjacent, the first starting at 0,
-    and `cum` is the cumulative sum of the masses of x, so one prefix sum
-    serves every call over the same x.
+    The cells are non-empty and may overlap; `cum` is the cumulative sum of
+    the masses after a leading 0, cum[j] the mass before point j, so one
+    prefix sum serves every call over the same points.  `starts` and `ends`
+    may be scalars, shared by every cell.
     """
-    top = cum[ends - 1]  # mass up to each cell's end
-    half = 0.5 * (np.concatenate(([0.0], top[:-1])) + top)
-    # half <= top, so only a cell whose mass rounds away can land before it
-    return x[np.maximum(np.searchsorted(cum, half), starts)]
+    half = cum[starts] + cum[ends]
+    half *= 0.5
+    # half <= the cell's top, so only a cell whose mass rounds away can land
+    # before it
+    idx = np.searchsorted(cum[1:], half)
+    return np.maximum(idx, starts, out=idx)
 
 
 def _cell_centers(mids, masses, starts, ends, r: float, bracket=None) -> np.ndarray:
@@ -435,7 +442,9 @@ def _cell_centers(mids, masses, starts, ends, r: float, bracket=None) -> np.ndar
         out[full] = np.clip(np.add.reduceat(m * x, offsets) / np.add.reduceat(m, offsets), a, b)
         return out
     if r == 1.0:
-        out[full] = _weighted_medians(x, np.cumsum(m), offsets, offsets + counts)
+        cum = np.zeros(x.size + 1)
+        np.cumsum(m, out=cum[1:])
+        out[full] = x[_median_indices(cum, offsets, offsets + counts)]
         return out
     neg = np.empty(x.size, dtype=bool)
 
@@ -580,24 +589,95 @@ def discrete_cost(grid: CylinderGrid, codebook: Codebook) -> float:
     return _dot(grid.masses, d**grid.r)
 
 
+def _swept_costs(grid: CylinderGrid) -> tuple[np.ndarray, float]:
+    """The 2-point cost of every cut of the grid at r in {1, 2}, from prefix
+    sums, and a bound E on how far each lies from the cost that recentering
+    its cut directly and summing by `_dot` reports.
+
+    Cut c, at index c - 1, splits the n sorted midpoints into [0, c) and
+    [c, n).  In coordinates x centred on the grid, with C_j and X_j the sums
+    of m and m x over [0, j), a cell [s, e) costs x_q (2 C_q - C_s - C_e) -
+    2 X_q + X_s + X_e about its weighted median x_q at r = 1.  Every cut's
+    two medians come from the one cumulative sum of the masses that
+    `_cell_centers` takes over the grid, so they are the points that
+    recentering that cut alone picks.  At r = 2 a cell costs Q - X^2 / C
+    about its mean, with C, X and Q its sums of m, m x and m x^2: prefix
+    sums over the grid for the prefixes and over the reversed grid for the
+    suffixes, so no sum cancels against the total.
+
+    With M the total mass, R = max |x|, A = max |mid| and u = 2^-53, the
+    standard bound gamma_k = k u / (1 - k u) on a k-term sum puts each swept
+    cost within 18 n + 52 units of u M R of the direct cost at r = 1, and
+    within 8 n + 21 units of u M R^2 plus M ((2 n + 2) u A)^2 at r = 2; the
+    last term is the direct mean's rounding in absolute coordinates.  E
+    takes _SWEEP_ROUNDING (n + 4) units.
+    """
+    mids, masses, n, r = grid.mids, grid.masses, grid.size, grid.r
+    mid = 0.5 * (mids[0] + mids[-1])  # x = mids - mid, formed where read
+    if r == 1.0:
+        c, s = np.zeros(n + 1), np.zeros(n + 1)
+        np.cumsum(masses, out=c[1:])
+        np.multiply(np.subtract(mids, mid, out=s[1:]), masses, out=s[1:])
+        np.cumsum(s[1:], out=s[1:])
+        inner = slice(1, n)  # each cut's own index
+
+        def cost(q, lo, hi):  # of the cells [lo, hi) about x[q], in place
+            t, xq = c.take(q), mids.take(q)
+            t *= 2.0
+            t -= c[lo]
+            t -= c[hi]
+            xq -= mid
+            t *= xq
+            s.take(q, out=xq, mode="clip")  # clip: no bounds-check copy
+            xq *= 2.0
+            t -= xq
+            t += s[lo]
+            t += s[hi]
+            return t
+
+        swept = cost(_median_indices(c, 0, inner), 0, inner)
+        swept += cost(_median_indices(c, np.arange(1, n), n), inner, n)
+    else:
+
+        def prefix_cost(x, m):  # of the cells [0, j), j = 1 .. n - 1, about their means
+            x, m = x[:-1] - mid, m[:-1]
+            return np.cumsum(m * x * x) - np.cumsum(m * x) ** 2 / np.cumsum(m)
+
+        swept = prefix_cost(mids, masses)
+        swept += prefix_cost(mids[::-1], masses[::-1])[::-1]
+    total, radius = float(masses.sum()), max(mid - mids[0], mids[-1] - mid)
+    bound = _SWEEP_ROUNDING * (n + 4) * _UNIT_ROUNDOFF * total * radius**r
+    if r == 2.0:
+        bound += total * ((2 * n + 2) * _UNIT_ROUNDOFF * max(-mids[0], mids[-1])) ** 2
+    return swept, bound
+
+
 def optimal_two_point(grid: CylinderGrid) -> tuple[Codebook, float]:
-    """Exact 2-point optimum of the discretized measure, by branch and bound.
+    """Exact 2-point optimum of the discretized measure.
 
     In one dimension the cells of an optimal quantizer are intervals, so the
     optimum cuts the sorted midpoints at some c into a prefix [0, c) and a
-    suffix [c, n), each recentered as `_cell_centers` does; at r = 1 every
-    cut reads its two weighted medians from one shared cumulative sum of the
-    masses, which is the one `_cell_centers` takes over the whole grid.  The
-    best 1-point cost f_L(c) of the prefix never falls as c moves right and
-    that of the suffix f_R(c) never rises, so no cut in [lo, hi] costs less
-    than f_L(lo) + f_R(hi).  Ranges of cuts are halved lowest bound first,
-    each cut evaluated once, and a range is dropped once its bound is within
-    _PRUNE_SLACK (relative) of the best cut found.  Both centers, the
-    prefix's and the suffix's, move right as the cut does, so at r != 1 the
-    nearest cuts evaluated on either side bracket a new cut's two centers,
-    which `_cell_centers` then searches only between them.  The points and
-    the cost returned are those of recentering the chosen cut directly, at
-    the grid's order `r`.
+    suffix [c, n).  The points and the cost returned are those of
+    recentering the chosen cut directly, each side as `_cell_centers` does,
+    and costing it by `_dot`, at the grid's order `r`.
+
+    At r in {1, 2} a cell's best cost has a closed form in prefix sums, so
+    `_swept_costs` costs every cut at once, with an a-priori bound E on how
+    far each swept cost lies from the direct one.  A cut whose swept cost
+    exceeds the least by more than 2E costs more, directly, than the cut of
+    the least; the others, one cut or a few where costs nearly tie, are
+    recentered directly, and the least direct cost wins, the lowest cut on
+    ties.
+
+    At other orders a branch and bound finds the cut.  The best 1-point cost
+    f_L(c) of the prefix never falls as c moves right and that of the suffix
+    f_R(c) never rises, so no cut in [lo, hi] costs less than f_L(lo) +
+    f_R(hi).  Ranges of cuts are halved lowest bound first, each cut
+    evaluated once, and a range is dropped once its bound is within
+    _PRUNE_SLACK (relative) of the best cut found.  Both centers move right
+    as the cut does, so the nearest cuts evaluated on either side bracket a
+    new cut's two centers, which `_cell_centers` then searches only between
+    them.
     """
     rf = grid.r
     mids, masses = grid.mids, grid.masses
@@ -605,24 +685,19 @@ def optimal_two_point(grid: CylinderGrid) -> tuple[Codebook, float]:
     if n < 2:
         raise ValueError("optimal_two_point needs a grid of at least two cells")
     sides: dict[int, tuple] = {}  # cut -> (f_L, f_R, prefix center, suffix center)
-    # at r = 1 every cut's two cells span the grid, so one prefix sum serves all
-    cum = np.cumsum(masses) if rf == 1.0 else None
 
     def side(cut: int) -> tuple:
         if cut not in sides:
+            # both centers move right with the cut, so the centers of the
+            # nearest cuts evaluated on either side bracket them
+            below = max((c for c in sides if c < cut), default=None)
+            above = min((c for c in sides if c > cut), default=None)
+            bracket = (
+                np.array(sides[below][2:] if below else (-np.inf, -np.inf)),
+                np.array(sides[above][2:] if above else (np.inf, np.inf)),
+            )
             starts, ends = np.array([0, cut]), np.array([cut, n])
-            if cum is None:
-                # both centers move right with the cut, so the centers of the
-                # nearest cuts evaluated on either side bracket them
-                below = max((c for c in sides if c < cut), default=None)
-                above = min((c for c in sides if c > cut), default=None)
-                bracket = (
-                    np.array(sides[below][2:] if below else (-np.inf, -np.inf)),
-                    np.array(sides[above][2:] if above else (np.inf, np.inf)),
-                )
-                a, b = _cell_centers(mids, masses, starts, ends, rf, bracket)
-            else:
-                a, b = _weighted_medians(mids, cum, starts, ends)
+            a, b = _cell_centers(mids, masses, starts, ends, rf, bracket)
             f_l = _dot(masses[:cut], np.abs(mids[:cut] - a) ** rf)
             sides[cut] = (f_l, _dot(masses[cut:], np.abs(mids[cut:] - b) ** rf), a, b)
         return sides[cut]
@@ -630,6 +705,11 @@ def optimal_two_point(grid: CylinderGrid) -> tuple[Codebook, float]:
     def cost(cut: int) -> float:
         return side(cut)[0] + side(cut)[1]
 
+    if rf in (1.0, 2.0):
+        swept, bound = _swept_costs(grid)
+        candidates = np.flatnonzero(swept <= swept.min() + 2.0 * bound) + 1
+        best = min(candidates.tolist(), key=cost)
+        return Codebook(points=side(best)[2:]), cost(best)
     best = min(1, n - 1, key=cost)
     ranges = [(side(1)[0] + side(n - 1)[1], 1, n - 1)]
     while ranges and ranges[0][0] < (1.0 - _PRUNE_SLACK) * cost(best):

@@ -20,6 +20,7 @@ FAST_CASES = [
     "bench/test_bench_centers.py::test_lloyd_refine_c",
     "bench/test_bench_centers.py::test_lloyd_refine_b",
     "bench/test_bench_centers.py::test_optimal_two_point_b_r1",
+    "bench/test_bench_centers.py::test_optimal_two_point_b_r2",
     "bench/test_bench_curve.py::test_error_curve",
     "bench/test_bench_grid.py::test_level_grid[b-r1-k12]",
     "bench/test_bench_grid.py::test_level_grid[c-r1.5-k13]",
@@ -47,7 +48,7 @@ def _child_pytest(*args: str) -> subprocess.CompletedProcess:
 def test_fast_bench_cases_run():
     done = _child_pytest("--benchmark-disable", *FAST_CASES)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "16 passed" in done.stdout, done.stdout
+    assert "17 passed" in done.stdout, done.stdout
 
 
 def test_every_bench_module_collects():
@@ -55,5 +56,5 @@ def test_every_bench_module_collects():
     # collect, whether or not one of its cases is in FAST_CASES
     done = _child_pytest("--collect-only", "bench")
     assert done.returncode == 0, done.stdout + done.stderr
-    # with a collection error the summary reads "24 tests collected, 1 error in"
-    assert "24 tests collected in " in done.stdout, done.stdout
+    # with a collection error the summary reads "25 tests collected, 1 error in"
+    assert "25 tests collected in " in done.stdout, done.stdout

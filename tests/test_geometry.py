@@ -128,6 +128,20 @@ def split_enumeration(grid, r) -> float:
     return best
 
 
+def direct_cut(grid, cut: int) -> tuple[list, float]:
+    """Points and cost of one cut of the grid recentered directly, as
+    `optimal_two_point` reports them: by `_cell_centers`, costed by `_dot`."""
+    x, m, n, r = grid.mids, grid.masses, grid.size, grid.r
+    a, b = _cell_centers(x, m, np.array([0, cut]), np.array([cut, n]), r)
+    cost = geometry._dot(m[:cut], np.abs(x[:cut] - a) ** r)
+    return [float(a), float(b)], cost + geometry._dot(m[cut:], np.abs(x[cut:] - b) ** r)
+
+
+def every_cut_directly(grid) -> tuple[list, float]:
+    """`direct_cut` of the least-cost cut of all, the lowest on ties."""
+    return min((direct_cut(grid, cut) for cut in range(1, grid.size)), key=lambda pc: pc[1])
+
+
 def two_point_tolerance(r) -> dict:
     """1e-12 on a 2-point cost: absolute at r = 1 and 2, relative otherwise."""
     return {"abs": 1e-12} if r in (1, 2) else {"rel": 1e-12, "abs": 0.0}
@@ -906,27 +920,96 @@ class TestLloyd:
         assert grid.size == 1602
         assert 0 < len(calls) <= 200
 
-    def test_two_point_at_order_one_shares_one_prefix_sum(self, sys_b, monkeypatch):
-        # at r = 1 every cut's two cells span the grid, so one cumulative sum
-        # serves all cuts; each cut's centers must be, bit for bit, those of
-        # recentering that cut alone
-        grid = grid_at(realize(sys_b), 1, 5)
-        calls = []
-        medians = geometry._weighted_medians
+    def test_two_point_at_order_one_shares_one_prefix_sum(self, sys_a, sys_b, sys_c, monkeypatch):
+        # at r in {1, 2} every cut is costed at once from prefix sums, each
+        # within the sweep's rounding bound of recentering that cut directly;
+        # at r = 1 all cuts read their medians from one cumulative sum, and
+        # each cut's medians must be, bit for bit, those of recentering that
+        # cut alone.  Only the cuts the sweep cannot rule out are recentered
+        kernel, medians = geometry._cell_centers, geometry._median_indices
+        for r in (1, 2):
+            grid = grid_at(realize(sys_b), r, 5)
+            calls = []
 
-        def spy(x, cum, starts, ends):
-            calls.append((cum, starts, ends, medians(x, cum, starts, ends)))
-            return calls[-1][-1]
+            def spy(cum, starts, ends):
+                calls.append((cum, medians(cum, starts, ends)))
+                return calls[-1][-1]
 
-        monkeypatch.setattr(geometry, "_weighted_medians", spy)
-        monkeypatch.setattr(geometry, "_cell_centers", None)  # not called at r = 1
-        optimal_two_point(grid)
-        monkeypatch.undo()
-        assert 0 < len(calls) <= 200
-        assert len({id(cum) for cum, *_ in calls}) == 1
-        for _cum, starts, ends, got in calls:
-            want = _cell_centers(grid.mids, grid.masses, starts, ends, 1.0)
-            assert got.tobytes() == want.tobytes()
+            monkeypatch.setattr(geometry, "_median_indices", spy)
+            swept, bound = geometry._swept_costs(grid)
+            monkeypatch.undo()
+            direct = [direct_cut(grid, cut) for cut in range(1, grid.size)]
+            assert np.abs(swept - [cost for _points, cost in direct]).max() <= bound
+            if r == 1:
+                (cum, left), (cum_r, right) = calls
+                assert cum is cum_r
+                swept_points = grid.mids[np.stack((left, right), axis=1)]
+                assert swept_points.tolist() == [points for points, _cost in direct]
+            else:
+                assert not calls
+            for sys_m, k in product((sys_a, sys_b, sys_c), (4, 6, 8)):
+                grid = grid_at(realize(sys_m), r, k)
+                recentered = []
+                monkeypatch.setattr(
+                    geometry, "_cell_centers", lambda *args: recentered.append(args[2:4]) or kernel(*args)
+                )
+                book, cost = optimal_two_point(grid)
+                monkeypatch.undo()
+                assert 1 <= len(recentered) <= 2, (r, k, len(recentered))
+                if k == 4:
+                    assert (book.points.tolist(), cost) == every_cut_directly(grid)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("case", ["far-offset", "spread-masses", "n=2", "n=3"])
+    def test_two_point_sweep_on_hostile_grids(self, r, case):
+        # every swept cost lies within the sweep's rounding bound of the direct
+        # one, and the candidates hold the least direct cost over every cut:
+        # far from the origin, with masses over 12 decades, and on the
+        # smallest grids
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            n = {"n=2": 2, "n=3": 3}.get(case, int(rng.integers(4, 120)))
+            if case == "far-offset":
+                mids = 1e6 + np.sort(rng.uniform(0.0, 1e-3, n))
+            else:
+                mids = np.sort(rng.uniform(0.0, 10.0, n))
+            masses = 10.0 ** rng.uniform(-12.0, 0.0, n) if case == "spread-masses" else rng.dirichlet(np.ones(n))
+            grid = CylinderGrid(k=0, r=float(r), mids=mids, halves=np.zeros(n), masses=masses)
+            swept, bound = geometry._swept_costs(grid)
+            direct = [direct_cut(grid, cut)[1] for cut in range(1, n)]
+            assert np.abs(swept - direct).max() <= bound
+            book, cost = optimal_two_point(grid)
+            assert cost == pytest.approx(split_enumeration(grid, r), **two_point_tolerance(r))
+            assert (book.points.tolist(), cost) == every_cut_directly(grid)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_two_point_tie_goes_to_lowest_cut(self, r):
+        # two equal clusters and a point between them, mirror-symmetric about
+        # 0 with equal masses: joining the point to either cluster costs
+        # exactly the same, and the lower cut, 3, wins
+        mids = np.array([-11.0, -10.0, -9.0, 0.0, 9.0, 10.0, 11.0])
+        grid = CylinderGrid(k=0, r=float(r), mids=mids, halves=np.zeros(7), masses=np.full(7, 0.125))
+        costs = [direct_cut(grid, cut)[1] for cut in range(1, 7)]
+        assert costs[2] == costs[3] == min(costs)
+        assert direct_cut(grid, 3)[0] != direct_cut(grid, 4)[0]
+        book, cost = optimal_two_point(grid)
+        assert (book.points.tolist(), cost) == direct_cut(grid, 3)
+        assert cost == pytest.approx(split_enumeration(grid, r), **two_point_tolerance(r))
+        # the same about random centers: where the direct costs tie, the
+        # sweep's rounding may rank the higher cut first, and only its
+        # slack keeps the lower one a candidate
+        rng, ties = np.random.default_rng(0), 0
+        for _ in range(40):
+            half = np.sort(rng.uniform(0.5, 10.0, int(rng.integers(2, 30))))
+            mids = rng.uniform(-5.0, 5.0) + np.concatenate((-half[::-1], [0.0], half))
+            n = mids.size
+            grid = CylinderGrid(k=0, r=float(r), mids=mids, halves=np.zeros(n), masses=np.full(n, 1.0 / n))
+            costs = [direct_cut(grid, cut)[1] for cut in range(1, n)]
+            ties += costs.count(min(costs)) > 1
+            book, cost = optimal_two_point(grid)
+            assert (book.points.tolist(), cost) == every_cut_directly(grid)
+            assert cost == pytest.approx(split_enumeration(grid, r), **two_point_tolerance(r))
+        assert ties >= 10
 
     def test_two_point_optimum_agreement(self, sys_a):
         # split-enumeration optimum is reproduced by Lloyd from quantile init

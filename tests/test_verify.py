@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import random
 import weakref
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from markovquant.antichain import CapacityError
 from markovquant.cli import main
 from markovquant.model import MarkovSystem
 from markovquant.verify import analysis_report
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, random_rational_system
 
 NAMES = [
     "model_valid",
@@ -465,3 +466,29 @@ def test_verify_at_a_fractional_order_lists_every_check(tmp_path, capsys):
     checks = json.loads((tmp_path / "verify_fixture_c.json").read_text())["results"][0]["checks"]
     assert [c["name"] for c in checks] == NAMES
     assert {c["name"]: c["status"] for c in checks}["lloyd_vs_bruteforce"] == "PASS"
+
+
+def _known_fail(seed, r, check):
+    # a fix makes the case pass, which strict xfail reports as a failure
+    mark = pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"{check} FAILs")
+    return pytest.param(seed, r, check, marks=mark, id=f"seed{seed}-r{r}-{check}")
+
+
+@pytest.mark.parametrize(
+    "seed,r,check",
+    [_known_fail(seed, 1, "lloyd_vs_bruteforce") for seed in (2, 19, 43, 78)]
+    + [_known_fail(28, r, "lloyd_vs_bruteforce") for r in (1, Fraction(3, 2))]
+    + [_known_fail(22, r, "phi_growth_band") for r in (1, Fraction(3, 2), 2)],
+)
+def test_random_models_that_realize_fail_no_check(seed, r, check):
+    # the known FAILs on random models that realize: Lloyd stops at a local
+    # optimum of a disconnected measure, and seed 22's depths outgrow the
+    # fixed depth ratio band; any other FAIL is a plain failure
+    suite = run_verification(
+        random_rational_system(random.Random(seed)), r, range(3, 6),
+        depth_offset=2, capacity=10**5, seed=1, mc_samples=20000,
+    )
+    failed = {c.name for c in suite.checks if c.status == "FAIL"}
+    if failed - {check}:
+        pytest.fail(f"{sorted(failed - {check})} FAIL besides {check}")
+    assert not failed
