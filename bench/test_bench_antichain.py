@@ -21,14 +21,17 @@ pass.
 
 The critical structure is solved once, outside the timed calls.  Both series
 record, from one untimed call, their antichain passes from the vertices
-(`passes`: calls of `antichain.scan_levels`).  The deep exponent case also
-records its histogram keys (`keys`) and exponent (`t_k`) and, from one
-untimed scan under `tracemalloc`, the memory the pass holds once built
-(`held_mb`) and its child slots (`slots`).
+(`passes`: calls of `antichain.scan_levels`) and, per level, the
+evaluations of the sum that `implicit_exponent` makes (`exponent_evals`:
+its `math.fsum` calls).  The deep exponent case also records its histogram
+keys (`keys`), its exponent (`t_k`) and, from one untimed `series_row`, its
+`exponent_evals`; from one untimed scan under `tracemalloc`, the memory the
+pass holds once built (`held_mb`) and its child slots (`slots`).
 The random scans record their member words (`words`), histogram keys
 (`keys`) and child slots (`slots`).
 """
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -58,6 +61,31 @@ def random_rational_system(rng: random.Random) -> MarkovSystem:
     return MarkovSystem(p, c, [Fraction(w, sum(chi_w)) for w in chi_w])
 
 
+def _exponent_evals(monkeypatch, call) -> list[int]:
+    """Run `call` once and return, per `antichain.implicit_exponent` call it
+    makes, the evaluations of the sum: one `math.fsum` each."""
+    evals, real, fsum = [], antichain.implicit_exponent, math.fsum
+
+    def counted(table, r):
+        n = 0
+
+        def counting(terms):
+            nonlocal n
+            n += 1
+            return fsum(terms)
+
+        with monkeypatch.context() as m:
+            m.setattr(math, "fsum", counting)
+            t = real(table, r)
+        evals.append(n)
+        return t
+
+    with monkeypatch.context() as m:
+        m.setattr(antichain, "implicit_exponent", counted)
+        call()
+    return evals
+
+
 def _series(benchmark, monkeypatch, ks, **kwargs):
     sys_b = load_model(FIXTURES / "fixture_b.json")
     kwargs["cs"] = critical_analysis(sys_b, 1)
@@ -68,13 +96,14 @@ def _series(benchmark, monkeypatch, ks, **kwargs):
         return real(*args, **kw)
 
     monkeypatch.setattr(antichain, "scan_levels", counted)
-    theorem_ratio_series(sys_b, 1, ks, **kwargs)
+    evals = _exponent_evals(monkeypatch, lambda: theorem_ratio_series(sys_b, 1, ks, **kwargs))
     monkeypatch.undo()
     rows = benchmark.pedantic(
         theorem_ratio_series, args=(sys_b, 1, ks), kwargs=kwargs, rounds=10, warmup_rounds=1,
     )
     benchmark.extra_info["words"] = sum(row.phi for row in rows)
     benchmark.extra_info["passes"] = len(passes)
+    benchmark.extra_info["exponent_evals"] = evals
 
 
 def test_series_b(benchmark, monkeypatch):
@@ -85,7 +114,7 @@ def test_deep_series_b(benchmark, monkeypatch):
     _series(benchmark, monkeypatch, range(1, 41), capacity=10**300)
 
 
-def test_deep_exponent_b(benchmark):
+def test_deep_exponent_b(benchmark, monkeypatch):
     sys_b = load_model(FIXTURES / "fixture_b.json")
     cs = critical_analysis(sys_b, 2)
 
@@ -96,6 +125,9 @@ def test_deep_exponent_b(benchmark):
     res, row = benchmark.pedantic(deep, rounds=10, warmup_rounds=1)
     benchmark.extra_info["keys"] = len(res.weights)
     benchmark.extra_info["t_k"] = row.t_k
+    benchmark.extra_info["exponent_evals"] = _exponent_evals(
+        monkeypatch, lambda: antichain.series_row(res, cs)
+    )
     del res
     tracemalloc.start()
     try:

@@ -37,8 +37,8 @@ keys, one word each, to a deeper threshold.  `series_row` alone turns a
 level into statistics: it weighs each histogram key once, in logs taken
 from its exact integers, so no weight underflows at any depth; every float
 statistic is a sum of exp(log count + e * log w) over that one table, which
-`implicit_exponent` reads too.  The histogram in Fractions is built only
-when read.
+`implicit_exponent` reads too, solving for its exponent by Newton steps from
+below.  The histogram in Fractions is built only when read.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .graphs import CriticalStructure
 from .model import MarkovSystem, Word, as_fraction, edge_extremes
 
 DEFAULT_CAPACITY = 10**8
-_EXPONENT_TOL = 1e-10  # `implicit_exponent` narrows its bracket in t to this width
+_EXPONENT_TOL = 1e-10  # `implicit_exponent` certifies a bracket in t of at most this width
 
 Chain = tuple[int, ...]
 
@@ -381,58 +381,39 @@ def implicit_exponent(table, r) -> float:
 
     In e = t/(t+r), g(e) = log Sum count * w^e is convex and decreases
     strictly from log phi > 0 at e = 0 to log Sum w < 0 at e = 1, so the
-    root is unique.  A bracket in t is doubled until g changes sign, then
-    narrowed to `_EXPONENT_TOL` in rounds of two steps: Newton from the lower
-    end, whose tangent lies below the convex g, so its root is again a lower
-    end, and the secant through both ends, which lies above g on the
-    bracket, so its root is an upper end.  Each step is kept at least half
-    the tolerance inside the bracket, so a step that rounding puts at or past
-    an end still closes the bracket; each point replaces the end of its
-    sign of g, and a round that does not halve the bracket ends with a
-    bisection.  Requires at least two members.
+    root is unique.  Newton runs from t = 0: the tangent at a point below the
+    root lies below the convex g, so its root is again below, and each
+    iterate is a lower end of the bracket.  A step shorter than half
+    `_EXPONENT_TOL` is lengthened to that half, whose evaluation certifies an
+    upper end; an iterate at or past the root (g linear, or rounding) is an
+    upper end, and half the tolerance below it certifies a lower one.  The
+    midpoint of the first bracket no wider than the tolerance is returned.
+    Requires at least two members.
     """
     rf = float(r)
     rows = [(lw, lc) for _chain, lw, lc in table]
     log_w = [lw for lw, _lc in rows]
-
-    def point(t: float) -> tuple[float, float, float, float]:
-        """(t, e, g(e), g'(e)) at e = t/(t+r), one pass over the weight table;
-        the slope only steers Newton, so it is not summed exactly."""
+    half = 0.5 * _EXPONENT_TOL
+    lo, hi, t = 0.0, math.inf, 0.0
+    while True:
         e = t / (t + rf)
         terms = [math.exp(lc + e * lw) for lw, lc in rows]
         total = math.fsum(terms)
-        return t, e, math.log(total), sum(map(operator.mul, terms, log_w)) / total
-
-    lo = point(0.0)
-    if lo[2] <= 0.0:  # log phi: one word, or none
-        raise ValueError("implicit exponent needs an antichain with >= 2 words")
-    hi = point(1.0)
-    while hi[2] > 0.0:
-        if 2.0 * hi[0] > 1e9:
+        g = math.log(total)
+        if t == 0.0 and g <= 0.0:  # log phi: one word, or none
+            raise ValueError("implicit exponent needs an antichain with >= 2 words")
+        lo, hi = (t, hi) if g > 0.0 else (lo, t)
+        if hi - lo <= _EXPONENT_TOL:
+            return 0.5 * (lo + hi)
+        if g <= 0.0:  # at or past the root: certify a lower end below it
+            t -= half
+            continue
+        # the slope only steers Newton, so it is not summed exactly
+        slope = sum(map(operator.mul, terms, log_w)) / total
+        if slope >= 0.0 or (target := e - g / slope) >= 1.0:
             raise ValueError("no positive root: sum of weights is >= 1 at all orders")
-        lo, hi = hi, point(2.0 * hi[0])
-
-    def narrow(t: float) -> None:
-        """Evaluate at t, kept inside the bracket, unless it is closed."""
-        nonlocal lo, hi
-        if hi[0] - lo[0] > _EXPONENT_TOL:
-            new = point(min(max(t, lo[0] + 0.5 * _EXPONENT_TOL), hi[0] - 0.5 * _EXPONENT_TOL))
-            lo, hi = (new, hi) if new[2] > 0.0 else (lo, new)
-
-    while hi[0] - lo[0] > _EXPONENT_TOL:
-        width = hi[0] - lo[0]
-        _, e_lo, g_lo, slope = lo
-        narrow(_t_of(e_lo - g_lo / slope, rf))  # Newton
-        (_, e_lo, g_lo, _), (_, e_hi, g_hi, _) = lo, hi
-        narrow(_t_of(e_lo - g_lo * (e_hi - e_lo) / (g_hi - g_lo), rf))  # secant
-        if hi[0] - lo[0] > 0.5 * width:
-            narrow(0.5 * (lo[0] + hi[0]))
-    return 0.5 * (lo[0] + hi[0])
-
-
-def _t_of(e: float, rf: float) -> float:
-    """t with t/(t+r) = e, for e < 1; +inf from e >= 1."""
-    return rf * e / (1.0 - e) if e < 1.0 else math.inf
+        # a step shorter than half the tolerance is lengthened to certify an upper end
+        t = max(rf * target / (1.0 - target), t + half)
 
 
 @dataclass(frozen=True)
@@ -477,8 +458,9 @@ def series_row(res: ScanResult, cs: CriticalStructure) -> SeriesRow:
     when the pass is exact at integer r, else summed over the table.
     sum_dim is Sum (p*c^r)^{s/(s+r)} at s = s_r, and class_sums splits it
     by the visited chain of critical components.  t_k is
-    `implicit_exponent` of the table.  The ratio columns are
-    `theorem_ratios` of sum_energy at phi, and raise below the float range.
+    `implicit_exponent` of the table, by Newton from t = 0.  The ratio
+    columns are `theorem_ratios` of sum_energy at phi, and raise below the
+    float range.
     `cs` must be built at the pass's order (ValueError otherwise).
     """
     cs.check_order(res.r)

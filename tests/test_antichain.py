@@ -242,18 +242,33 @@ class TestImplicitExponent:
         with pytest.raises(ValueError, match=">= 2 words"):
             implicit_exponent([(chain, log_w, 0.0)], 1)
 
-    @pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_c", *range(7)])
+    @pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_c", *range(7), "deep_b"])
     def test_matches_bisection(self, request, name):
-        # the bracketed Newton and secant steps land within the tolerance of
-        # plain bisection on the same sum, over A-C and random models 0-6
-        if isinstance(name, int):
+        # Newton from t = 0 and its certifying evaluations land within the
+        # tolerance of plain bisection on the same sum, over A-C, random models
+        # 0-6 and B deep at r = 2, where at k = 160 the weights lie far below
+        # the float range
+        orders = (Fraction(1), Fraction(3, 2), Fraction(2))
+        if name == "deep_b":
+            sys_, orders, levels = request.getfixturevalue("sys_b"), (Fraction(2),), (40, 160)
+        elif isinstance(name, int):
             sys_, levels = random_rational_system(random.Random(name)), (1, 2)
         else:
             sys_, levels = request.getfixturevalue(name), (2, 6, 10)
-        for r in (Fraction(1), Fraction(3, 2), Fraction(2)):
+        for r in orders:
             for k in levels:
-                table = antichain._log_weights(scan(sys_, r, k))
+                table = antichain._log_weights(scan(sys_, r, k, capacity=10**300))
                 assert abs(implicit_exponent(table, r) - bisected_exponent(table, r)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "log_w, log_count", [(0.0, 0.0), (-0.1, math.log(3))], ids=["flat", "above_one"],
+    )
+    def test_no_positive_root_rejected(self, log_w, log_count):
+        # two rows whose sum stays >= 1 at every e: with log w = 0 the log-sum
+        # is flat, so Newton has no slope; with log w = -0.1 it still reads
+        # log 6 - 0.1 > 0 at e = 1, so the tangent's root lies at e > 1
+        with pytest.raises(ValueError, match="no positive root"):
+            implicit_exponent([((), log_w, log_count)] * 2, 1)
 
 
 class TestChainDecomposition:

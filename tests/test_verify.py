@@ -141,6 +141,20 @@ def test_capped_curve_does_not_keep_its_grids(sys_a, monkeypatch):
     assert len(curve_arrays) == 1 and alive_after == [0]
 
 
+def test_sampler_resolution_error_skips_the_monte_carlo_check(sys_a, monkeypatch):
+    plain = {c.name: c.status for c in _verify_a(sys_a).checks}
+    assert plain["monte_carlo_bracket"] == "PASS"
+    # a level cap below one super-step: the sampler raises before its first step
+    monkeypatch.setattr(geometry, "_SAMPLE_STEPS", 0)
+    with pytest.raises(geometry.SamplingResolutionError) as err:
+        geometry.sample_support_points(geometry.realize(sys_a), 2, seed=0)
+    suite = _verify_a(sys_a)
+    mc = _by_name(suite)["monte_carlo_bracket"]
+    assert (mc.status, mc.reason) == ("SKIP", str(err.value))
+    assert {c.name: c.status for c in suite.checks} == {**plain, "monte_carlo_bracket": "SKIP"}
+    assert suite.ok
+
+
 def test_cap_below_the_smallest_level_skips_each_check_with_its_own_level(sys_a):
     # phi_4 of A is 64 words: every reader of a level-4 antichain overruns a
     # cap of 10, and the Lloyd and Monte Carlo grids overrun it at level 6
